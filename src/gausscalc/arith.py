@@ -116,15 +116,11 @@ def solve_congruence(a: int, b: int, m: int) -> tuple[int, int] | None:
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """Input to the tower search.
-
-    ``seed`` is reserved; the search is fully deterministic.
-    """
+    """Input to the tower search."""
 
     m_base: int = 12
     k_mult: int = 2
     prime_search_limit: int = 100_000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.m_base < 2 or self.m_base % 2:
@@ -191,7 +187,6 @@ class Params:
         self.epsilon = epsilon
         self._xi: dict[int, int] = {}
         self._sqrt_cache: dict[int, int] = {}
-        self._p1_factors: dict[int, int] | None = None
         self._validate()
 
     def _validate(self) -> None:
@@ -201,6 +196,12 @@ class Params:
             raise ArithError("p must fit in 63 bits")
         if self.N_v % 4:
             raise ArithError("4 must divide N_v")
+        if not is_probable_prime(self.p):
+            raise ArithError(f"p = {self.p} is not prime")
+        self._p1_factors = _p1_factorization(self.p, 8 * self.N_u)
+        p, eps = self.p, self.epsilon
+        if not 1 < eps < p or any(pow(eps, (p - 1) // q, p) == 1 for q in self._p1_factors):
+            raise ArithError(f"epsilon = {eps} is not a primitive root mod p = {p}")
 
     # -- characters ---------------------------------------------------------
 
@@ -230,8 +231,6 @@ class Params:
     # -- orders and square roots -------------------------------------------
 
     def p1_factorization(self) -> dict[int, int]:
-        if self._p1_factors is None:
-            self._p1_factors = factorize(self.p - 1)
         return self._p1_factors
 
     def element_order(self, x: FpElem) -> int:
@@ -367,6 +366,15 @@ def load_params(text: str) -> Params:
     return Params.from_dict(fields)
 
 
+def _p1_factorization(p: int, modulus: int) -> dict[int, int]:
+    """Prime factorisation of p - 1 = modulus * c; the modulus (8 N_u, a
+    product of small primes) and c are factored apart."""
+    factors = factorize(modulus)
+    for q, e in factorize((p - 1) // modulus).items():
+        factors[q] = factors.get(q, 0) + e
+    return factors
+
+
 def smallest_primitive_root(p: int, p1_factors: dict[int, int]) -> int:
     primes = list(p1_factors)
     g = 2
@@ -378,8 +386,6 @@ def smallest_primitive_root(p: int, p1_factors: dict[int, int]) -> int:
 
 @lru_cache(maxsize=None)
 def _find_params_cached(m_base: int, k_mult: int, limit: int) -> Params:
-    modulus = 8 * m_base * m_base * (m_base * k_mult) ** 2 * m_base * m_base
-    # modulus = 8 * N_u with N_u = l*i = m^4 * k^2 ... computed explicitly below
     l = m_base * m_base
     i = (m_base * k_mult) ** 2
     modulus = 8 * l * i
@@ -395,14 +401,7 @@ def _find_params_cached(m_base: int, k_mult: int, limit: int) -> Params:
         )
     if p >= 1 << 63:
         raise SearchExhausted("smallest admissible prime exceeds 63 bits")
-    factors = factorize(modulus)
-    c_found = (p - 1) // modulus
-    for q, e in factorize(c_found).items():
-        factors[q] = factors.get(q, 0) + e
-    epsilon = smallest_primitive_root(p, factors)
-    params = Params(m_base, k_mult, p, epsilon)
-    params._p1_factors = factors
-    return params
+    return Params(m_base, k_mult, p, smallest_primitive_root(p, _p1_factorization(p, modulus)))
 
 
 def find_params(spec: ParamSpec) -> Params:
@@ -415,20 +414,3 @@ def default_params() -> Params:
     """The default desk-scale tower (m=12, k=2): N_v=144, N_u=82944."""
     return find_params(ParamSpec())
 
-
-# Convenience functional forms mirroring the operation names.
-
-def exp_p(params: Params, eta: int) -> FpElem:
-    return params.exp_p(eta)
-
-
-def char_e(params: Params, phase: Phase | Fraction) -> FpElem:
-    return params.char_e(phase)
-
-
-def element_order(params: Params, x: FpElem) -> int:
-    return params.element_order(x)
-
-
-def sqrt_canonical(params: Params, M: int) -> FpElem:
-    return params.sqrt_canonical(M)

@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .arith import ArithError, ParamSpec, default_params, find_params, load_params
+from .arith import ParamSpec, default_params, find_params, load_params
 from .coeffring import to_complex, to_fp
 from .climit import (
     CausticError,
@@ -238,7 +238,10 @@ def cmd_qe(args) -> int:
     if args.assign:
         for item in args.assign.split(","):
             key, _, value = item.partition("=")
-            assignment[key.strip()] = int(value)
+            try:
+                assignment[key.strip()] = int(value)
+            except ValueError:
+                raise ValueError(f"bad --assign item {item!r}: expected name=integer") from None
     doc = {
         "input": format_expr(expr),
         "normal_form": nf.render(),
@@ -259,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--params-file", default=None, help="TOML/JSON Params document")
     top.add_argument("--mode", choices=["extended", "strict"], default="extended")
     top.add_argument("--backend", choices=["fp", "complex"], default="fp")
-    top.add_argument("--json", action="store_true", help="line-delimited JSON (default)")
     sub = top.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("params", help="run the deterministic tower search")
@@ -331,7 +333,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ArithError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ArithmeticError, ValueError, OSError) as exc:
         _emit({"error": str(exc), "type": type(exc).__name__})
         return 1
 

@@ -124,10 +124,14 @@ class GaussCoeff:
     def __pow__(self, n: int) -> "GaussCoeff":
         if n < 0:
             return self.inverse() ** (-n)
-        out = GaussCoeff.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        # sqrt(rho)^n = rho^(n // 2) * sqrt(rho)^(n % 2)
+        return GaussCoeff(
+            self.c ** n * self.rho ** (n // 2),
+            self.rho if n % 2 else 1,
+            self.a * n,
+            self.b * n,
+            Phase(self.phase.q * n, self.phase.domain),
+        )
 
     def inverse(self) -> "GaussCoeff":
         if self.is_zero():

@@ -18,10 +18,13 @@ summation quantifier; 'int' is the same summation weighted by the lattice
 measure 1/sqrt(N) (the x = r/sqrt(N) scaling).
 
 Elimination rewrites each quantifier innermost-first by the Gauss
-summation formula: a variable y entering as (A y^2 + 2 L(frees) y +
-R(frees))/2N contributes the closed-form coefficient and the residual
-phase (R - L^2/A)/2N, guarded by the congruence A | L(frees); guards are
-first-class data in the normal form.  Quantified variables must carry
+summation formula, evaluated by the summation kernel ``gauss.gauss_sum``
+on the term lowered to positional form: a variable y entering as
+(A y^2 + 2 L(frees) y + R(frees))/2N contributes the closed-form
+coefficient and the residual phase (R - L^2/A)/2N, guarded by the
+congruence A | L(frees); guards are first-class data in the normal form,
+and guards on y itself first restrict it to a coset (merged by CRT when
+their moduli are coprime).  Quantified variables must carry
 even linear coefficients (the 2L structure of the summation formula);
 odd ones leave the Gaussian fragment and raise.
 """
@@ -34,7 +37,7 @@ from fractions import Fraction
 
 from .arith import ArithError, DomainMismatch, Params
 from .coeffring import GaussCoeff, to_complex, to_fp
-from .gauss import NonGaussianSum, sqrt_with_scale
+from .gauss import gauss_sum
 
 
 class ParseError(ArithError):
@@ -99,17 +102,11 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Poly":
-        return self * -1
-
     def variables(self) -> set[str]:
         return {v for m, _ in self.coeffs for v in m}
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def constant(self) -> int:
-        return self.as_dict().get((), 0)
 
     def eval(self, assignment: dict[str, int]) -> int:
         total = 0
@@ -121,35 +118,6 @@ class Poly:
                 term *= assignment[v]
             total += term
         return total
-
-    def split_var(self, y: str) -> tuple[int, "Poly", "Poly"]:
-        """poly = A y^2 + ell(frees) y + R(frees); returns (A, ell, R)."""
-        A = 0
-        ell: dict[Monomial, int] = {}
-        rest: dict[Monomial, int] = {}
-        for m, c in self.coeffs:
-            count = m.count(y)
-            if count == 2:
-                A += c
-            elif count == 1:
-                other = tuple(v for v in m if v != y)
-                ell[other] = ell.get(other, 0) + c
-            else:
-                rest[m] = rest.get(m, 0) + c
-        return A, Poly.from_dict(ell), Poly.from_dict(rest)
-
-    def substitute(self, y: str, replacement: "Poly") -> "Poly":
-        """Substitute y := replacement (replacement at most linear)."""
-        A, ell, rest = self.split_var(y)
-        out = Poly.from_dict(rest.as_dict())
-        if not ell.is_zero():
-            out = out + ell * replacement
-        if A:
-            out = out + replacement * replacement * A
-        return out
-
-    def content_divisible(self, k: int) -> bool:
-        return all(c % k == 0 for _, c in self.coeffs)
 
     def exact_div(self, k: int) -> "Poly":
         return Poly.from_dict({m: c // k for m, c in self.coeffs})
@@ -583,8 +551,8 @@ def _eval_fp(e: Expr, params: Params, asg: dict[str, int], dom: str) -> int:
     if isinstance(e, SqrtAtom):
         return to_fp(params, GaussCoeff.sqrt(e.value))
     if isinstance(e, PhaseAtom):
-        n = e.poly.eval(asg)
-        return params.char_e(Fraction(n, 2 * _domain_size(params, e.domain)) % 1)
+        two_n = 2 * _domain_size(params, e.domain)
+        return pow(params.xi(two_n), e.poly.eval(asg) % two_n, p)
     if isinstance(e, Prod):
         out = 1
         for f in e.factors:
@@ -785,127 +753,47 @@ def _expand(e: Expr, params: Params, mode: str, dom: str) -> list[GaussTerm]:
     raise ArithError(f"cannot eliminate {type(e).__name__}")
 
 
-def _resolve_guard_coset(term: GaussTerm, y: str, params: Params):
-    """Consume the guards mentioning y into a coset y = base(frees) + step*Z,
-    leaving residual guards on the other variables.
-
-    Each such guard reads a*y + rest(frees) = 0 (mod g) with a constant a;
-    when gcd(a, g) > 1 it must divide `rest` coefficient-wise (pointwise
-    branching leaves the fragment)."""
-    step, base = 1, Poly.const(0)
-    others: list[Guard] = []
-    for g in term.guards:
-        if y not in g.poly.variables():
-            others.append(g)
-            continue
-        a2, ell, rest = g.poly.split_var(y)
-        if a2 != 0:
-            raise NonGaussianSum("guard quadratic in a quantified variable")
-        if ell.variables():
-            raise NonGaussianSum("guard couples two quantified variables nonconstantly")
-        coeff_y = ell.constant()
-        gmod = g.modulus
-        gg = math.gcd(coeff_y, gmod)
-        if gg > 1:
-            if not rest.content_divisible(gg):
-                raise NonGaussianSum("guard gcd does not divide the free part")
-            rest = rest.exact_div(gg)
-            coeff_y //= gg
-            gmod //= gg
-        if gmod == 1:
-            continue
-        new_base = rest * (-pow(coeff_y, -1, gmod) % gmod)
-        # merge with the running coset y = base (mod step)
-        if step == 1:
-            base, step = new_base, gmod
-        elif math.gcd(step, gmod) == 1:
-            u1 = gmod * pow(gmod, -1, step)
-            u2 = step * pow(step, -1, gmod)
-            base = base * u1 + new_base * u2
-            step = step * gmod
-        elif step % gmod == 0:
-            # running coset finer: consistency becomes a residual guard
-            others.append(Guard(gmod, base + new_base * -1))
-        elif gmod % step == 0:
-            others.append(Guard(step, base + new_base * -1))
-            base, step = new_base, gmod
-        else:
-            raise NonGaussianSum("incomparable guard cosets")
-    return step, base, others
-
-
 def _eliminate_var(term: GaussTerm, y: str, params: Params, mode: str) -> GaussTerm | None:
-    """One Gauss-summation step over y in the full domain window.
-    Returns None for a structurally-zero result."""
+    """One Gauss-summation step over y in the full domain window: the
+    term's phase and guards are lowered to positional form (variables in
+    name order, the constant last) for the summation kernel `gauss_sum`,
+    and its result is read back.  Returns None for a structurally-zero
+    result (a declared zero, or a sum that telescopes to zero)."""
+    names = sorted(term.poly.variables().union({y}, *(g.poly.variables() for g in term.guards)))
+    pos = {v: i for i, v in enumerate(names)}
+    n = len(names)
+    Q = [[0] * (n + 1) for _ in range(n + 1)]
+    for m, c in term.poly.coeffs:
+        i, j = ([pos[v] for v in m] + [n, n])[:2]
+        Q[i][j] += c
+    guards = [(g.modulus, _vector(g.poly, pos, n)) for g in term.guards]
     N = _domain_size(params, term.domain)
-    step, base, guards = _resolve_guard_coset(term, y, params)
-    poly = term.poly
-    if step > 1 or not base.is_zero():
-        if N % step:
-            raise NonGaussianSum("guard coset incompatible with the domain")
-        poly = poly.substitute(y, base + Poly.var(y) * step)
-    window = N // step
-    A, ell, rest = poly.split_var(y)
-    den = term.den
-    M = N * den
-    if not ell.content_divisible(2):
-        raise NonGaussianSum("odd linear coefficient of a quantified variable")
-    L = ell.exact_div(2)
-    if A == 0:
-        if mode == "strict":
-            return None
-        if not L.content_divisible(den * step):
-            raise NonGaussianSum("scaled geometric sum outside the fragment")
-        # nonzero iff M | L(frees)
-        new_guards = tuple(guards)
-        if not L.is_zero():
-            if not L.variables():
-                if L.constant() % M:
-                    return None  # constant, indivisible: identically zero
-            else:
-                new_guards += (Guard(M, L),)
-        return GaussTerm(
-            term.coeff * GaussCoeff.rational(window), rest, term.domain, den, new_guards
-        )
-    if M % abs(A):
-        raise NonGaussianSum("period not integral in elimination")
-    T = M // abs(A)
-    if T % 4 or window % T:
-        raise NonGaussianSum("window outside the closed-form fragment")
-    mult = window // T
-    if not L.content_divisible(den * step):
-        raise NonGaussianSum("scaled quadratic sum outside the fragment")
-    sgn = 1 if A > 0 else -1
-    aa = abs(A)
-    # residual phase (rest - L^2/A)/2M, held over the boosted denominator
-    new_poly = rest * aa + L * L * (-sgn)
-    new_guards = list(guards)
-    if not L.is_zero():
-        if not L.variables():
-            if L.constant() % A:
-                return None  # constant, indivisible: the sum telescopes to zero
-        elif aa > 1:
-            new_guards.append(Guard(aa, L))
-    coeff = (
-        term.coeff
-        * GaussCoeff.rational(mult)
-        * sqrt_with_scale(Fraction(T), term.domain, params)
-        * GaussCoeff.e8_power(sgn)
-    )
-    g = math.gcd(_poly_content(new_poly), den * aa)
-    if g > 1:
-        new_poly = new_poly.exact_div(g)
-        new_den = den * aa // g
-    else:
-        new_den = den * aa
-    return GaussTerm(coeff, new_poly, term.domain, new_den, tuple(new_guards))
+    res = gauss_sum(Q, pos[y], guards, N, N * term.den, term.domain, mode, params)
+    if res.coeff.is_zero():
+        return None
+    new_guards = [Guard(k, _linear_poly(v, names)) for k, v in res.guards + ((res.guard,) if res.guard else ())]
+    poly = Poly.from_dict({
+        tuple(names[t] for t in (i, j) if t < n): c
+        for i, row in enumerate(res.Q) for j, c in enumerate(row) if c
+    })
+    den = res.M // N
+    if Q[pos[y]][pos[y]]:
+        # residual phase (R - L^2/A)/2M, held over the boosted denominator
+        g = math.gcd(*(c for _, c in poly.coeffs), den)
+        poly, den = poly.exact_div(g), den // g
+    return GaussTerm(term.coeff * res.coeff, poly, term.domain, den, tuple(new_guards))
 
 
-def _poly_content(poly: Poly) -> int:
-    g = 0
-    for _, c in poly.coeffs:
-        g = math.gcd(g, c)
-    return g
+def _vector(poly: Poly, pos: dict[str, int], n: int) -> list[int]:
+    v = [0] * (n + 1)
+    for m, c in poly.coeffs:
+        v[pos[m[0]] if m else n] += c
+    return v
+
+
+def _linear_poly(v: list[int], names: list[str]) -> Poly:
+    n = len(names)
+    return Poly.from_dict({((names[i],) if i < n else ()): c for i, c in enumerate(v) if c})
 
 
 def eliminate(e: Expr, params: Params, mode: str = "extended") -> NormalForm:

@@ -7,14 +7,20 @@ quadratic kernel in (input q, output r) plus linear terms and a pair-coset
 constraint aq*q + ar*r = d (mod k).  Nothing is materialised as a
 length-N vector outside the brute-force oracles (DenseState).
 
-Two summation conventions coexist, both exact:
+Every sum is evaluated by the one Gauss-summation kernel
+``gauss.gauss_sum``.  Two summation conventions coexist, both exact:
 
 * ``inner``  -- the formal inner product, summed over one period of the
-  combined phase (the "units of scales" convention); when the combined
-  quadratic coefficient does not divide the linear one the value is
-  declared zero, which is what the full-domain sum gives.
+  combined phase (the "units of scales" convention) by
+  ``gauss.quadratic_window_sum``, the kernel's case without free
+  variables; when the combined quadratic coefficient does not divide the
+  linear one the value is declared zero, which is what the full-domain
+  sum gives.
 * ``apply_operator`` / ``compose`` -- linearity sums over the whole
-  domain, so closed forms carry the block multiplicity.
+  domain, so closed forms carry the block multiplicity.  The phase is
+  lowered to a quadratic form in (input, summed, output) indices and the
+  support cosets to guards on them; the kernel's divisibility guard and
+  residual guards become the image support.
 
 Denominators introduced by operator images (phases over 2tN and the like)
 are tracked in ``den``; support cosets fall out of the divisibility case
@@ -29,7 +35,7 @@ from fractions import Fraction
 
 from .arith import ArithError, DomainMismatch, Params, solve_congruence
 from .coeffring import GaussCoeff, to_fp
-from .gauss import NonGaussianSum, sqrt_with_scale, quadratic_window_sum
+from .gauss import NonGaussianSum, divides_on_guards, gauss_sum, quadratic_window_sum
 
 
 class InadmissibleForm(ArithError):
@@ -44,7 +50,6 @@ class BadCoset(ArithError):
 class Domain:
     tag: str
     N: int
-    unit_label: str = ""
 
     def __post_init__(self) -> None:
         if self.tag not in ("U", "V"):
@@ -58,11 +63,11 @@ class Domain:
 
 
 def domain_v(params: Params) -> Domain:
-    return Domain("V", params.N_v, "v")
+    return Domain("V", params.N_v)
 
 
 def domain_u(params: Params) -> Domain:
-    return Domain("U", params.N_u, "u")
+    return Domain("U", params.N_u)
 
 
 def unit_normalization(params: Params, domain: Domain) -> GaussCoeff:
@@ -118,8 +123,6 @@ class GaussState:
     domain: Domain
     den: int = 1
     support: tuple[int, int] = (1, 0)
-    form: QuadForm | None = None
-    p_param: int | None = None
 
     def __post_init__(self) -> None:
         k, d = self.support
@@ -188,8 +191,6 @@ def gauss_ket(
         form.C * p_param * p_param,
         domain,
         den=den,
-        form=form,
-        p_param=p_param,
     )
 
 
@@ -300,35 +301,31 @@ def inner(params: Params, s1, s2, kind: str = "Hermitian", mode: str = "extended
     qA = s1.qA * f1 + sign * s2.qA * f2
     qL = s1.qL * f1 + sign * s2.qL * f2
     qC = s1.qC * f1 + sign * s2.qC * f2
-    cf = s1.coeff * (s2.coeff.conj() if kind == "Hermitian" else s2.coeff)
 
     coset = _intersect_cosets(*s1.support, *s2.support)
     if coset is None:
         return GaussCoeff.zero()
     k, d = coset
     N = s1.domain.N
-    tag = s1.domain.tag
     M = N * den
     # substitute r = d + k*sigma
     A_s = qA * k * k
     B_s = (qA * d + qL) * k
     C_s = qA * d * d + 2 * qL * d + qC
-    if A_s == 0:
-        if mode == "strict" or B_s % M:
-            return GaussCoeff.zero()
-        return (
-            cf
-            * GaussCoeff.rational(N // k)
-            * GaussCoeff.phase_of(Fraction(C_s, 2 * M), tag)
-        )
-    if M % abs(A_s) or (M // abs(A_s)) % 4:
-        raise NonGaussianSum("combined phase outside the closed-form fragment")
-    if B_s % A_s:
-        return GaussCoeff.zero()  # full-domain telescope; declared zero
-    one_period = M // abs(A_s)
-    if one_period > N // k:
+    # one period of the sigma-summand: T|A|/gcd(A, B) quasi-period blocks
+    # (T = M/|A|), so that blocks which do not telescope within it give the
+    # full-domain value, zero, and the kernel checks the period before it
+    # reads that zero; the whole coset when the phase is constant
+    if A_s:
+        window = math.lcm(M, A_s) // math.gcd(A_s, B_s)
+    else:
+        window = N // k if B_s % M == 0 else M // math.gcd(M, B_s)
+    value = quadratic_window_sum(A_s, B_s, C_s, M, window, s1.domain.tag, mode, params)
+    if value.is_zero():
+        return value
+    if window > N // k:
         raise NonGaussianSum("period exceeds the domain; no reduced window")
-    return cf * quadratic_window_sum(A_s, B_s, C_s, M, one_period, tag, mode, params)
+    return s1.coeff * (s2.coeff.conj() if kind == "Hermitian" else s2.coeff) * value
 
 
 def _check_domains(d1: Domain, d2: Domain) -> None:
@@ -341,18 +338,14 @@ def norm_squared(params: Params, s) -> GaussCoeff:
     return inner(params, s, s, "Hermitian", "extended")
 
 
-# -- operator application ------------------------------------------------------
+# -- operator application and composition ------------------------------------
 
 
-def _merge_cosets_1d(c1: tuple[int, int] | None, c2: tuple[int, int] | None):
-    """Intersect single-variable cosets; None means the whole domain.
-    Returns the merged coset or 'empty'."""
-    if c1 is None:
-        return c2
-    if c2 is None:
-        return c1
-    merged = _intersect_cosets(*c1, *c2)
-    return merged if merged is not None else "empty"
+def _summed_guard(k: int, v: tuple, y: int) -> tuple:
+    """The support congruence k | v . x, oriented with v[y] = -1 when v[y] = 1:
+    the coset of x_y is then the remainder of the guard, today's canonical
+    representative in the lifted GaussState/GaussOperator fields."""
+    return (k, tuple(-c for c in v) if v[y] == 1 else v)
 
 
 def apply_operator(params: Params, op: GaussOperator, s) -> GaussState:
@@ -388,281 +381,90 @@ def apply_operator(params: Params, op: GaussOperator, s) -> GaussState:
     N = s.domain.N
     den = math.lcm(s.den, op.den)
     fs, fo = den // s.den, den // op.den
-    sA, sL, sC = s.qA * fs, s.qL * fs, s.qC * fs
-    oA, oB, oC = op.kA * fo, op.kB * fo, op.kC * fo
-    oD, oE = op.kD * fo, op.kE * fo
+    # phase over (q, r, 1), q summed
+    Q = [
+        [s.qA * fs + op.kA * fo, 2 * op.kB * fo, 2 * (s.qL * fs + op.kD * fo)],
+        [0, op.kC * fo, 2 * op.kE * fo],
+        [0, 0, s.qC * fs],
+    ]
     ks, ds = s.support
     ko, aq, ar, do = op.support
-
-    # Express the q-range as q = u0*r + v0 + L*sigma plus (optionally) an
-    # extra coset condition on the output index r.
-    extra: tuple[int, int] | None = None
-    if ko == 1:
-        u0, v0, L = 0, ds, ks
-    elif abs(aq) == 1:
-        u0, v0 = -aq * ar, aq * do  # kernel coset: q = u0 r + v0 (mod ko)
-        if ks == 1:
-            L = ko
-        elif ks % ko == 0:
-            # the state's coset is finer: q = ds + ks*sigma, and the kernel
-            # coset becomes a condition on r
-            sol = solve_congruence(u0, ds - v0, ko)
-            if sol is None:
-                return zero_state(op.domain_out)
-            extra, (u0, v0, L) = sol, (0, ds, ks)
-        elif ko % ks == 0:
-            sol = solve_congruence(u0, ds - v0, ks)
-            if sol is None:
-                return zero_state(op.domain_out)
-            extra, L = sol, ko
-        else:
-            raise NonGaussianSum("incomparable support cosets in apply")
-    else:
-        raise NonGaussianSum("unsupported support combination in apply")
-
-    QA = sA + oA
-    M = N * den
-    b1 = L * (QA * u0 + oB)  # sigma-linear part: B_sig(r) = b1*r + b0
-    b0 = L * (QA * v0 + sL + oD)
-    c2 = QA * u0 * u0 + 2 * oB * u0 + oC  # C_sig(r) = c2 r^2 + 2 c1 r + c0
-    c1 = QA * u0 * v0 + (sL + oD) * u0 + oB * v0 + oE
-    c0 = QA * v0 * v0 + 2 * (sL + oD) * v0 + sC
-
-    def finish(coeff, pA, pL, pC, dd, guard):
-        support = _merge_cosets_1d(extra, guard)
-        if support == "empty":
-            return zero_state(op.domain_out)
-        if support is None:
-            support = (1, 0)
-        if N % support[0]:
-            raise NonGaussianSum("image coset incompatible with the domain")
-        return GaussState(
-            s.coeff * op.coeff * coeff, pA, pL, pC, op.domain_out,
-            den=dd, support=support,
-        )
-
-    if L == N:
-        # q pinned to a single index; polynomial substitution needs the
-        # phase to be N-periodic, i.e. an unscaled modulus
-        if den > 1:
-            raise NonGaussianSum("pinned substitution with scaled modulus")
-        return finish(GaussCoeff.one(), c2, c1, c0, den, None)
-
-    A_sig = QA * L * L
-    window = N // L
-
-    if A_sig == 0:
-        # geometric in sigma: need the off-coset telescope to close
-        if den > 1 and (b1 % (L * den) or b0 % (L * den)):
-            raise NonGaussianSum("scaled geometric sum outside the fragment")
-        sol = solve_congruence(b1 % M, (-b0) % M, M)
+    guards = [(ks, (-1, 0, ds)), _summed_guard(ko, (aq, ar, -do), 0)]
+    res = gauss_sum(Q, 0, [g for g in guards if g[0] > 1], N, N * den, s.domain.tag, params=params)
+    if res.coeff.is_zero():
+        return zero_state(op.domain_out)
+    support = (1, 0)
+    for k, v in res.guards + ((res.guard,) if res.guard else ()):
+        sol = solve_congruence(v[1], -v[2], k)
         if sol is None:
             return zero_state(op.domain_out)
-        step_r, base = sol
-        k_r = math.gcd(step_r, N)
-        guard = (k_r, base % k_r) if k_r > 1 else None
-        return finish(GaussCoeff.rational(window), c2, c1, c0, den, guard)
-
-    if M % abs(A_sig):
-        raise NonGaussianSum("sigma-period not integral in apply")
-    T = M // abs(A_sig)
-    if T % 4 or window % T:
-        raise NonGaussianSum("sigma-window outside the closed-form fragment")
-    mult = window // T
-    if den > 1 and ((b1 // L) % den or (b0 // L) % den):
-        # off-coset blocks would not telescope to zero
-        raise NonGaussianSum("scaled quadratic sum outside the fragment")
-    sol = solve_congruence(b1, -b0, abs(A_sig))
-    if sol is None:
-        return zero_state(op.domain_out)
-    step_r, base = sol
-    k_r = math.gcd(step_r, N)
-    guard = (k_r, base % k_r) if k_r > 1 else None
-    sgn = 1 if A_sig > 0 else -1
-    aa = abs(A_sig)
-    pA = aa * c2 - sgn * b1 * b1
-    pL = aa * c1 - sgn * b1 * b0
-    pC = aa * c0 - sgn * b0 * b0
-    factor = (
-        GaussCoeff.rational(mult)
-        * sqrt_with_scale(Fraction(T), s.domain.tag, params)
-        * GaussCoeff.e8_power(sgn)
-    )
-    return finish(factor, pA, pL, pC, den * aa, guard)
-
-
-# -- composition ---------------------------------------------------------------
-
-
-def _reduce_pair_coset(c: tuple[int, int, int, int] | None):
-    if c is None:
-        return None
-    k, a, b, d = c
-    g = math.gcd(math.gcd(k, a), math.gcd(b, d))
-    if g > 1:
-        k, a, b, d = k // g, a // g, b // g, d // g
-    if k == 1:
-        return None
-    return (k, a % k, b % k, d % k)
-
-
-def _pair_implies(fine, coarse) -> bool:
-    """Sufficient test that every (q, r) solving `fine` solves `coarse`."""
-    kf, af, bf, df = fine
-    kc, ac, bc, dc = coarse
-    if kf % kc:
-        return False
-    return any(
-        (ac - lam * af) % kc == 0
-        and (bc - lam * bf) % kc == 0
-        and (dc - lam * df) % kc == 0
-        for lam in range(kc)
-    )
-
-
-def _merge_pair_cosets(c1, c2):
-    c1, c2 = _reduce_pair_coset(c1), _reduce_pair_coset(c2)
-    if c1 is None:
-        return c2
-    if c2 is None:
-        return c1
-    if _pair_implies(c2, c1):
-        return c2
-    if _pair_implies(c1, c2):
-        return c1
-    raise NonGaussianSum("pair cosets outside the single-congruence fragment")
-
-
-def _divides_on_pair_coset(den: int, lin: tuple[int, int, int], coset) -> bool:
-    """True when den | bq*q + br*r + bc for every (q, r) in the coset
-    (sufficient tests: coefficient-wise, or via a multiple of the coset's
-    own congruence)."""
-    bq, br, bc = lin
-    if den == 1 or (bq % den == 0 and br % den == 0 and bc % den == 0):
-        return True
-    if coset is None:
-        return False
-    kc, ac, rc, dc = coset
-    if kc % den:
-        return False
-    return any(
-        (bq - lam * ac) % den == 0
-        and (br - lam * rc) % den == 0
-        and (bc + lam * dc) % den == 0
-        for lam in range(den)
+        if N % sol[0]:
+            raise NonGaussianSum("image coset incompatible with the domain")
+        support = _intersect_cosets(*support, *sol)
+        if support is None:
+            return zero_state(op.domain_out)
+    R = res.Q
+    return GaussState(
+        s.coeff * op.coeff * res.coeff, R[1][1], R[1][2] // 2, R[2][2], op.domain_out,
+        den=res.M // N, support=support,
     )
 
 
 def compose(params: Params, op1: GaussOperator, op2: GaussOperator) -> GaussOperator:
     """op1 after op2: kernel(q, r) = sum_m k2(q, m) k1(m, r), Gauss-summed
-    over the intermediate variable.  Support cosets must be nested (one
-    constraint modulus dividing the other)."""
+    over the intermediate variable.  The composed support is the finest of
+    the divisibility guard and the two supports restricted to the summed
+    coset; it must imply the others (a single pair congruence)."""
     if op1.domain_in != op2.domain_out:
         raise DomainMismatch("compose: op1 input must match op2 output")
     dom_in, dom_out = op2.domain_in, op1.domain_out
+    zero = GaussOperator(GaussCoeff.zero(), 0, 0, 0, dom_in, dom_out)
     if op1.is_zero() or op2.is_zero():
-        return GaussOperator(GaussCoeff.zero(), 0, 0, 0, dom_in, dom_out)
+        return zero
     N = op1.domain_in.N
+    tag = op1.domain_in.tag
     den = math.lcm(op1.den, op2.den)
     f1, f2 = den // op1.den, den // op2.den
-    A1, B1, C1, D1, E1 = (x * f1 for x in (op1.kA, op1.kB, op1.kC, op1.kD, op1.kE))
-    A2, B2, C2, D2, E2 = (x * f2 for x in (op2.kA, op2.kB, op2.kC, op2.kD, op2.kE))
+    # phase over (q, m, r, 1), m summed
+    Q = [
+        [op2.kA * f2, 2 * op2.kB * f2, 0, 2 * op2.kD * f2],
+        [0, op2.kC * f2 + op1.kA * f1, 2 * op1.kB * f1, 2 * (op2.kE * f2 + op1.kD * f1)],
+        [0, 0, op1.kC * f1, 2 * op1.kE * f1],
+        [0, 0, 0, 0],
+    ]
     k1, aq1, ar1, d1 = op1.support
     k2, aq2, ar2, d2 = op2.support
-    both_unitary = op1.unitary and op2.unitary
-    MA = C2 + A1  # m^2 coefficient
-    b0 = E2 + D1  # m-linear part is 2*(B2 q + B1 r + b0)
-
-    # Resolve both support constraints into m = uq*q + ur*r + u0 + L*sigma
-    # plus an optional pair-coset condition on (q, r).
-    consistency = None
-    if k2 > 1 and abs(ar2) != 1:
-        raise NonGaussianSum("op2 support does not pin the intermediate index")
-    if k1 > 1 and abs(aq1) != 1:
-        raise NonGaussianSum("op1 support does not pin the intermediate index")
-    m2 = (-ar2 * aq2, 0, ar2 * d2, k2) if k2 > 1 else None  # m = uq q + u0 (mod k2)
-    m1 = (0, -aq1 * ar1, aq1 * d1, k1) if k1 > 1 else None  # m = ur r + u0 (mod k1)
-    if m2 is None and m1 is None:
-        uq, ur, u0, L = 0, 0, 0, 1
-    elif m1 is None:
-        uq, ur, u0, L = m2[0], 0, m2[2], k2
-    elif m2 is None:
-        uq, ur, u0, L = 0, m1[1], m1[2], k1
-    elif k1 % k2 == 0:
-        # op1's constraint is finer: m follows it; op2's becomes consistency
-        uq, ur, u0, L = 0, m1[1], m1[2], k1
-        consistency = (k2, (aq2 + 0) % k2, (ar2 * m1[1]) % k2, (d2 - ar2 * m1[2]) % k2)
-    elif k2 % k1 == 0:
-        uq, ur, u0, L = m2[0], 0, m2[2], k2
-        consistency = (k1, (aq1 * m2[0]) % k1, ar1 % k1, (d1 - aq1 * m2[2]) % k1)
+    supports = [(k1, (0, aq1, ar1, -d1)), (k2, (aq2, ar2, 0, -d2))]
+    res = gauss_sum(Q, 1, [_summed_guard(k, v, 1) for k, v in supports if k > 1], N, N * den, tag,
+                    params=params)
+    if res.coeff.is_zero():
+        return zero
+    # each support restricted to the summed coset m = base (mod a step that
+    # the support moduli divide): trivial for the one the sum followed
+    cosets = ([res.guard] if res.guard else []) + [
+        (k, [c + v[1] * b for c, b in zip(v, res.base)]) for k, v in supports
+    ]
+    pairs = []
+    for k, v in cosets:
+        c = math.gcd(k, v[0], v[2], v[3])
+        if k > c:
+            pairs.append((k // c, [v[0] // c, 0, v[2] // c, v[3] // c]))
+    support = (1, 0, 0, 0)
+    for k, v in pairs:
+        if all(divides_on_guards(kc, vc, [(k, v)]) for kc, vc in pairs):
+            support = (k, v[0] % k, v[2] % k, -v[3] % k)
+            break
     else:
-        raise NonGaussianSum("incomparable support cosets in compose")
-
-    # phase in m: MA m^2 + 2 (B2 q + B1 r + b0) m + Psi(q, r)
-    # substitute m = m0 + L sigma, m0 = uq q + ur r + u0
-    bq = MA * uq + B2  # sigma-linear: 2 L (bq q + br r + bc)
-    br = MA * ur + B1
-    bc = MA * u0 + b0
-    qq = MA * uq * uq + 2 * B2 * uq + A2  # constant part, quadratic in (q, r)
-    qr = MA * uq * ur + B2 * ur + B1 * uq
-    rr = MA * ur * ur + 2 * B1 * ur + C1
-    lq = MA * uq * u0 + B2 * u0 + b0 * uq + D2
-    lr = MA * ur * u0 + B1 * u0 + b0 * ur + E1
-    cc = MA * u0 * u0 + 2 * b0 * u0
-
-    def build(coeff, qq, qr, rr, lq, lr, const, dd, guard):
-        support = _merge_pair_cosets(consistency, guard)
-        if support is None:
-            support = (1, 0, 0, 0)
-        phase = GaussCoeff.phase_of(Fraction(const, 2 * N * dd), op1.domain_in.tag)
-        return GaussOperator(
-            coeff * phase, qq, qr, rr, dom_in, dom_out,
-            kD=lq, kE=lr, den=dd, support=support, unitary=both_unitary,
-        )
-
-    if L == N:
-        if den > 1:
-            raise NonGaussianSum("pinned composition with scaled modulus")
-        return build(op1.coeff * op2.coeff, qq, qr, rr, lq, lr, cc, den, None)
-
-    M = N * den
-    window = N // L
-    A_sig = MA * L * L
-    if A_sig == 0:
-        if not _divides_on_pair_coset(den, (bq, br, bc), _reduce_pair_coset(consistency)):
-            raise NonGaussianSum("scaled A=0 composition outside the fragment")
-        # nonzero iff (M/L) | bq q + br r + bc on the pair coset
-        mod = M // math.gcd(M, L)
-        guard = (mod, bq % mod, br % mod, (-bc) % mod)
-        coeff = op1.coeff * op2.coeff * GaussCoeff.rational(window)
-        return build(coeff, qq, qr, rr, lq, lr, cc, den, guard)
-    if M % abs(A_sig):
-        raise NonGaussianSum("composition period not integral")
-    T = M // abs(A_sig)
-    if T % 4 or window % T:
-        raise NonGaussianSum("composition window outside the fragment")
-    if not _divides_on_pair_coset(den, (bq, br, bc), _reduce_pair_coset(consistency)):
-        raise NonGaussianSum("scaled composition outside the fragment")
-    mult = window // T
-    sgn = 1 if A_sig > 0 else -1
-    # guard |MA| L | bq q + br r + bc
-    gm = abs(MA) * L
-    guard = (gm, bq % gm, br % gm, (-bc) % gm)
-    aa = abs(MA)
-    qq2 = aa * qq - sgn * bq * bq
-    qr2 = aa * qr - sgn * bq * br
-    rr2 = aa * rr - sgn * br * br
-    lq2 = aa * lq - sgn * bq * bc
-    lr2 = aa * lr - sgn * br * bc
-    cc2 = aa * cc - sgn * bc * bc
-    coeff = (
-        op1.coeff
-        * op2.coeff
-        * GaussCoeff.rational(mult)
-        * sqrt_with_scale(Fraction(T), op1.domain_in.tag, params)
-        * GaussCoeff.e8_power(sgn)
+        if pairs:
+            raise NonGaussianSum("pair cosets outside the single-congruence fragment")
+    R = res.Q
+    dd = res.M // N
+    coeff = op1.coeff * op2.coeff * res.coeff * GaussCoeff.phase_of(Fraction(R[3][3], 2 * N * dd), tag)
+    return GaussOperator(
+        coeff, R[0][0], R[0][2] // 2, R[2][2], dom_in, dom_out,
+        kD=R[0][3] // 2, kE=R[2][3] // 2, den=dd, support=support,
+        unitary=op1.unitary and op2.unitary,
     )
-    return build(coeff, qq2, qr2, rr2, lq2, lr2, cc2, den * aa, guard)
 
 
 # -- unitarity -----------------------------------------------------------------
@@ -809,13 +611,6 @@ class DenseState:
         for r in self.domain.index_range():
             total = (total + self.coords[r] * other.coords[r]) % p
         return total
-
-    def add(self, params: Params, other: "DenseState", scale: int = 1) -> "DenseState":
-        p = params.p
-        return DenseState(
-            self.domain,
-            {r: (self.coords[r] + scale * other.coords[r]) % p for r in self.coords},
-        )
 
 
 def apply_dense(params: Params, op: GaussOperator, dense: DenseState, conjugate_kernel: bool = False) -> DenseState:

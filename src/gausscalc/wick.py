@@ -64,8 +64,6 @@ def wick_state(params: Params, s: GaussState) -> GaussState:
         target,
         den=s.den,
         support=s.support,
-        form=s.form,
-        p_param=s.p_param,
     )
 
 

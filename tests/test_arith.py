@@ -205,6 +205,18 @@ def test_params_roundtrip_json_toml(params):
         Params.from_dict(tampered)
 
 
+def test_params_reject_composite_p_and_non_primitive_epsilon():
+    # 663553 = 11 * 179 * 337 = 8 * 82944 + 1 passes the divisibility test
+    with pytest.raises(ArithError, match="not prime"):
+        Params(12, 2, 663553, 5)
+    # 25 = 5^2 is a square, so its order divides (p - 1)/2
+    with pytest.raises(ArithError, match="primitive root"):
+        Params(12, 2, DEFAULT_P, 25)
+    with pytest.raises(ArithError, match="primitive root"):
+        load_params("epsilon = 2\nk_mult = 1\nm = 2\np = 257\n")
+    assert Params(2, 1, SMALL_P, 3).p1_factorization() == {2: 8}
+
+
 def test_solve_congruence():
     assert solve_congruence(2, 4, 6) == (3, 2)
     assert solve_congruence(2, 3, 6) is None

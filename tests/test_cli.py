@@ -106,6 +106,32 @@ def test_cli_determinism():
     assert c == d
 
 
+def test_cli_overflow_is_a_json_error():
+    # a U-scale inner product whose real exponent exceeds double range
+    s1 = json.dumps({"domain": "U", "coeff": "1/12", "form": [-1, 300, 0], "p_param": 1})
+    s2 = json.dumps({"domain": "U", "coeff": "1/12", "form": [0, 0, 0], "p_param": 0})
+    proc = run_cli("--backend", "complex", "inner", "--s1", s1, "--s2", s2, "--kind", "E", check=False)
+    assert proc.returncode == 1 and not proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["type"] == "OverflowError" and proc.stdout.count("\n") == 1
+
+
+def test_cli_bad_assign_item_named():
+    proc = run_cli("qe", "--expr", "sum r . e((-r^2 + 2*r*x)/2N @V)", "--assign", "x=3,y", check=False)
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert "'y'" in doc["error"] and "invalid literal" not in doc["error"]
+
+
+def test_cli_rejects_non_primitive_epsilon(tmp_path):
+    f = tmp_path / "params.toml"
+    f.write_text("epsilon = 25\nk_mult = 2\nm = 12\np = 1990657\n")
+    s = json.dumps({"domain": "V", "coeff": "1/12", "form": [-1, 1, 0], "p_param": 1})
+    proc = run_cli("--params-file", str(f), "inner", "--s1", s, "--s2", s, "--kind", "E", check=False)
+    assert proc.returncode == 1
+    assert "primitive root" in json.loads(proc.stdout)["error"]
+
+
 def test_cli_error_exit():
     proc = run_cli("gauss-sum", "--a", "2", "--b", "0", "--M", "10", check=False)
     assert proc.returncode == 1

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gausscalc.arith import DomainMismatch, ParamSpec, find_params
+from gausscalc.arith import DomainMismatch, ParamSpec, Phase, find_params
 from gausscalc.coeffring import GaussCoeff, parse_coeff, to_complex, to_fp
 
 
@@ -35,6 +35,16 @@ def test_unit_and_zero():
     x = GaussCoeff.sqrt(2) * GaussCoeff.e8_power(3)
     assert x * one == x
     assert (x * zero).is_zero()
+
+
+def test_power_closed_form_matches_products():
+    x = GaussCoeff(Fraction(3, 4), 6, 1, 3, Phase(Fraction(5, 288), "V"))
+    for n in range(-3, 6):
+        want = GaussCoeff.one()
+        for _ in range(abs(n)):
+            want = want * (x if n > 0 else x.inverse())
+        assert x ** n == want, n
+    assert GaussCoeff.zero() ** 3 == GaussCoeff.zero()
 
 
 def test_sqrt_square_collapse():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -103,6 +104,17 @@ def test_eval_basics(small):
     assert two == 2 % small.p
 
 
+@pytest.mark.parametrize("dom", ["V", "U"])
+def test_eval_phase_atom_is_char_e(small, dom):
+    # the literal evaluator reads a phase atom e(n/2N) as char_e(n/2N)
+    e = parse(f"e((-3*r^2 + 2*r*p + 5)/2N @{dom})")
+    N = small.N_v if dom == "V" else small.N_u
+    for r in range(-N, N):
+        for pv in (-2, 0, 7):
+            n = -3 * r * r + 2 * r * pv + 5
+            assert eval_expr(e, small, {"r": r, "p": pv}) == small.char_e(Fraction(n, 2 * N) % 1), (r, pv)
+
+
 def test_eval_unbound(small):
     from gausscalc.frontend import UnboundVariable
 
@@ -150,6 +162,19 @@ def test_nested_two_quantifiers_vs_brute(small):
     nf = eliminate(e, small)
     for xval in range(-8, 8):
         assert eval_normal_form(nf, small, {"x": xval}) == eval_expr(e, small, {"x": xval}), xval
+
+
+def test_pinned_window_vs_brute(small):
+    # the z-sum leaves the guard N | y - x, a window of one y: the closed form
+    # takes the term at y = x, valid only for a phase N-periodic in y
+    e = parse("sum y . sum z . e((y^2 + 2*x*y + 2*z*y - 2*z*x)/2N @V)")
+    nf = eliminate(e, small)
+    for xval in range(-8, 8):
+        assert eval_normal_form(nf, small, {"x": xval}) == eval_expr(e, small, {"x": xval}), xval
+    from gausscalc.gauss import NonGaussianSum
+
+    with pytest.raises(NonGaussianSum, match="N-periodic"):
+        eliminate(parse("sum y . sum z . e((y^2 + x*y + 2*z*y - 2*z*x)/2N @V)"), small)
 
 
 def test_int_quantifier_measure(small):

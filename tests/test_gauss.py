@@ -13,6 +13,7 @@ from gausscalc.gauss import (
     gauss_brute,
     gauss_closed,
     gauss_closed_sm,
+    gauss_sum,
     quadratic_window_sum,
     sm_brute,
 )
@@ -202,3 +203,84 @@ def test_window_sum_u_domain_extracts_j(params):
     assert out.a == 1 and out.rho == 1
     assert out.c == params.m
     assert to_fp(params, out) == gauss_brute(params, GaussSumSpec(-1, 0, params.N_u, domain="U"))
+
+
+# -- the summation kernel, branch by branch, against literal summation ----------
+#
+# Variables (y, x) and the constant: x^T Q x = Q00 y^2 + Q01 y x + Q02 y + Q11 x^2
+# + Q12 x + Q22.  Sums run over N = N_u = 16 consecutive y on the small tower.
+
+KERNEL_CASES = {
+    "quadratic": ([[-1, 2, 2], [0, 1, 0], [0, 0, 3]], [], 16, 16, "extended"),
+    "quadratic-guarded": ([[-2, 2, 2], [0, 0, 1], [0, 0, 0]], [], 16, 16, "extended"),
+    "quadratic-scaled": ([[-2, 4, 4], [0, 1, 0], [0, 0, 0]], [], 16, 32, "extended"),
+    "quadratic-on-coset": ([[-2, 2, 2], [0, 0, 0], [0, 0, 0]], [(2, [0, 1, 1])], 16, 32, "extended"),
+    "geometric": ([[0, 2, 0], [0, 1, 0], [0, 0, 1]], [], 16, 16, "extended"),
+    "geometric-telescoped-zero": ([[0, 0, 2], [0, 1, 0], [0, 0, 0]], [], 16, 16, "extended"),
+    "quadratic-telescoped-zero": ([[-2, 0, 2], [0, 0, 0], [0, 0, 0]], [], 16, 16, "extended"),
+    "unsatisfiable-guard-telescoped-zero": ([[-2, 4, 2], [0, 0, 0], [0, 0, 0]], [], 16, 16, "extended"),
+    "declared-zero": ([[0, 2, 0], [0, 1, 0], [0, 0, 0]], [], 16, 16, "strict"),
+    "pinned": ([[-1, 2, 0], [0, 0, 0], [0, 0, 0]], [(16, [1, -1, 0])], 16, 16, "extended"),
+    "coset-nested": ([[-1, 0, 2], [0, -1, 0], [0, 0, 0]], [(2, [1, -1, 0]), (2, [1, 0, -1])], 16, 16,
+                     "extended"),
+    "unsatisfiable-guard-zero": ([[-3, 0, 0], [0, 0, 0], [0, 0, 0]], [(2, [0, 2, 1])], 16, 16, "extended"),
+    "on-coset-divisibility": ([[0, 2, 2], [0, 0, 0], [0, 0, 0]], [(2, [0, 1, 1])], 16, 32, "extended"),
+}
+
+KERNEL_REFUSALS = {
+    "empty summation window": ([[-1, 0, 0], [0, 0, 0], [0, 0, 0]], [], 0, 16),
+    "guard gcd does not divide": ([[-1, 0, 0], [0, 0, 0], [0, 0, 0]], [(4, [2, 1, 0])], 16, 16),
+    "incomparable guard cosets": ([[-1, 0, 0], [0, 0, 0], [0, 0, 0]], [(4, [1, 0, 0]), (6, [1, 0, 1])], 16, 16),
+    "does not divide the window": ([[-1, 0, 0], [0, 0, 0], [0, 0, 0]], [(3, [1, 0, 0])], 16, 16),
+    "odd linear coefficient": ([[-1, 1, 0], [0, 0, 0], [0, 0, 0]], [], 16, 16),
+    "geometric sum does not telescope": ([[0, 2, 2], [0, 0, 0], [0, 0, 0]], [], 16, 32),
+    "pinned phase not N-periodic": ([[-1, 2, 0], [0, 0, 0], [0, 0, 0]], [(16, [1, -1, 0])], 16, 32),
+    # an odd cross coefficient: y -> y + N changes the phase by e(x/2)
+    "N-periodic in the summed variable .M=16": ([[-1, 1, 0], [0, 0, 0], [0, 0, 0]], [(16, [1, -1, 0])], 16, 16),
+    "not integral": ([[-3, 0, 0], [0, 0, 0], [0, 0, 0]], [], 16, 16),
+    "not divisible by 4": ([[-8, 0, 0], [0, 0, 0], [0, 0, 0]], [], 16, 16),
+    "not a multiple of the period": ([[-1, 0, 0], [0, 0, 0], [0, 0, 0]], [], 16, 32),
+    "quadratic sum does not telescope": ([[-2, 0, 2], [0, 0, 0], [0, 0, 0]], [], 16, 32),
+}
+
+
+def _phase(small, Q, x, M):
+    n = Q[1][1] * x * x + Q[1][2] * x + Q[2][2]
+    return pow(small.xi(2 * M), n % (2 * M), small.p)
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_branch_vs_literal(case):
+    small = find_params(ParamSpec(2, 1))
+    Q, guards, N, M, mode = KERNEL_CASES[case]
+    res = gauss_sum([row[:] for row in Q], 0, guards, N, M, "U", mode, small)
+    if mode == "strict":  # the declared zero: a convention, not the literal sum
+        assert res.coeff.is_zero()
+        return
+    p = small.p
+
+    def holds(gs, y, x):
+        return all((v[0] * y + v[1] * x + v[2]) % k == 0 for k, v in gs)
+
+    checked = 0
+    for x in range(-8, 8):
+        xi = small.xi(2 * M)
+        literal = sum(
+            pow(xi, (Q[0][0] * y * y + Q[0][1] * y * x + Q[0][2] * y + Q[1][1] * x * x
+                     + Q[1][2] * x + Q[2][2]) % (2 * M), p)
+            for y in range(-N // 2, N // 2) if holds(guards, y, x)
+        ) % p
+        closed = 0
+        if holds(res.guards + ((res.guard,) if res.guard else ()), 0, x):
+            closed = to_fp(small, res.coeff) * _phase(small, res.Q, x, res.M) % p
+        assert closed == literal, (case, x)
+        checked += literal != 0
+    assert bool(checked) != case.endswith("zero"), case
+
+
+@pytest.mark.parametrize("reason", sorted(KERNEL_REFUSALS))
+def test_kernel_refusals(reason):
+    small = find_params(ParamSpec(2, 1))
+    Q, guards, N, M = KERNEL_REFUSALS[reason]
+    with pytest.raises(NonGaussianSum, match=reason):
+        gauss_sum(Q, 0, guards, N, M, "U", "extended", small)

@@ -382,3 +382,70 @@ def test_apply_closed_vs_brute_at_Nu_thousand_samples(params):
             ratio = ratio * rr % p
         want = coeff_fp * total % p
         assert to_fp(params, out.coordinate(r)) == want, r
+
+
+# -- inputs the summation kernel added to the fragment ----------------------------
+# coprime support cosets merged by CRT, and a scaled sum that telescopes on the
+# nested coset of the state and kernel supports
+
+
+@pytest.mark.parametrize("t, A, support", [(3, 0, (2, 0)), (2, -1, (2, 1))])
+def test_apply_widened_fragment_vs_dense(params, V, t, A, support):
+    from gausscalc.dynamics import free_propagator
+
+    op = free_propagator(params, t)
+    s = GaussState(unit_normalization(params, V), A, 2, 0, V, support=support)
+    out = apply_operator(params, op, s)
+    dense_out = apply_dense(params, op, DenseState.from_state(params, s))
+    assert any(dense_out.coords.values())
+    for r in V.index_range():
+        assert to_fp(params, out.coordinate(r)) == dense_out.coords[r], r
+
+
+@pytest.mark.parametrize("form1, form2", [((-1, 1, -1), (0, -1, 0)), ((0, 1, 0), (0, -1, 0))])
+def test_compose_coprime_supports_vs_brute(params, V, form1, form2):
+    op1 = GaussOperator(unit_normalization(params, V), *form1, V, V, support=(2, 1, -1, 0))
+    op2 = GaussOperator(unit_normalization(params, V), *form2, V, V, kE=1, support=(3, 1, -1, 1))
+    prod = compose(params, op1, op2)
+    pairs = [(0, 0), (1, 3), (-5, 2), (7, -7), (4, 1), (-2, -3)]
+    pairs += [(q, r) for q in range(-6, 6) for r in range(-6, 6) if prod.on_support(q, r)][:6]
+    for q, r in pairs:
+        assert to_fp(params, prod.kernel_value(q, r)) == _composition_sum(params, op1, op2, q, r), (q, r)
+
+
+def _composition_sum(params, op1, op2, q, r):
+    p = params.p
+    acc = 0
+    for mm in op1.domain_in.index_range():
+        a = op2.kernel_value(q, mm)
+        b = op1.kernel_value(mm, r)
+        if not a.is_zero() and not b.is_zero():
+            acc = (acc + to_fp(params, a) * to_fp(params, b)) % p
+    return acc
+
+
+def test_apply_inconsistent_supports_is_zero():
+    # the state lives on even q, the kernel on odd q: the image is zero,
+    # although the phase on the merged coset (A = -12, M = 4) has no
+    # integral period
+    small = find_params(ParamSpec(2, 1))
+    V4 = domain_v(small)
+    op = GaussOperator(GaussCoeff.one(), -3, -1, 0, V4, V4, kD=-2, kE=-1, support=(2, -1, 2, 1))
+    s = GaussState(GaussCoeff.one(), -1, -2, 0, V4, support=(2, 0))
+    assert apply_operator(small, op, s).is_zero()
+    assert not any(apply_dense(small, op, DenseState.from_state(small, s)).coords.values())
+
+
+def test_compose_unsatisfiable_guard_is_zero_operator():
+    # the divisibility guard of this composition holds for no (q, r): the
+    # result is the zero operator, not a coefficient under the empty pair
+    # coset 0 = 1 (mod 2)
+    small = find_params(ParamSpec(2, 1))
+    V4 = domain_v(small)
+    op1 = GaussOperator(GaussCoeff.one(), -2, 0, 0, V4, V4, kD=-2, den=2)
+    op2 = GaussOperator(GaussCoeff.one(), 0, 2, 1, V4, V4, kD=2, support=(2, 1, 1, 1))
+    prod = compose(small, op1, op2)
+    assert prod.is_zero()
+    for q in V4.index_range():
+        for r in V4.index_range():
+            assert _composition_sum(small, op1, op2, q, r) == 0, (q, r)
