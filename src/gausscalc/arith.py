@@ -256,21 +256,29 @@ class Params:
         cached = self._sqrt_cache.get(M)
         if cached is not None:
             return cached
-        xi = self.xi(2 * M)  # raises if 2M does not divide p - 1
         p = self.p
-        total = 0
-        x = xi  # xi^(1)
-        r = pow(xi, 3, p)  # ratio into n=2: xi^(2n+1)
-        rr = xi * xi % p
-        for _ in range(M):
-            total = (total + x) % p
-            x = x * r % p
-            r = r * rr % p
-        root = total * self.char_e(Fraction(-1, 8)) % p
+        root = self.power_sum(2 * M, 1, 0, 0, M) * self.char_e(Fraction(-1, 8)) % p
         if root * root % p != M % p:
             raise ArithError(f"canonical sqrt failed for M={M}")  # unreachable if tower valid
         self._sqrt_cache[M] = root
         return root
+
+    def power_sum(self, two_m: int, a: int, b: int, lo: int, hi: int) -> FpElem:
+        """sum_{lo < n <= hi} xi_2M^(a n^2 + 2 b n) mod p, by incremental
+        products: consecutive terms differ by xi_2M^(a (2n + 1) + 2b), and
+        that ratio by xi_2M^(2a).  Raises if 2M does not divide p - 1."""
+        p = self.p
+        xi = self.xi(two_m)
+        n = lo + 1
+        x = pow(xi, (a * n * n + 2 * b * n) % two_m, p)
+        r = pow(xi, (a * (2 * n + 1) + 2 * b) % two_m, p)
+        rr = pow(xi, 2 * a % two_m, p)
+        total = 0
+        for _ in range(hi - lo):
+            total = (total + x) % p
+            x = x * r % p
+            r = r * rr % p
+        return total
 
     def sqrt_squarefree(self, r: int) -> FpElem:
         """Canonical sqrt of a squarefree r >= 1, via sqrt_canonical(4r)/2."""

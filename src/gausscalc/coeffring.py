@@ -69,7 +69,8 @@ class GaussCoeff:
 
     @classmethod
     def zero(cls) -> "GaussCoeff":
-        return cls(Fraction(0))
+        """The shared zero (instances are immutable)."""
+        return _ZERO
 
     @classmethod
     def one(cls) -> "GaussCoeff":
@@ -173,6 +174,8 @@ class GaussCoeff:
 
     __repr__ = __str__
 
+
+_ZERO = GaussCoeff(Fraction(0))
 
 _COEFF_ATOM = re.compile(
     r"\s*(?:(?P<rat>-?\d+(?:/\d+)?)"

@@ -136,10 +136,8 @@ def free_propagator_brute(params: Params, t: int, domain: Domain, r: int, s: int
     (1/N) sum_p e((p^2 t + 2 p (r - s)) / 2N)."""
     p = params.p
     N = domain.N
-    xi = params.xi(2 * N)
-    total = 0
-    for q in domain.index_range():
-        total = (total + pow(xi, (q * q * t + 2 * q * (r - s)) % (2 * N), p)) % p
+    # the window -N/2 <= q < N/2 of domain.index_range()
+    total = params.power_sum(2 * N, t, r - s, -N // 2 - 1, N // 2 - 1)
     return total * pow(N % p, -1, p) % p
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import ArithError, DomainMismatch, Params
-from .coeffring import GaussCoeff, to_complex, to_fp
+from .coeffring import GaussCoeff, to_fp
 from .gauss import gauss_sum
 
 
@@ -526,18 +526,13 @@ def eval_expr(
     e: Expr,
     params: Params,
     assignment: dict[str, int] | None = None,
-    backend: str = "fp",
     domain: str | None = None,
-):
-    """Literal recursive evaluation; quantifiers are evaluated by explicit
-    summation over the domain index range.  The QE correctness oracle."""
+) -> int:
+    """Literal recursive evaluation in F_p; quantifiers are evaluated by
+    explicit summation over the domain index range.  The QE correctness
+    oracle."""
     assignment = dict(assignment or {})
-    dom = domain or _expr_domain(e) or "V"
-    if backend == "fp":
-        return _eval_fp(e, params, assignment, dom)
-    if backend == "complex":
-        return _eval_complex(e, params, assignment, dom)
-    raise ArithError("backend must be 'fp' or 'complex'")
+    return _eval_fp(e, params, assignment, domain or _expr_domain(e) or "V")
 
 
 def _eval_fp(e: Expr, params: Params, asg: dict[str, int], dom: str) -> int:
@@ -570,44 +565,6 @@ def _eval_fp(e: Expr, params: Params, asg: dict[str, int], dom: str) -> int:
         del asg[e.var]
         if e.kind == "int":
             total = total * to_fp(params, _measure_coeff(params, sub_dom)) % p
-        return total
-    raise ArithError(f"cannot evaluate {type(e).__name__}")
-
-
-def _eval_complex(e: Expr, params: Params, asg: dict[str, int], dom: str) -> complex:
-    import cmath
-
-    if isinstance(e, Rat):
-        return complex(e.value)
-    if isinstance(e, JAtom):
-        return cmath.exp(1j * math.pi / 4)
-    if isinstance(e, E8Atom):
-        return cmath.exp(-1j * math.pi / 4)
-    if isinstance(e, SqrtAtom):
-        return complex(math.sqrt(e.value))
-    if isinstance(e, PhaseAtom):
-        n = e.poly.eval(asg)
-        return to_complex(
-            params,
-            GaussCoeff.phase_of(Fraction(n, 2 * _domain_size(params, e.domain)), e.domain),
-        )
-    if isinstance(e, Prod):
-        out = 1 + 0j
-        for f in e.factors:
-            out *= _eval_complex(f, params, asg, dom)
-        return out
-    if isinstance(e, Plus):
-        return sum(_eval_complex(t, params, asg, dom) for t in e.terms)
-    if isinstance(e, Quant):
-        sub_dom = _expr_domain(e.body) or dom
-        N = _domain_size(params, sub_dom)
-        total = 0j
-        for r in range(-N // 2, N // 2):
-            asg[e.var] = r
-            total += _eval_complex(e.body, params, asg, sub_dom)
-        del asg[e.var]
-        if e.kind == "int":
-            total *= to_complex(params, _measure_coeff(params, sub_dom))
         return total
     raise ArithError(f"cannot evaluate {type(e).__name__}")
 
@@ -670,29 +627,17 @@ def eval_normal_form(
     nf: NormalForm,
     params: Params,
     assignment: dict[str, int] | None = None,
-    backend: str = "fp",
-):
+) -> int:
+    """The normal form's value in F_p: its terms whose guards hold."""
     assignment = assignment or {}
-    if backend == "fp":
-        total = 0
-        for t in nf.terms:
-            if not all(g.holds(assignment) for g in t.guards):
-                continue
-            n = t.poly.eval(assignment)
-            N = _domain_size(params, t.domain)
-            val = to_fp(params, t.coeff) * params.char_e(
-                Fraction(n, 2 * N * t.den) % 1
-            )
-            total = (total + val) % params.p
-        return total
-    total = 0j
+    total = 0
     for t in nf.terms:
         if not all(g.holds(assignment) for g in t.guards):
             continue
         n = t.poly.eval(assignment)
         N = _domain_size(params, t.domain)
-        phase = GaussCoeff.phase_of(Fraction(n, 2 * N * t.den), t.domain)
-        total += to_complex(params, t.coeff * phase)
+        val = to_fp(params, t.coeff) * params.char_e(Fraction(n, 2 * N * t.den) % 1)
+        total = (total + val) % params.p
     return total
 
 

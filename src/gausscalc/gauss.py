@@ -69,25 +69,10 @@ class GaussSumSpec:
 
 
 def _brute_fp(params: Params, a: int, b: int, M: int, chunks: int = 1) -> int:
-    """sum_{0<n<=M} xi_2M^(a n^2 + 2 b n), incremental products, chunked
+    """sum_{0<n<=M} xi_2M^(a n^2 + 2 b n), one power sum per chunk, chunked
     associative reduction (bit-identical for any partitioning)."""
-    p = params.p
-    xi = params.xi(2 * M)
-    two_m = 2 * M
     bounds = [M * k // max(chunks, 1) for k in range(max(chunks, 1) + 1)]
-    total = 0
-    for lo, hi in zip(bounds, bounds[1:]):
-        n = lo + 1
-        x = pow(xi, (a * n * n + 2 * b * n) % two_m, p)
-        r = pow(xi, (a * (2 * n + 1) + 2 * b) % two_m, p)
-        rr = pow(xi, (2 * a) % two_m, p)
-        sub = 0
-        for _ in range(hi - lo):
-            sub = (sub + x) % p
-            x = x * r % p
-            r = r * rr % p
-        total = (total + sub) % p
-    return total
+    return sum(params.power_sum(2 * M, a, b, lo, hi) for lo, hi in zip(bounds, bounds[1:])) % params.p
 
 
 def _brute_complex(a: int, b: int, M: int, chunks: int = 1) -> complex:
@@ -154,17 +139,7 @@ def sm_brute(params: Params, a: int) -> int:
     if a < 1 or params.N_u % a:
         raise PreconditionViolation("need a >= 1 dividing N_u")
     p = params.p
-    M = params.N_u
-    xi = params.xi(2 * M)
-    total = 0
-    x = pow(xi, a % (2 * M), p)  # n = 1
-    r = pow(xi, (3 * a) % (2 * M), p)
-    rr = pow(xi, (2 * a) % (2 * M), p)
-    for _ in range(M // a):
-        total = (total + x) % p
-        x = x * r % p
-        r = r * rr % p
-    return total * pow(params.m, -1, p) % p
+    return params.power_sum(2 * params.N_u, a, 0, 0, params.N_u // a) * pow(params.m, -1, p) % p
 
 
 def gauss_closed_sm(params: Params, a: int) -> GaussCoeff:
@@ -319,11 +294,14 @@ def _add_product(R, u, v, scale: int = 1) -> None:
 def _guard_coset(guards, y: int, n1: int):
     """Consume the guards on x_y into one coset x_y = base . x + step * Z.
 
-    A guard a x_y + rest . x = 0 (mod k) needs gcd(a, k) to divide `rest`
-    coefficient-wise (pointwise branching leaves the fragment).  Cosets with
-    coprime steps merge by CRT; nested ones keep the finer step and leave
-    the other congruence, base - new base, as a residual guard."""
-    step, base, kept = 1, [0] * n1, []
+    A guard a x_y + rest . x = 0 (mod k) whose gcd(a, k) divides `rest`
+    coefficient-wise restricts x_y to a coset.  Cosets with coprime steps
+    merge by CRT; nested ones keep the finer step and leave the other
+    congruence, base - new base, as a residual guard.  A guard failing the
+    gcd test waits for the merged coset: where a * step = 0 (mod k) it
+    becomes the residual guard rest + a * base on the other variables;
+    otherwise it branches pointwise and leaves the fragment."""
+    step, base, kept, deferred = 1, [0] * n1, [], []
     if not guards:
         return step, base, ()
     for k, v in guards:
@@ -334,7 +312,8 @@ def _guard_coset(guards, y: int, n1: int):
         g = math.gcd(a, k)
         rest = [0 if i == y else c for i, c in enumerate(v)]
         if any(c % g for c in rest):
-            raise NonGaussianSum("guard gcd does not divide the free part")
+            deferred.append((k, a, rest))
+            continue
         a, k = a // g, k // g
         if k == 1:
             continue
@@ -353,6 +332,10 @@ def _guard_coset(guards, y: int, n1: int):
             base, step = new, k
         else:
             raise NonGaussianSum(f"incomparable guard cosets (steps {step} and {k})")
+    for k, a, rest in deferred:
+        if a * step % k:
+            raise NonGaussianSum("guard gcd does not divide the free part")
+        kept.append((k, [c + a * b for c, b in zip(rest, base)]))
     return step, base, tuple(kept)
 
 

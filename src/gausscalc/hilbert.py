@@ -486,8 +486,7 @@ def check_unitary(params: Params, op: GaussOperator, sample_pairs=None) -> Unita
     col_fail = []
     k, aq, ar, d = op.support
     norm2 = to_fp(params, op.coeff * op.coeff.conj())
-    qs = list(op.domain_in.index_range()) if N <= 256 else list(range(-8, 8))
-    for q in qs:
+    for q in op.domain_in.index_range():
         sol = solve_congruence(ar, d - aq * q, k)
         count = 0 if sol is None else N // math.gcd(sol[0], N)
         if count * norm2 % p != 1:
@@ -505,14 +504,11 @@ def check_unitary(params: Params, op: GaussOperator, sample_pairs=None) -> Unita
 
 def _pairing_after(params: Params, op: GaussOperator, r1: int, r2: int) -> int:
     """<A u[r1] | A u[r2]>_H over the full output domain, brute force."""
-    p = params.p
-    total = 0
-    for s in op.domain_out.index_range():
-        a = op.kernel_value(r1, s)
-        b = op.kernel_value(r2, s)
-        if not a.is_zero() and not b.is_zero():
-            total = (total + to_fp(params, a * b.conj())) % p
-    return total
+    def column(r, conjugate_kernel=False):
+        dense = DenseState.from_state(params, PositionState(r, op.domain_in))
+        return apply_dense(params, op, dense, conjugate_kernel)
+
+    return column(r1).pair_full(params, column(r2, conjugate_kernel=True))
 
 
 # -- restriction, permutation, tensor -------------------------------------------

@@ -161,6 +161,26 @@ def test_sqrt_canonical_oracle_brute_sum(params):
         assert params.sqrt_canonical(M) == expect
 
 
+@pytest.mark.parametrize("spec", [ParamSpec(), ParamSpec(2, 1)], ids=["default", "small"])
+def test_power_sum_against_one_pow_per_term(spec):
+    ps = find_params(spec)
+    p = ps.p
+
+    def literal(two_m, a, b, lo, hi):
+        xi = ps.xi(two_m)
+        return sum(pow(xi, (a * n * n + 2 * b * n) % two_m, p) for n in range(lo + 1, hi + 1)) % p
+
+    M = ps.N_v
+    windows = [(-M // 2 - 1, M // 2 - 1), (-7, 3), (-20, -9), (5, 5), (3, M + 3)]  # (5, 5) is empty
+    for a, b in [(1, 0), (-3, 2), (0, 5), (2, -7)]:
+        for lo, hi in windows:
+            assert ps.power_sum(2 * M, a, b, lo, hi) == literal(2 * M, a, b, lo, hi), (a, b, lo, hi)
+        # chunks of a window add up to the whole window
+        bounds = [-M, -M // 3, -1, 0, 1, M // 2, M]
+        chunks = sum(ps.power_sum(2 * M, a, b, l, h) for l, h in zip(bounds, bounds[1:])) % p
+        assert chunks == ps.power_sum(2 * M, a, b, -M, M) == literal(2 * M, a, b, -M, M)
+
+
 def test_sqrt_multiplicative(params):
     p = params.p
     assert params.sqrt_squarefree(2) * params.sqrt_squarefree(3) % p == params.sqrt_squarefree(6)

@@ -225,6 +225,9 @@ KERNEL_CASES = {
                      "extended"),
     "unsatisfiable-guard-zero": ([[-3, 0, 0], [0, 0, 0], [0, 0, 0]], [(2, [0, 2, 1])], 16, 16, "extended"),
     "on-coset-divisibility": ([[0, 2, 2], [0, 0, 0], [0, 0, 0]], [(2, [0, 1, 1])], 16, 32, "extended"),
+    # 2y + x = 0 (mod 8) does not pin y; on the coset y = 0 (mod 4) it reads 8 | x
+    "deferred-guard": ([[-1, 0, 0], [0, 1, 0], [0, 0, 0]], [(8, [2, 1, 0]), (4, [1, 0, 0])], 16, 64,
+                       "extended"),
 }
 
 KERNEL_REFUSALS = {

@@ -245,6 +245,14 @@ def test_check_unitary_scaled_kernel_fails(params, V):
     assert not report.ok and report.column_failures
 
 
+def test_check_unitary_reports_a_non_orthogonal_operator(params, V):
+    # every column is the unit vector u[0]: unit columns, but <A u[q] | A u[q']> = 1
+    collapse = GaussOperator(GaussCoeff.one(), 0, 0, 0, V, V, support=(V.N, 0, 1, 0))
+    report = check_unitary(params, collapse)
+    assert not report.ok and not report.column_failures
+    assert (0, 1, 1, 0) in report.pairing_failures
+
+
 def test_restrict_properties(params, V):
     s = gauss_ket(params, V, QuadForm(0, -1, 0), p_param=3)  # uniform modulus
     assert restrict(params, s, 1) == s
@@ -422,6 +430,19 @@ def _composition_sum(params, op1, op2, q, r):
         if not a.is_zero() and not b.is_zero():
             acc = (acc + to_fp(params, a) * to_fp(params, b)) % p
     return acc
+
+
+def test_apply_guard_with_gcd_on_the_state_coset(params, V):
+    # the kernel support 2q - r = 0 (mod 12) does not pin q, but on the state's
+    # coset q = 5 (mod 144) it reads r = 10 (mod 12), as for the position state u[5]
+    op = GaussOperator(unit_normalization(params, V), 0, 0, 0, V, V, support=(12, 2, -1, 0))
+    s = GaussState(GaussCoeff.one(), 0, 0, 0, V, support=(144, 5))
+    out = apply_operator(params, op, s)
+    assert out == apply_operator(params, op, PositionState(5, V))
+    assert out.support == (12, 10)
+    dense_out = apply_dense(params, op, DenseState.from_state(params, s))
+    for r in V.index_range():
+        assert to_fp(params, out.coordinate(r)) == dense_out.coords[r], r
 
 
 def test_apply_inconsistent_supports_is_zero():
