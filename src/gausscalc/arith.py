@@ -11,7 +11,11 @@ fixes the two domain sizes, and the prime is the smallest p with
 Both N_v and N_u are perfect squares (sqrt(N_v) = m, sqrt(N_u) = m*j),
 which keeps all 1/sqrt(N) normalisations exact.
 
-All residues are plain Python ints in [0, p); ``FpElem`` is an alias.
+Scalar residues are plain Python ints in [0, p); ``FpElem`` is an alias.
+The literal oracles work on numpy vectors of residues: int64 while the
+product of two residues fits (p < 2^31), Python ints in object arrays
+otherwise (``exact_dtype``); exponents of the roots xi_2M are reduced
+mod 2M the same way (``poly_mod``) and read from a cached power table.
 """
 
 from __future__ import annotations
@@ -21,9 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 FpElem = int
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+BLOCK = 1 << 15  # elements per vectorised block of the literal oracles
 
 
 class ArithError(ValueError):
@@ -114,6 +121,32 @@ def solve_congruence(a: int, b: int, m: int) -> tuple[int, int] | None:
     return (m1, x0)
 
 
+def exact_dtype(bound: int):
+    """The array dtype for exact arithmetic on integers below `bound`:
+    int64 while the product of two of them fits (bound <= 2^31), else
+    object arrays of Python ints."""
+    return np.int64 if bound <= 1 << 31 else object
+
+
+def poly_mod(m: int, terms):
+    """sum of c * x1 * x2 * ... mod m over `terms` (c, x1, x2, ...), exact.
+
+    Each x is an int or an integer array (arrays broadcast, so the result
+    is elementwise); every factor is reduced below m and every product
+    reduced before the next, in the dtype ``exact_dtype(m)``, so that big
+    Python ints and int64 arrays mix without overflow."""
+    dt = exact_dtype(m)
+    total = 0
+    for c, *xs in terms:
+        t = c % m
+        for x in xs:
+            if not isinstance(x, int):
+                x = np.asarray(x, dtype=dt)
+            t = t * (x % m) % m
+        total = (total + t) % m
+    return total
+
+
 @dataclass(frozen=True)
 class ParamSpec:
     """Input to the tower search."""
@@ -172,8 +205,9 @@ class Phase:
 
 
 class Params:
-    """The realised tower.  Immutable after construction apart from a lazy
-    cache of xi_2M roots (ep^((p-1)/2M)), which is safe to share."""
+    """The realised tower.  Immutable after construction apart from lazy
+    caches of xi_2M roots (ep^((p-1)/2M)), their power tables and canonical
+    square roots, which are safe to share."""
 
     def __init__(self, m: int, k_mult: int, p: int, epsilon: int):
         self.m = m
@@ -186,6 +220,7 @@ class Params:
         self.p = p
         self.epsilon = epsilon
         self._xi: dict[int, int] = {}
+        self._powers: dict[int, np.ndarray] = {}
         self._sqrt_cache: dict[int, int] = {}
         self._validate()
 
@@ -218,6 +253,27 @@ class Params:
             w = pow(self.epsilon, (self.p - 1) // two_m, self.p)
             self._xi[two_m] = w
         return w
+
+    def power_table(self, two_m: int) -> np.ndarray:
+        """xi_2M**k mod p for k in [0, 2M), cached; dtype ``exact_dtype(p)``
+        (int64 when p < 2^31, Python ints otherwise)."""
+        table = self._powers.get(two_m)
+        if table is None:
+            p, xi = self.p, self.xi(two_m)
+            table = np.empty(two_m, dtype=exact_dtype(p))
+            table[0] = 1
+            k = 1
+            while k < two_m:  # doubling: table[k:2k] = table[:k] * xi^k
+                n = min(k, two_m - k)
+                table[k:k + n] = table[:n] * pow(xi, k, p) % p
+                k += n
+            self._powers[two_m] = table
+        return table
+
+    def xi_powers(self, two_m: int, exps) -> np.ndarray:
+        """xi_2M**exps mod p for an array of exponents already reduced to
+        [0, 2M): a gather from the power table."""
+        return self.power_table(two_m)[np.asarray(exps, dtype=np.intp)]
 
     def char_e(self, phase: Phase | Fraction) -> FpElem:
         """e(q) = exp_p((p-1) * q); multiplicative in q."""
@@ -264,21 +320,16 @@ class Params:
         return root
 
     def power_sum(self, two_m: int, a: int, b: int, lo: int, hi: int) -> FpElem:
-        """sum_{lo < n <= hi} xi_2M^(a n^2 + 2 b n) mod p, by incremental
-        products: consecutive terms differ by xi_2M^(a (2n + 1) + 2b), and
-        that ratio by xi_2M^(2a).  Raises if 2M does not divide p - 1."""
-        p = self.p
-        xi = self.xi(two_m)
-        n = lo + 1
-        x = pow(xi, (a * n * n + 2 * b * n) % two_m, p)
-        r = pow(xi, (a * (2 * n + 1) + 2 * b) % two_m, p)
-        rr = pow(xi, 2 * a % two_m, p)
+        """sum_{lo < n <= hi} xi_2M^(a n^2 + 2 b n) mod p, in blocks of
+        terms: the exponents as a vector mod 2M (the summand depends on n
+        mod 2M only), the powers gathered from the power table.  Raises if
+        2M does not divide p - 1."""
+        self.xi(two_m)  # raises for an empty window too
         total = 0
-        for _ in range(hi - lo):
-            total = (total + x) % p
-            x = x * r % p
-            r = r * rr % p
-        return total
+        for start in range(lo + 1, hi + 1, BLOCK):
+            n = start % two_m + np.arange(min(BLOCK, hi + 1 - start))
+            total += int(self.xi_powers(two_m, poly_mod(two_m, [(a, n, n), (2 * b, n)])).sum())
+        return total % self.p
 
     def sqrt_squarefree(self, r: int) -> FpElem:
         """Canonical sqrt of a squarefree r >= 1, via sqrt_canonical(4r)/2."""

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .arith import ParamSpec, default_params, find_params, load_params
 from .coeffring import to_complex, to_fp
@@ -147,14 +148,11 @@ def cmd_sm_compose(args) -> int:
     TT = compose(params, T, T)
     p = params.p
     samples = [(0, 0), (1, 2), (-5, 17), (23, -8)]
+    mm = domain_u(params).index_vector()
     agree = True
     checked = []
     for q, r in samples:
-        acc = 0
-        for mm in domain_u(params).index_range():
-            a = T.kernel_value(q, mm)
-            b = T.kernel_value(mm, r)
-            acc = (acc + to_fp(params, a) * to_fp(params, b)) % p
+        acc = int((T.kernel_block(params, q, mm) * T.kernel_block(params, mm, r) % p).sum()) % p
         sym = to_fp(params, TT.kernel_value(q, r))
         checked.append({"q": q, "r": r, "brute": acc, "closed": sym})
         agree = agree and acc == sym
@@ -257,7 +255,10 @@ def cmd_qe(args) -> int:
     return 0 if doc.get("agree", True) else 2
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    main() call (parse_args leaves it unchanged)."""
     top = argparse.ArgumentParser(prog="gausscalc")
     top.add_argument("--params-file", default=None, help="TOML/JSON Params document")
     top.add_argument("--mode", choices=["extended", "strict"], default="extended")

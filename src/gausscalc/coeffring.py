@@ -27,10 +27,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ArithError, Params, Phase, squarefree_split
+import numpy as np
+
+from .arith import ArithError, Params, Phase, exact_dtype, poly_mod, squarefree_split
 from .arith import DomainMismatch  # noqa: F401  (re-exported: raised by coefficient products)
 
-__all__ = ["GaussCoeff", "DomainMismatch", "to_fp", "to_complex", "parse_coeff"]
+__all__ = ["GaussCoeff", "DomainMismatch", "to_fp", "to_fp_phases", "to_complex", "parse_coeff"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -240,6 +242,51 @@ def to_fp(params: Params, x: GaussCoeff) -> int:
     if not x.phase.is_zero():
         val = val * params.char_e(x.phase) % p
     return val
+
+
+def to_fp_phases(params: Params, coeff: GaussCoeff, tag: str, m: int, num, on,
+                 conjugate: bool = False) -> np.ndarray:
+    """The vector form of to_fp: to_fp(x), or to_fp(x.conj()) with
+    `conjugate`, for x = coeff * e(num/m @ tag) where the boolean mask `on`
+    holds and 0 elsewhere, over the broadcast of `on` and `num` (phase
+    numerators reduced mod m); dtype ``exact_dtype(p)``.
+
+    Raises what to_fp of the elementwise products would raise, at the first
+    element in C order at which it would: that element is evaluated by the
+    scalar path, so the exception and its message are the scalar ones."""
+    p = params.p
+    num, on = np.broadcast_arrays(num, on)
+    out = np.zeros(on.shape, dtype=exact_dtype(p))
+    if coeff.is_zero() or not on.any():
+        return out
+
+    def scalar(i):
+        x = coeff * GaussCoeff.phase_of(Fraction(int(num.flat[i]), m), tag)
+        return to_fp(params, x.conj() if conjugate else x)
+
+    # the first element raises what the product or its phase-free part raise;
+    # past it the phase-free part (`unit`) evaluates, and only phases can fail
+    scalar(np.flatnonzero(on)[0])
+    c = coeff.conj() if conjugate else coeff
+    unit = to_fp(params, GaussCoeff(c.c, c.rho, c.a, c.b))
+    # the phase of the product is q + num/m = E/D mod 1, where conj() negates
+    # num/m on the V scale as it does every V-phase; a nonzero num/m meets a
+    # phase q of the other scale only where Phase.__add__ raises
+    q = c.phase.q
+    D = math.lcm(m, q.denominator)
+    sign = -1 if conjugate and tag == "V" else 1
+    E = poly_mod(D, [(sign * D // m, num), (q.numerator * (D // q.denominator),)])
+    mismatch = (num != 0) if c.phase.domain not in (None, tag) else False
+    # char_e takes E/D iff its reduced denominator divides p - 1, i.e. iff
+    # h = D / gcd(D, p - 1) divides E; then e(E/D) = xi_g^(E/h)
+    g = math.gcd(D, p - 1)
+    h = D // g
+    bad = np.flatnonzero(on & (mismatch | (E % h != 0)))
+    if len(bad):
+        scalar(bad[0])
+        raise AssertionError("to_fp_phases disagrees with to_fp")
+    out[on] = unit * params.xi_powers(g, E[on] // h) % p
+    return out
 
 
 def to_complex(params: Params, x: GaussCoeff) -> complex:

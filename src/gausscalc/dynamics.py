@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .arith import ArithError, Params
 from .coeffring import GaussCoeff, to_fp
 from .gauss import PreconditionViolation
@@ -83,21 +85,17 @@ class WeylPair:
 
     def commutation_defect(self, params: Params, r: int) -> dict:
         """F_p coordinates of (UV - qVU) u[r]; all zero iff the relation holds."""
-        from .hilbert import apply_operator
+        from .hilbert import DenseState, apply_operator
 
         domain = self.U.domain_in
         uv = apply_operator(params, self.U, apply_operator(params, self.V, PositionState(r, domain)))
         vu = apply_operator(params, self.V, apply_operator(params, self.U, PositionState(r, domain)))
         p = params.p
         qfp = to_fp(params, self.q)
-        out = {}
-        for s in domain.index_range():
-            a = to_fp(params, uv.coordinate(s))
-            b = to_fp(params, vu.coordinate(s))
-            diff = (a - qfp * b) % p
-            if diff:
-                out[s] = diff
-        return out
+        a = DenseState.from_state(params, uv).vec
+        b = DenseState.from_state(params, vu).vec
+        diff = (a - qfp * b) % p
+        return {int(i) - domain.N // 2: int(diff[i]) for i in np.flatnonzero(diff)}
 
 
 def weyl_pair(params: Params, domain: Domain | None = None) -> WeylPair:

@@ -31,13 +31,14 @@ for the constant 1, x^T Q x = sum_{i <= j} Q[i][j] x_i x_j; a guard
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import ArithError, Params
+import numpy as np
+
+from .arith import BLOCK, ArithError, Params, poly_mod
 from .coeffring import GaussCoeff
 
 
@@ -75,28 +76,27 @@ def _brute_fp(params: Params, a: int, b: int, M: int, chunks: int = 1) -> int:
     return sum(params.power_sum(2 * M, a, b, lo, hi) for lo, hi in zip(bounds, bounds[1:])) % params.p
 
 
-def _brute_complex(a: int, b: int, M: int, chunks: int = 1) -> complex:
-    """Same sum with zeta = e^{i pi / M}, Kahan-compensated per chunk."""
-    bounds = [M * k // max(chunks, 1) for k in range(max(chunks, 1) + 1)]
-    total = 0j
-    for lo, hi in zip(bounds, bounds[1:]):
-        sub = 0j
-        comp = 0j
-        for n in range(lo + 1, hi + 1):
-            term = cmath.exp(1j * math.pi * ((a * n * n + 2 * b * n) % (2 * M)) / M)
-            y = term - comp
-            t = sub + y
-            comp = (t - sub) - y
-            sub = t
-        total += sub
-    return total
+def _brute_complex(a: int, b: int, M: int) -> complex:
+    """Same sum with zeta = e^{i pi / M}: the angles as one numpy vector,
+    the real and imaginary parts of the terms streamed into math.fsum a
+    block at a time.  fsum rounds each exact sum once, so the result does
+    not depend on how the window is split."""
+    n = np.arange(1, M + 1)
+    theta = np.pi * poly_mod(2 * M, [(a, n, n), (2 * b, n)]) / M
+
+    def stream(part):
+        for lo in range(0, M, BLOCK):
+            yield from part(theta[lo:lo + BLOCK]).tolist()
+
+    return complex(math.fsum(stream(np.cos)), math.fsum(stream(np.sin)))
 
 
 def gauss_brute(params: Params, spec: GaussSumSpec, chunks: int = 1):
-    """Literal evaluation of the full-window sum in the requested backend."""
+    """Literal evaluation of the full-window sum in the requested backend;
+    `chunks` splits the F_p sum (the complex sum is split-invariant)."""
     if spec.backend == "Fp":
         return _brute_fp(params, spec.a, spec.b, spec.M, chunks)
-    return _brute_complex(spec.a, spec.b, spec.M, chunks)
+    return _brute_complex(spec.a, spec.b, spec.M)
 
 
 def sqrt_with_scale(value: int, domain: str, params: Params | None, c=1, e8: int = 0) -> GaussCoeff:

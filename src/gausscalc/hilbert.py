@@ -5,7 +5,9 @@ integer quadratic phase (qA r^2 + 2 qL r + qC) / (2 N den) and a support
 coset k Z + d outside which the coordinates vanish.  Operators carry a
 quadratic kernel in (input q, output r) plus linear terms and a pair-coset
 constraint aq*q + ar*r = d (mod k).  Nothing is materialised as a
-length-N vector outside the brute-force oracles (DenseState).
+length-N vector outside the brute-force oracles (DenseState, the kernel
+residues of ``GaussOperator.kernel_block``), which work on numpy vectors of
+F_p residues (see ``arith.exact_dtype``).
 
 Every sum is evaluated by the one Gauss-summation kernel
 ``gauss.gauss_sum``.  Two summation conventions coexist, both exact:
@@ -32,9 +34,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
-from .arith import ArithError, DomainMismatch, Params, solve_congruence
-from .coeffring import GaussCoeff, to_fp
+import numpy as np
+
+from .arith import (
+    BLOCK,
+    ArithError,
+    DomainMismatch,
+    Params,
+    exact_dtype,
+    poly_mod,
+    solve_congruence,
+)
+from .coeffring import GaussCoeff, to_fp, to_fp_phases
 from .gauss import NonGaussianSum, divides_on_guards, gauss_sum, quadratic_window_sum
 
 
@@ -60,6 +74,10 @@ class Domain:
 
     def wrap(self, r: int) -> int:
         return (r + self.N // 2) % self.N - self.N // 2
+
+    def index_vector(self) -> np.ndarray:
+        """index_range() as an int64 vector."""
+        return np.arange(-self.N // 2, self.N // 2)
 
 
 def domain_v(params: Params) -> Domain:
@@ -260,6 +278,18 @@ class GaussOperator:
         return self.coeff * GaussCoeff.phase_of(
             Fraction(num, 2 * self.domain_in.N * self.den), self.domain_in.tag
         )
+
+    def kernel_block(self, params: Params, q, r, conjugate: bool = False) -> np.ndarray:
+        """to_fp(kernel_value(q, r)), or of its conj(), elementwise over the
+        broadcast of the index arrays (or ints) q and r; raises what
+        kernel_value and to_fp raise, for the first element in C order at
+        which they would."""
+        k, aq, ar, d = self.support
+        m = 2 * self.domain_in.N * self.den
+        num = poly_mod(m, [(self.kA, q, q), (2 * self.kB, q, r), (self.kC, r, r),
+                           (2 * self.kD, q), (2 * self.kE, r)])
+        on = poly_mod(k, [(aq, q), (ar, r), (-d,)]) == 0
+        return to_fp_phases(params, self.coeff, self.domain_in.tag, m, num, on, conjugate)
 
 
 def identity_operator(domain: Domain) -> GaussOperator:
@@ -575,52 +605,61 @@ def tensor_inner(params: Params, t1: TensorState, t2: TensorState, kind: str = "
 # -- brute-force oracle --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseState:
     """Coordinate vector of F_p residues; the brute-force side of every check.
-    Conjugation is symbolic, so conjugated vectors are built at construction
-    (``conjugate=True``), not derived from residues."""
+    `vec` holds the residues in index_range() order (dtype
+    ``exact_dtype(p)``).  Conjugation is symbolic, so conjugated vectors are
+    built at construction (``conjugate=True``), not derived from residues."""
 
     domain: Domain
-    coords: dict
+    vec: np.ndarray
+
+    @cached_property
+    def coords(self):
+        """The read-only mapping r -> residue (a Python int) over index_range()."""
+        return MappingProxyType(dict(zip(self.domain.index_range(), self.vec.tolist())))
 
     @classmethod
     def from_state(cls, params: Params, s, conjugate: bool = False) -> "DenseState":
+        """The coordinates of s (to_fp of s.coordinate(r), or of its conj()),
+        raising what those would raise."""
         domain = s.domain
+        N = domain.N
         if isinstance(s, PositionState):
-            coords = {r: 0 for r in domain.index_range()}
-            coords[s.r] = 1
-            return cls(domain, coords)
-        def val(r):
-            c = s.coordinate(r)
-            return to_fp(params, c.conj() if conjugate else c)
-        return cls(domain, {r: val(r) for r in domain.index_range()})
+            vec = np.zeros(N, dtype=exact_dtype(params.p))
+            vec[s.r + N // 2] = 1
+            return cls(domain, vec)
+        r = domain.index_vector()
+        k, d = s.support
+        m = 2 * N * s.den
+        num = poly_mod(m, [(s.qA, r, r), (2 * s.qL, r), (s.qC,)])
+        on = poly_mod(k, [(1, r), (-d,)]) == 0
+        return cls(domain, to_fp_phases(params, s.coeff, domain.tag, m, num, on, conjugate))
 
     def permute(self, image: dict) -> "DenseState":
-        return DenseState(self.domain, {r: self.coords[image[r]] for r in self.coords})
+        half = self.domain.N // 2
+        return DenseState(self.domain, self.vec[[image[r] + half for r in self.domain.index_range()]])
 
     def pair_full(self, params: Params, other: "DenseState") -> int:
         """sum_r phi(r) * psi(r); conjugate `other` at construction for the
         Hermitian pairing."""
         p = params.p
-        total = 0
-        for r in self.domain.index_range():
-            total = (total + self.coords[r] * other.coords[r]) % p
-        return total
+        return int((self.vec * other.vec % p).sum()) % p
 
 
 def apply_dense(params: Params, op: GaussOperator, dense: DenseState, conjugate_kernel: bool = False) -> DenseState:
-    """Literal matrix action, O(N^2) kernel evaluations."""
+    """Literal matrix action out[r] = sum_q dense[q] kernel(q, r) over the
+    nonzero inputs, the kernel residues in blocks of output rows of at most
+    BLOCK entries (r-major, the order of the elementwise sum)."""
     p = params.p
-    out = {}
-    nonzero = [(q, v) for q, v in dense.coords.items() if v]
-    for r in op.domain_out.index_range():
-        acc = 0
-        for q, v in nonzero:
-            kv = op.kernel_value(q, r)
-            if not kv.is_zero():
-                if conjugate_kernel:
-                    kv = kv.conj()
-                acc = (acc + v * to_fp(params, kv)) % p
-        out[r] = acc
+    nonzero = np.flatnonzero(dense.vec)
+    q = dense.domain.index_vector()[nonzero]
+    v = dense.vec[nonzero]
+    r = op.domain_out.index_vector()
+    out = np.zeros(len(r), dtype=exact_dtype(p))
+    rows = max(1, BLOCK // max(len(q), 1))
+    for lo in range(0, len(r), rows):
+        K = op.kernel_block(params, q[None, :], r[lo:lo + rows, None], conjugate_kernel)
+        out[lo:lo + rows] = (K * v % p).sum(axis=1) % p
     return DenseState(op.domain_out, out)
