@@ -193,12 +193,17 @@ class Phase:
         return self.q - 1 if self.q >= Fraction(1, 2) else self.q
 
     def __add__(self, other: "Phase") -> "Phase":
-        if self.domain is not None and other.domain is not None and self.domain != other.domain:
+        # the zero phase (and only it) carries no domain: adding it is free
+        if other.domain is None:
+            return self
+        if self.domain is None:
+            return other
+        if self.domain != other.domain:
             raise DomainMismatch("cannot combine U-scale and V-scale phases")
-        return Phase(self.q + other.q, self.domain or other.domain)
+        return Phase(self.q + other.q, self.domain)
 
     def __neg__(self) -> "Phase":
-        return Phase(-self.q, self.domain)
+        return self if self.domain is None else Phase(-self.q, self.domain)
 
     def is_zero(self) -> bool:
         return self.q == 0

@@ -26,15 +26,20 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .arith import ArithError, Params, Phase, exact_dtype, poly_mod, squarefree_split
 from .arith import DomainMismatch  # noqa: F401  (re-exported: raised by coefficient products)
 
-__all__ = ["GaussCoeff", "DomainMismatch", "to_fp", "to_fp_phases", "to_complex", "parse_coeff"]
+__all__ = [
+    "GaussCoeff", "DomainMismatch", "to_fp", "to_fp_phases", "to_complex", "parse_coeff",
+    "unit_normalization",
+]
 
 _TWO_PI = 2.0 * math.pi
+_NO_PHASE = Phase(Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -43,23 +48,26 @@ class GaussCoeff:
     rho: int = 1
     a: int = 0
     b: int = 0
-    phase: Phase = Phase(Fraction(0))
+    phase: Phase = _NO_PHASE
 
     def __post_init__(self) -> None:
-        c = Fraction(self.c)
+        # the one place that validates and normalises: ring operations build
+        # their results from parts already in normal form (``_normal``)
+        c = self.c if isinstance(self.c, Fraction) else Fraction(self.c)
         rho = self.rho
         if rho < 1:
             raise ArithError("rho must be a positive integer")
-        s, r = squarefree_split(rho)
-        if s != 1:
-            c *= s
-            rho = r
+        if rho != 1:
+            s, r = squarefree_split(rho)
+            if s != 1:
+                c *= s
+                rho = r
         if c == 0:
             object.__setattr__(self, "c", Fraction(0))
             object.__setattr__(self, "rho", 1)
             object.__setattr__(self, "a", 0)
             object.__setattr__(self, "b", 0)
-            object.__setattr__(self, "phase", Phase(Fraction(0)))
+            object.__setattr__(self, "phase", _NO_PHASE)
             return
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "rho", rho)
@@ -76,7 +84,8 @@ class GaussCoeff:
 
     @classmethod
     def one(cls) -> "GaussCoeff":
-        return cls()
+        """The shared one."""
+        return _ONE
 
     @classmethod
     def rational(cls, c) -> "GaussCoeff":
@@ -108,17 +117,29 @@ class GaussCoeff:
         return self.c == 0
 
     def __mul__(self, other) -> "GaussCoeff":
-        if isinstance(other, (int, Fraction)):
-            other = GaussCoeff.rational(other)
-        if not isinstance(other, GaussCoeff):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return GaussCoeff.zero()
-        return GaussCoeff(
-            self.c * other.c,
-            self.rho * other.rho,
+        if type(other) is not GaussCoeff:
+            if isinstance(other, (int, Fraction)):
+                other = GaussCoeff.rational(other)
+            elif not isinstance(other, GaussCoeff):
+                return NotImplemented
+        if not self.c or not other.c:
+            return _ZERO
+        # sqrt(r1) sqrt(r2) = g sqrt(r1 r2 / g^2), g = gcd(r1, r2): both are
+        # squarefree, so r1/g and r2/g are coprime and their product is too
+        c, r1, r2 = self.c * other.c, self.rho, other.rho
+        if r1 == 1:
+            rho = r2
+        elif r2 == 1:
+            rho = r1
+        else:
+            g = math.gcd(r1, r2)
+            rho = (r1 // g) * (r2 // g)
+            c *= g
+        return _normal(
+            c,
+            rho,
             self.a + other.a,
-            self.b + other.b,
+            (self.b + other.b) % 8,
             self.phase + other.phase,  # raises DomainMismatch-compatible error
         )
 
@@ -127,21 +148,26 @@ class GaussCoeff:
     def __pow__(self, n: int) -> "GaussCoeff":
         if n < 0:
             return self.inverse() ** (-n)
+        if n == 0:
+            return _ONE
+        if not self.c:
+            return _ZERO
         # sqrt(rho)^n = rho^(n // 2) * sqrt(rho)^(n % 2)
-        return GaussCoeff(
+        phase = self.phase
+        return _normal(
             self.c ** n * self.rho ** (n // 2),
             self.rho if n % 2 else 1,
             self.a * n,
-            self.b * n,
-            Phase(self.phase.q * n, self.phase.domain),
+            self.b * n % 8,
+            phase if phase.domain is None else Phase(phase.q * n, phase.domain),
         )
 
     def inverse(self) -> "GaussCoeff":
-        if self.is_zero():
+        if not self.c:
             raise ZeroDivisionError("zero Gaussian coefficient")
         # 1/sqrt(rho) = sqrt(rho)/rho
-        return GaussCoeff(
-            1 / (self.c * self.rho), self.rho, -self.a, -self.b, -self.phase
+        return _normal(
+            1 / (self.c * self.rho), self.rho, -self.a, -self.b % 8, -self.phase
         )
 
     def __truediv__(self, other) -> "GaussCoeff":
@@ -151,10 +177,10 @@ class GaussCoeff:
 
     def conj(self) -> "GaussCoeff":
         """Involution: inverts e8 and V-phases, fixes c, rho, j and U-phases."""
-        if self.is_zero():
+        if not self.c:
             return self
         phase = self.phase if self.phase.domain == "U" else -self.phase
-        return GaussCoeff(self.c, self.rho, self.a, -self.b, phase)
+        return _normal(self.c, self.rho, self.a, -self.b % 8, phase)
 
     # -- rendering ------------------------------------------------------------
 
@@ -177,7 +203,32 @@ class GaussCoeff:
     __repr__ = __str__
 
 
+def _normal(c: Fraction, rho: int, a: int, b: int, phase: Phase) -> GaussCoeff:
+    """A coefficient from parts already in normal form -- c a nonzero
+    Fraction, rho squarefree, b in [0, 8), phase a Phase -- without
+    revalidating them: the ring operations' constructor."""
+    x = object.__new__(GaussCoeff)
+    d = x.__dict__
+    d["c"] = c
+    d["rho"] = rho
+    d["a"] = a
+    d["b"] = b
+    d["phase"] = phase
+    return x
+
+
 _ZERO = GaussCoeff(Fraction(0))
+_ONE = GaussCoeff()
+
+
+@lru_cache(maxsize=None)
+def unit_normalization(m: int, tag: str) -> GaussCoeff:
+    """1/sqrt(N) kept symbolic on the tower with base m: 1/m on the V scale,
+    (1/m) j^-1 on the U scale (sqrt(N_u) = m j with j the tower generator
+    sqrt(i)).  Shared: coefficients are immutable."""
+    unit = GaussCoeff.rational(Fraction(1, m))
+    return unit if tag == "V" else unit * GaussCoeff.j_power(-1)
+
 
 _COEFF_ATOM = re.compile(
     r"\s*(?:(?P<rat>-?\d+(?:/\d+)?)"
@@ -238,7 +289,7 @@ def to_fp(params: Params, x: GaussCoeff) -> int:
     if x.a:
         val = val * pow(params.j, x.a, p) % p
     if x.b:
-        val = val * pow(params.char_e(Fraction(1, 8)), x.b, p) % p
+        val = val * pow(params.xi(8), x.b, p) % p
     if not x.phase.is_zero():
         val = val * params.char_e(x.phase) % p
     return val

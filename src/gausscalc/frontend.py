@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import ArithError, DomainMismatch, Params
-from .coeffring import GaussCoeff, to_fp
+from .coeffring import GaussCoeff, to_fp, unit_normalization
 from .gauss import gauss_sum
 
 
@@ -201,7 +201,7 @@ _KEYWORDS = {"sum", "int", "j", "e8", "sqrt", "e", "N", "U", "V"}
 # -- lexer ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     kind: str  # NUM IDENT SYM EOF
     text: str
@@ -516,12 +516,6 @@ def _domain_size(params: Params, domain: str) -> int:
     return params.N_v if domain == "V" else params.N_u
 
 
-def _measure_coeff(params: Params, domain: str) -> GaussCoeff:
-    # the 'int' quantifier weight 1/sqrt(N), kept symbolic
-    unit = GaussCoeff.rational(Fraction(1, params.m))
-    return unit if domain == "V" else unit * GaussCoeff.j_power(-1)
-
-
 def eval_expr(
     e: Expr,
     params: Params,
@@ -542,7 +536,7 @@ def _eval_fp(e: Expr, params: Params, asg: dict[str, int], dom: str) -> int:
     if isinstance(e, JAtom):
         return params.j % p
     if isinstance(e, E8Atom):
-        return params.char_e(Fraction(1, 8))
+        return params.xi(8)
     if isinstance(e, SqrtAtom):
         return to_fp(params, GaussCoeff.sqrt(e.value))
     if isinstance(e, PhaseAtom):
@@ -564,7 +558,7 @@ def _eval_fp(e: Expr, params: Params, asg: dict[str, int], dom: str) -> int:
             total = (total + _eval_fp(e.body, params, asg, sub_dom)) % p
         del asg[e.var]
         if e.kind == "int":
-            total = total * to_fp(params, _measure_coeff(params, sub_dom)) % p
+            total = total * to_fp(params, unit_normalization(params.m, sub_dom)) % p
         return total
     raise ArithError(f"cannot evaluate {type(e).__name__}")
 
@@ -687,7 +681,7 @@ def _expand(e: Expr, params: Params, mode: str, dom: str) -> list[GaussTerm]:
             if result is not None:
                 if e.kind == "int":
                     result = GaussTerm(
-                        result.coeff * _measure_coeff(params, result.domain),
+                        result.coeff * unit_normalization(params.m, result.domain),
                         result.poly,
                         result.domain,
                         result.den,

@@ -49,6 +49,7 @@ from .arith import (
     solve_congruence,
 )
 from .coeffring import GaussCoeff, to_fp, to_fp_phases
+from .coeffring import unit_normalization as coeff_unit
 from .gauss import NonGaussianSum, divides_on_guards, gauss_sum, quadratic_window_sum
 
 
@@ -89,11 +90,8 @@ def domain_u(params: Params) -> Domain:
 
 
 def unit_normalization(params: Params, domain: Domain) -> GaussCoeff:
-    """1/sqrt(N) kept symbolic: 1/m on the V scale, (1/m) j^-1 on the U
-    scale (sqrt(N_u) = m j with j the tower generator sqrt(i))."""
-    if domain.tag == "V":
-        return GaussCoeff.rational(Fraction(1, params.m))
-    return GaussCoeff.rational(Fraction(1, params.m)) * GaussCoeff.j_power(-1)
+    """1/sqrt(N) kept symbolic (``coeffring.unit_normalization``)."""
+    return coeff_unit(params.m, domain.tag)
 
 
 @dataclass(frozen=True)

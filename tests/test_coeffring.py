@@ -1,11 +1,15 @@
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gausscalc.arith import DomainMismatch, ParamSpec, Phase, find_params
+from gausscalc import coeffring
+from gausscalc.arith import ArithError, DomainMismatch, ParamSpec, Phase, find_params
 from gausscalc.coeffring import GaussCoeff, parse_coeff, to_complex, to_fp
 
 
@@ -207,3 +211,121 @@ def test_inverse(params):
         x = rand_coeff(rng, "V")
         assert x * x.inverse() == GaussCoeff.one()
         assert to_fp(params, x.inverse()) == pow(to_fp(params, x), -1, p)
+
+
+# -- ring operations on normal forms ------------------------------------------
+#
+# The ring operations build their results from parts already in normal form,
+# without the public constructor's normalisation; each must agree with that
+# constructor applied to the unreduced parts.
+
+SQUAREFREE = [math.prod(s) for n in range(5) for s in itertools.combinations((2, 3, 5, 7), n)]
+
+
+@st.composite
+def coeffs(draw, rhos=tuple(SQUAREFREE), dens=tuple(range(1, 13))):
+    c = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+    q = Fraction(draw(st.integers(-30, 30)), draw(st.sampled_from(dens)))
+    phase = Phase(q, draw(st.sampled_from([None, "U", "V"])))
+    return GaussCoeff(c, draw(st.sampled_from(rhos)), draw(st.integers(-3, 3)), draw(st.integers()), phase)
+
+
+def _phase_sum(x: Phase, y: Phase) -> Phase:
+    if x.domain is not None and y.domain is not None and x.domain != y.domain:
+        raise DomainMismatch("cannot combine U-scale and V-scale phases")
+    return Phase(x.q + y.q, x.domain or y.domain)
+
+
+def _ref_mul(x, y):
+    if x.is_zero() or y.is_zero():
+        return GaussCoeff(0)
+    return GaussCoeff(x.c * y.c, x.rho * y.rho, x.a + y.a, x.b + y.b, _phase_sum(x.phase, y.phase))
+
+
+def _ref_pow(x, n):
+    # sqrt(rho)^n = sqrt(rho^n), and sqrt(rho^-n) = sqrt(rho^n) / rho^n
+    k = abs(n)
+    c = x.c ** n if n >= 0 else x.c ** n / x.rho ** k
+    return GaussCoeff(c, x.rho ** k, x.a * n, x.b * n, Phase(x.phase.q * n, x.phase.domain))
+
+
+def _ref_inverse(x):
+    return GaussCoeff(1 / x.c / x.rho, x.rho, -x.a, -x.b, Phase(-x.phase.q, x.phase.domain))
+
+
+def _ref_conj(x):
+    q = x.phase.q if x.phase.domain == "U" else -x.phase.q
+    return GaussCoeff(x.c, x.rho, x.a, -x.b, Phase(q, x.phase.domain))
+
+
+def _outcome(f, *args):
+    try:
+        x = f(*args)
+    except (ArithmeticError, ArithError) as exc:
+        return type(exc)
+    assert type(x.c) is Fraction and type(x.rho) is int and type(x.b) is int
+    return (x.c, x.rho, x.a, x.b, x.phase.q, x.phase.domain), hash(x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(coeffs(), coeffs(), st.integers(-4, 6))
+def test_ring_operations_match_public_constructor(x, y, n):
+    assert _outcome(lambda: x * y) == _outcome(_ref_mul, x, y)
+    assert _outcome(lambda: x ** n) == _outcome(_ref_pow, x, n)
+    assert _outcome(x.inverse) == _outcome(_ref_inverse, x)
+    assert _outcome(x.conj) == _outcome(_ref_conj, x)
+
+
+@pytest.fixture(scope="module")
+def small():
+    return find_params(ParamSpec(2, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mul_homomorphism_on_small_tower(small, data):
+    # p = 257: sqrt(rho) evaluates for rho in {1, 2}, phases with 2-power denominators
+    normal = coeffs(rhos=(1, 2), dens=(1, 2, 4, 8, 16, 32))
+    x, y = data.draw(normal), data.draw(normal)
+    try:
+        xy = x * y
+    except DomainMismatch:
+        return
+    assert to_fp(small, xy) == to_fp(small, x) * to_fp(small, y) % small.p
+
+
+def test_ring_operations_never_factor(monkeypatch):
+    pool = [
+        GaussCoeff(Fraction(c, 3), rho, a, b, Phase(Fraction(q, 12), dom))
+        for c, rho, a, b, q, dom in itertools.product(
+            (-2, 5), (1, 6, 35, 210), (-1, 2), (3, 7), (0, 5), ("U", "V")
+        )
+    ] + [GaussCoeff.zero()]
+    calls = []
+    real = coeffring.squarefree_split
+    monkeypatch.setattr(coeffring, "squarefree_split", lambda n: calls.append(n) or real(n))
+    for x in pool:
+        for y in pool:
+            try:
+                x * y
+            except DomainMismatch:
+                pass
+        for n in (-3, 0, 1, 4):
+            if not x.is_zero() or n >= 0:
+                x ** n
+        if not x.is_zero():
+            x.inverse()
+        x.conj()
+    assert calls == []
+    GaussCoeff(1, 12)  # the public constructor still normalises
+    assert calls == [12]
+
+
+def test_adding_the_zero_phase_returns_the_other_operand():
+    zero = Phase(Fraction(0))
+    for dom in ("U", "V"):
+        x = Phase(Fraction(1, 3), dom)
+        assert x + zero is x
+        assert zero + x is x
+    with pytest.raises(DomainMismatch):
+        Phase(Fraction(1, 3), "U") + Phase(Fraction(1, 3), "V")

@@ -113,6 +113,12 @@ def test_eval_phase_atom_is_char_e(small, dom):
         for pv in (-2, 0, 7):
             n = -3 * r * r + 2 * r * pv + 5
             assert eval_expr(e, small, {"r": r, "p": pv}) == small.char_e(Fraction(n, 2 * N) % 1), (r, pv)
+    # and e8 as char_e(1/8), bare and under a quantifier
+    e8 = small.char_e(Fraction(1, 8))
+    assert eval_expr(parse("e8"), small) == e8
+    summed = parse(f"sum r . e8 * e((-3*r^2 + 5)/2N @{dom})")
+    want = sum(e8 * small.char_e(Fraction(-3 * r * r + 5, 2 * N) % 1) for r in range(-N // 2, N // 2))
+    assert eval_expr(summed, small) == want % small.p
 
 
 def test_eval_unbound(small):
