@@ -18,15 +18,21 @@ summation quantifier; 'int' is the same summation weighted by the lattice
 measure 1/sqrt(N) (the x = r/sqrt(N) scaling).
 
 Elimination rewrites each quantifier innermost-first by the Gauss
-summation formula, evaluated by the summation kernel ``gauss.gauss_sum``
-on the term lowered to positional form: a variable y entering as
-(A y^2 + 2 L(frees) y + R(frees))/2N contributes the closed-form
-coefficient and the residual phase (R - L^2/A)/2N, guarded by the
-congruence A | L(frees); guards are first-class data in the normal form,
-and guards on y itself first restrict it to a coset (merged by CRT when
-their moduli are coprime).  Quantified variables must carry
-even linear coefficients (the 2L structure of the summation formula);
-odd ones leave the Gaussian fragment and raise.
+summation formula, evaluated by the summation kernel ``gauss.gauss_sum``:
+a variable y entering as (A y^2 + 2 L(frees) y + R(frees))/2N contributes
+the closed-form coefficient and the residual phase (R - L^2/A)/2N, guarded
+by the congruence A | L(frees); guards are first-class data in the normal
+form, and guards on y itself first restrict it to a coset (merged by CRT
+when their moduli are coprime).  Quantified variables must carry even
+linear coefficients (the 2L structure of the summation formula); odd ones
+leave the Gaussian fragment and raise.
+
+``Poly`` is the polynomial of the two ends only: a parsed phase atom
+(``PhaseAtom``) and the returned normal form (``GaussTerm``, ``Guard``).
+The parser adds its terms into a monomial -> coefficient dict and builds
+one ``Poly`` per phase atom; expansion and elimination work on such dicts,
+laid out positionally for the kernel at each summation step, and
+``eliminate`` builds each normal-form term's ``Poly`` once.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import ArithError, DomainMismatch, Params
 from .coeffring import GaussCoeff, to_fp, unit_normalization
@@ -63,7 +70,8 @@ Monomial = tuple[str, ...]
 @dataclass(frozen=True)
 class Poly:
     """Integer-coefficient polynomial of total degree <= 2; monomial keys
-    are sorted variable tuples, () the constant."""
+    are sorted variable tuples, () the constant.  Immutable and without
+    arithmetic: built once from a monomial -> coefficient dict."""
 
     coeffs: tuple[tuple[Monomial, int], ...]
 
@@ -71,36 +79,8 @@ class Poly:
     def from_dict(cls, d: dict[Monomial, int]) -> "Poly":
         return cls(tuple(sorted((m, c) for m, c in d.items() if c)))
 
-    @classmethod
-    def const(cls, c: int) -> "Poly":
-        return cls.from_dict({(): c})
-
-    @classmethod
-    def var(cls, name: str) -> "Poly":
-        return cls.from_dict({(name,): 1})
-
     def as_dict(self) -> dict[Monomial, int]:
         return dict(self.coeffs)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        d = self.as_dict()
-        for m, c in other.coeffs:
-            d[m] = d.get(m, 0) + c
-        return Poly.from_dict(d)
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, int):
-            return Poly.from_dict({m: c * other for m, c in self.coeffs})
-        d: dict[Monomial, int] = {}
-        for m1, c1 in self.coeffs:
-            for m2, c2 in other.coeffs:
-                m = tuple(sorted(m1 + m2))
-                if len(m) > 2:
-                    raise DegreeError("phase polynomial exceeds degree 2", 0, 0)
-                d[m] = d.get(m, 0) + c1 * c2
-        return Poly.from_dict(d)
-
-    __rmul__ = __mul__
 
     def variables(self) -> set[str]:
         return {v for m, _ in self.coeffs for v in m}
@@ -118,9 +98,6 @@ class Poly:
                 term *= assignment[v]
             total += term
         return total
-
-    def exact_div(self, k: int) -> "Poly":
-        return Poly.from_dict({m: c // k for m, c in self.coeffs})
 
     def render(self) -> str:
         if not self.coeffs:
@@ -174,7 +151,7 @@ class SqrtAtom(Expr):
 
 @dataclass(frozen=True)
 class PhaseAtom(Expr):
-    poly: Poly = Poly.const(0)
+    poly: Poly = Poly(())
     domain: str = "V"
 
 
@@ -224,9 +201,9 @@ def _tokenize(text: str) -> list[Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             out.append(Token("NUM", text[i:j], line, col))
             col += j - i
@@ -374,28 +351,31 @@ class _Parser:
             self.pos = save
         return Fraction(sign * num)
 
-    # poly := ['-'] pterm (('+'|'-') pterm)*
+    # poly := ['-'] pterm (('+'|'-') pterm)*; the leading sign is the first term's
     def parse_poly(self) -> Poly:
-        total = Poly.const(0)
+        d: dict[Monomial, int] = {}
         sign = 1
         if self.peek().kind == "SYM" and self.peek().text == "-":
             self.next()
             sign = -1
-        total = total + self.parse_pterm() * sign
-        while self.peek().kind == "SYM" and self.peek().text in "+-":
-            op = self.next().text
-            total = total + self.parse_pterm() * (1 if op == "+" else -1)
-        return total
+        while True:
+            m, c = self.parse_pterm()
+            d[m] = d.get(m, 0) + sign * c
+            tok = self.peek()
+            if tok.kind != "SYM" or tok.text not in "+-":
+                return Poly.from_dict(d)
+            self.next()
+            sign = 1 if tok.text == "+" else -1
 
-    def parse_pterm(self) -> Poly:
-        tok = self.peek()
+    def parse_pterm(self) -> tuple[Monomial, int]:
+        """One term as (sorted monomial, coefficient)."""
         coeff = 1
-        parts: list[Poly] = []
-        if tok.kind == "NUM":
+        if self.peek().kind == "NUM":
             coeff = int(self.next().text)
             if not (self.peek().kind == "SYM" and self.peek().text == "*"):
-                return Poly.const(coeff)
+                return (), coeff
             self.next()
+        names: list[str] = []
         while True:
             ident = self.expect("IDENT")
             if ident.text in _KEYWORDS:
@@ -412,20 +392,16 @@ class _Parser:
                     raise DegreeError("power exceeds 2", ident.line, ident.col)
                 if power < 1:
                     raise ParseError("power must be 1 or 2", ident.line, ident.col)
-            parts.append(
-                Poly.var(ident.text) if power == 1 else Poly.var(ident.text) * Poly.var(ident.text)
-            )
+            if len(names) + power > 2:
+                raise DegreeError("phase polynomial exceeds degree 2", ident.line, ident.col)
+            names += [ident.text] * power
             if self.peek().kind == "SYM" and self.peek().text == "*":
                 save = self.pos
                 self.next()
                 if self.peek().kind == "IDENT" and self.peek().text not in _KEYWORDS:
                     continue
                 self.pos = save
-            break
-        out = Poly.const(coeff)
-        for part in parts:
-            out = out * part
-        return out
+            return tuple(sorted(names)), coeff
 
 
 def parse(text: str) -> Expr:
@@ -635,104 +611,107 @@ def eval_normal_form(
     return total
 
 
-def _mul_terms(a: GaussTerm, b: GaussTerm) -> GaussTerm:
-    if a.poly.is_zero():
+class _Term(NamedTuple):
+    """A term during elimination: coeff * e(phase / 2N*den), where the
+    guards hold.  The phase and each guard's linear form are monomial ->
+    coefficient dicts without zero entries, never mutated once built."""
+
+    coeff: GaussCoeff
+    phase: dict
+    domain: str
+    den: int = 1
+    guards: tuple = ()
+
+
+def _mul_terms(a: _Term, b: _Term) -> _Term:
+    if not a.phase:
         domain = b.domain
-    elif b.poly.is_zero():
+    elif not b.phase:
         domain = a.domain
     elif a.domain != b.domain:
         raise DomainMismatch("cannot multiply U-scale and V-scale phases")
     else:
         domain = a.domain
     den = math.lcm(a.den, b.den)
-    poly = a.poly * (den // a.den) + b.poly * (den // b.den)
-    return GaussTerm(a.coeff * b.coeff, poly, domain, den, a.guards + b.guards)
+    ka, kb = den // a.den, den // b.den
+    phase = a.phase if ka == 1 else {m: c * ka for m, c in a.phase.items()}
+    if b.phase:
+        phase = dict(phase)
+        for m, c in b.phase.items():
+            c = phase.get(m, 0) + kb * c
+            if c:
+                phase[m] = c
+            else:
+                del phase[m]
+    return _Term(a.coeff * b.coeff, phase, domain, den, a.guards + b.guards)
 
 
-def _expand(e: Expr, params: Params, mode: str, dom: str) -> list[GaussTerm]:
-    one = GaussTerm(GaussCoeff.one(), Poly.const(0), dom)
+def _expand(e: Expr, params: Params, mode: str, dom: str) -> list[_Term]:
     if isinstance(e, Rat):
-        return [GaussTerm(GaussCoeff.rational(e.value), Poly.const(0), dom)]
+        return [_Term(GaussCoeff.rational(e.value), {}, dom)]
     if isinstance(e, JAtom):
-        return [GaussTerm(GaussCoeff.j_power(1), Poly.const(0), dom)]
+        return [_Term(GaussCoeff.j_power(1), {}, dom)]
     if isinstance(e, E8Atom):
-        return [GaussTerm(GaussCoeff.e8_power(1), Poly.const(0), dom)]
+        return [_Term(GaussCoeff.e8_power(1), {}, dom)]
     if isinstance(e, SqrtAtom):
-        return [GaussTerm(GaussCoeff.sqrt(e.value), Poly.const(0), dom)]
+        return [_Term(GaussCoeff.sqrt(e.value), {}, dom)]
     if isinstance(e, PhaseAtom):
-        return [GaussTerm(GaussCoeff.one(), e.poly, e.domain)]
+        return [_Term(GaussCoeff.one(), e.poly.as_dict(), e.domain)]
     if isinstance(e, Plus):
-        out: list[GaussTerm] = []
+        out: list[_Term] = []
         for t in e.terms:
             out.extend(_expand(t, params, mode, dom))
         return out
     if isinstance(e, Prod):
-        terms = [one]
+        terms = [_Term(GaussCoeff.one(), {}, dom)]
         for f in e.factors:
             expanded = _expand(f, params, mode, dom)
             terms = [_mul_terms(t, u) for t in terms for u in expanded]
         return terms
     if isinstance(e, Quant):
         sub_dom = _expr_domain(e.body) or dom
-        inner = _expand(e.body, params, mode, sub_dom)
         out = []
-        for term in inner:
+        for term in _expand(e.body, params, mode, sub_dom):
             result = _eliminate_var(term, e.var, params, mode)
             if result is not None:
                 if e.kind == "int":
-                    result = GaussTerm(
-                        result.coeff * unit_normalization(params.m, result.domain),
-                        result.poly,
-                        result.domain,
-                        result.den,
-                        result.guards,
-                    )
+                    result = result._replace(coeff=result.coeff * unit_normalization(params.m, result.domain))
                 out.append(result)
         return out
     raise ArithError(f"cannot eliminate {type(e).__name__}")
 
 
-def _eliminate_var(term: GaussTerm, y: str, params: Params, mode: str) -> GaussTerm | None:
+def _eliminate_var(term: _Term, y: str, params: Params, mode: str) -> _Term | None:
     """One Gauss-summation step over y in the full domain window: the
-    term's phase and guards are lowered to positional form (variables in
-    name order, the constant last) for the summation kernel `gauss_sum`,
-    and its result is read back.  Returns None for a structurally-zero
+    term's phase and guards are laid out positionally (variables in name
+    order, the constant last) for the summation kernel `gauss_sum`, and its
+    result is read back into dicts.  Returns None for a structurally-zero
     result (a declared zero, or a sum that telescopes to zero)."""
-    names = sorted(term.poly.variables().union({y}, *(g.poly.variables() for g in term.guards)))
-    pos = {v: i for i, v in enumerate(names)}
+    names = sorted({y}.union(*term.phase, *(m for _, g in term.guards for m in g)))
     n = len(names)
+    pos = {v: i for i, v in enumerate(names)}
+    keys = [(v,) for v in names] + [()]
     Q = [[0] * (n + 1) for _ in range(n + 1)]
-    for m, c in term.poly.coeffs:
-        i, j = ([pos[v] for v in m] + [n, n])[:2]
+    for m, c in term.phase.items():
+        i, j = (*(pos[v] for v in m), n, n)[:2]
         Q[i][j] += c
-    guards = [(g.modulus, _vector(g.poly, pos, n)) for g in term.guards]
+    guards = [(k, [g.get(key, 0) for key in keys]) for k, g in term.guards]
     N = _domain_size(params, term.domain)
     res = gauss_sum(Q, pos[y], guards, N, N * term.den, term.domain, mode, params)
     if res.coeff.is_zero():
         return None
-    new_guards = [Guard(k, _linear_poly(v, names)) for k, v in res.guards + ((res.guard,) if res.guard else ())]
-    poly = Poly.from_dict({
-        tuple(names[t] for t in (i, j) if t < n): c
-        for i, row in enumerate(res.Q) for j, c in enumerate(row) if c
-    })
+    new_guards = tuple(
+        (k, {keys[i]: c for i, c in enumerate(v) if c})
+        for k, v in res.guards + ((res.guard,) if res.guard else ())
+    )
+    phase = {keys[i] + keys[j]: c for i, row in enumerate(res.Q) for j, c in enumerate(row) if c}
     den = res.M // N
     if Q[pos[y]][pos[y]]:
         # residual phase (R - L^2/A)/2M, held over the boosted denominator
-        g = math.gcd(*(c for _, c in poly.coeffs), den)
-        poly, den = poly.exact_div(g), den // g
-    return GaussTerm(term.coeff * res.coeff, poly, term.domain, den, tuple(new_guards))
-
-
-def _vector(poly: Poly, pos: dict[str, int], n: int) -> list[int]:
-    v = [0] * (n + 1)
-    for m, c in poly.coeffs:
-        v[pos[m[0]] if m else n] += c
-    return v
-
-
-def _linear_poly(v: list[int], names: list[str]) -> Poly:
-    n = len(names)
-    return Poly.from_dict({((names[i],) if i < n else ()): c for i, c in enumerate(v) if c})
+        g = math.gcd(*phase.values(), den)
+        if g > 1:
+            phase, den = {m: c // g for m, c in phase.items()}, den // g
+    return _Term(term.coeff * res.coeff, phase, term.domain, den, new_guards)
 
 
 def eliminate(e: Expr, params: Params, mode: str = "extended") -> NormalForm:
@@ -740,5 +719,8 @@ def eliminate(e: Expr, params: Params, mode: str = "extended") -> NormalForm:
     sum of Gaussian terms; eval-equivalent to the source expression."""
     free_variables(e)  # validates scoping
     dom = _expr_domain(e) or "V"
-    terms = [t for t in _expand(e, params, mode, dom) if not t.coeff.is_zero()]
-    return NormalForm(tuple(terms))
+    return NormalForm(tuple(
+        GaussTerm(t.coeff, Poly.from_dict(t.phase), t.domain, t.den,
+                  tuple(Guard(k, Poly.from_dict(g)) for k, g in t.guards))
+        for t in _expand(e, params, mode, dom) if not t.coeff.is_zero()
+    ))

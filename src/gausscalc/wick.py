@@ -15,10 +15,9 @@ is: multiply by j, rescale the phase numerator by i, retag U -> V.  The
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import ArithError, Params, Phase
-from .coeffring import GaussCoeff, to_fp
+from .coeffring import GaussCoeff, _normal, to_fp
 from .hilbert import (
     GaussOperator,
     GaussState,
@@ -38,8 +37,8 @@ def wick_coeff(params: Params, x: GaussCoeff) -> GaussCoeff:
         return x
     if x.phase.domain == "V":
         raise WrongDomain("wick_coeff expects a U-scale (or phase-free) coefficient")
-    phase = Phase(x.phase.q * params.i, "V") if not x.phase.is_zero() else Phase(Fraction(0))
-    return GaussCoeff(x.c, x.rho, x.a + 1, x.b, phase)
+    phase = Phase(x.phase.q * params.i, "V") if not x.phase.is_zero() else x.phase
+    return _normal(x.c, x.rho, x.a + 1, x.b, phase)
 
 
 def wick_state(params: Params, s: GaussState) -> GaussState:

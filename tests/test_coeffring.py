@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gausscalc import coeffring
 from gausscalc.arith import ArithError, DomainMismatch, ParamSpec, Phase, find_params
 from gausscalc.coeffring import GaussCoeff, parse_coeff, to_complex, to_fp
+from gausscalc.wick import wick_coeff
 
 
 @pytest.fixture(scope="module")
@@ -279,6 +280,17 @@ def test_ring_operations_match_public_constructor(x, y, n):
 @pytest.fixture(scope="module")
 def small():
     return find_params(ParamSpec(2, 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(coeffs())
+def test_wick_coeff_matches_public_constructor(params, small, x):
+    # wick_coeff assembles j * x with the phase rescaled by i and retagged V
+    if x.phase.domain == "V":
+        return
+    for P in (params, small):
+        phase = Phase(x.phase.q * P.i, "V") if not x.phase.is_zero() else Phase(Fraction(0))
+        assert _outcome(wick_coeff, P, x) == _outcome(GaussCoeff, x.c, x.rho, x.a + 1, x.b, phase)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,13 +1,16 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from gausscalc import cli
 from gausscalc.arith import DomainMismatch, ParamSpec, find_params
 from gausscalc.frontend import (
     DegreeError,
     ParseError,
     PhaseAtom,
+    Poly,
     Prod,
     Quant,
     eliminate,
@@ -45,6 +48,42 @@ def test_parse_degree_error():
         parse("e((r^3)/2N @V)")
     with pytest.raises((DegreeError, ParseError)):
         parse("e((r*s*t)/2N @V)")
+
+
+@pytest.mark.parametrize("text", ["e((r*r*r)/2N @V)", "e((r^2*x)/2N @V)"])
+def test_degree_error_at_the_exceeding_factor(text):
+    # both third factors sit at column 8
+    with pytest.raises(DegreeError) as exc:
+        parse(text)
+    assert str(exc.value) == "1:8: phase polynomial exceeds degree 2"
+    assert (exc.value.line, exc.value.col) == (1, 8)
+
+
+def test_parse_poly_accumulates_terms():
+    assert parse("e((r*x + x*r - 2*x*r)/2N @V)").poly == Poly(())
+    # a leading '-' is the sign of the first term only
+    e = parse("e((-r^2 + 2*r*x - 3 + x)/2N @V)")
+    assert e.poly.as_dict() == {("r", "r"): -1, ("r", "x"): 2, (): -3, ("x",): 1}
+    # repeated monomials merge, and cancelled ones leave no entry
+    e = parse("e((x + 2*x - r^2 + 3 + r*r + 4 - y*x + 2*x*y)/2N @V)")
+    assert e.poly.as_dict() == {("x",): 3, (): 7, ("x", "y"): 1}
+
+
+@pytest.mark.parametrize("text, ch, col", [
+    ("sum r . e((r^\u00b2)/2N @V)", "\u00b2", 14),  # superscript two
+    ("e((\u0663*r)/2N @V)", "\u0663", 4),  # Arabic-Indic digit three
+])
+def test_non_ascii_digits_are_rejected(small, tmp_path, capsys, text, ch, col):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == f"1:{col}: unexpected character {ch!r}"
+    assert (exc.value.line, exc.value.col) == (1, col)
+    params_file = tmp_path / "small.toml"
+    params_file.write_text(small.to_toml())
+    assert cli.main(["--params-file", str(params_file), "qe", "--expr", text]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1
+    assert json.loads(out[0]) == {"error": f"1:{col}: unexpected character {ch!r}", "type": "ParseError"}
 
 
 def test_parse_errors_carry_position():
@@ -183,6 +222,16 @@ def test_pinned_window_vs_brute(small):
         eliminate(parse("sum y . sum z . e((y^2 + x*y + 2*z*y - 2*z*x)/2N @V)"), small)
 
 
+def test_product_of_eliminated_terms_vs_brute(small):
+    # the r-sum leaves its residual phase over 2N*2, the s-sum over 2N: the
+    # product brings e(x/2N), then the s-sum's phase, to the common denominator
+    e = parse("e((x)/2N @U) * (sum r . e((-2*r^2 + 2*r*x)/2N @U)) * sum s . e((-s^2 + 2*s*x)/2N @U)")
+    nf = eliminate(e, small)
+    assert [t.den for t in nf.terms] == [2]
+    for xval in range(-8, 8):
+        assert eval_normal_form(nf, small, {"x": xval}) == eval_expr(e, small, {"x": xval}), xval
+
+
 def test_int_quantifier_measure(small):
     e = parse("int r . e((-r^2)/2N @V)")
     nf = eliminate(e, small)
@@ -230,3 +279,31 @@ def test_qe_soundness_random(small, domain):
             )
         produced += 1
     assert produced == 40, f"only {produced} of {attempts} attempts eliminated"
+
+
+@pytest.mark.parametrize("domain", ["V", "U"])
+def test_qe_soundness_whole_domain(small, domain):
+    # the normal form against the literal sum at every (x, y) of the domain;
+    # a 3-quantifier U expression keeps x free only, because its literal sum
+    # (16^3 terms) at each of the 16^2 points would take seconds
+    from gausscalc.gauss import NonGaussianSum
+
+    rng = random.Random(0x5EED if domain == "V" else 0xD0E)
+    N = small.N_v if domain == "V" else small.N_u
+    grid = range(-N // 2, N // 2)
+    plan = [1, 1, 2, 2, 3, 3] * (3 if domain == "V" else 1)
+    for n_quant in plan:
+        frees = ("x",) if domain == "U" and n_quant == 3 else ("x", "y")
+        for _ in range(50):
+            e = random_expression(rng, n_quant, domain, frees)
+            try:
+                nf = eliminate(e, small)
+                break
+            except NonGaussianSum:
+                continue
+        else:
+            pytest.fail(f"no eliminable {n_quant}-quantifier expression in 50 draws")
+        for x in grid:
+            for y in grid if "y" in frees else (0,):
+                asg = {"x": x, "y": y}
+                assert eval_normal_form(nf, small, asg) == eval_expr(e, small, asg), (format_expr(e), asg)

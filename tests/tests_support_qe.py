@@ -16,13 +16,12 @@ def random_expression(rng: random.Random, n_quant: int, domain: str, frees=("x",
     quadratic_pool = (-1, 1) if domain == "V" else (-1, -2, 1, 2, 4)
     atoms = []
     for i, v in enumerate(bound):
-        poly = Poly.from_dict({(v, v): rng.choice(quadratic_pool)})
+        terms = {(v, v): rng.choice(quadratic_pool)}
         partners = list(frees) + bound[i + 1:]
         for w in rng.sample(partners, k=rng.randint(0, min(2, len(partners)))):
-            key = tuple(sorted((v, w)))
-            poly = poly + Poly.from_dict({key: 2 * rng.randint(-2, 2)})
-        poly = poly + Poly.const(rng.randint(-2, 2))
-        atoms.append(PhaseAtom(poly, domain))
+            terms[tuple(sorted((v, w)))] = 2 * rng.randint(-2, 2)
+        terms[()] = rng.randint(-2, 2)
+        atoms.append(PhaseAtom(Poly.from_dict(terms), domain))
     extra = []
     for w in frees:
         if rng.random() < 0.5:
