@@ -134,17 +134,27 @@ def poly_mod(m: int, terms):
     Each x is an int or an integer array (arrays broadcast, so the result
     is elementwise); every factor is reduced below m and every product
     reduced before the next, in the dtype ``exact_dtype(m)``, so that big
-    Python ints and int64 arrays mix without overflow."""
+    Python ints and int64 arrays mix without overflow.  An array that
+    recurs (the same object, within a term or across terms) is converted
+    and reduced once; the sum of the reduced terms is reduced once, at
+    the end."""
     dt = exact_dtype(m)
+    reduced: dict[int, object] = {}
     total = 0
     for c, *xs in terms:
         t = c % m
         for x in xs:
-            if not isinstance(x, int):
-                x = np.asarray(x, dtype=dt)
-            t = t * (x % m) % m
-        total = (total + t) % m
-    return total
+            if isinstance(x, int):
+                x %= m
+            else:
+                key = id(x)
+                r = reduced.get(key)
+                if r is None:
+                    r = reduced[key] = np.asarray(x, dtype=dt) % m
+                x = r
+            t = t * x % m
+        total = total + t
+    return total % m
 
 
 @dataclass(frozen=True)
@@ -326,22 +336,28 @@ class Params:
 
     def power_sum(self, two_m: int, a: int, b: int, lo: int, hi: int) -> FpElem:
         """sum_{lo < n <= hi} xi_2M^(a n^2 + 2 b n) mod p, in blocks of
-        terms: the exponents as a vector mod 2M (the summand depends on n
-        mod 2M only), the powers gathered from the power table.  Raises if
-        2M does not divide p - 1."""
+        terms: the summand depends on n mod 2M only, so each block's n run
+        from its start mod 2M, and the exponents (a n mod 2M) n + 2b n mod 2M
+        (below 2 (2M)^2 + 2 (2M) BLOCK, so int64 for any table that fits in
+        memory) are gathered from the power table.  Raises if 2M does not
+        divide p - 1."""
         self.xi(two_m)  # raises for an empty window too
+        table = self.power_table(two_m)
+        a %= two_m
+        b2 = 2 * b % two_m
         total = 0
         for start in range(lo + 1, hi + 1, BLOCK):
-            n = start % two_m + np.arange(min(BLOCK, hi + 1 - start))
-            total += int(self.xi_powers(two_m, poly_mod(two_m, [(a, n, n), (2 * b, n)])).sum())
+            n0 = start % two_m
+            n = np.arange(n0, n0 + min(BLOCK, hi + 1 - start))
+            total += int(table[(a * n % two_m * n + b2 * n) % two_m].sum())
         return total % self.p
 
     def sqrt_squarefree(self, r: int) -> FpElem:
-        """Canonical sqrt of a squarefree r >= 1, via sqrt_canonical(4r)/2."""
+        """Canonical sqrt of a squarefree r >= 1, via sqrt_canonical(4r)/2
+        ((p + 1) / 2 is the inverse of 2)."""
         if r == 1:
             return 1
-        half = pow(2, -1, self.p)
-        return self.sqrt_canonical(4 * r) * half % self.p
+        return self.sqrt_canonical(4 * r) * ((self.p + 1) // 2) % self.p
 
     def tonelli_shanks(self, n: int) -> FpElem | None:
         """Any square root of n mod p (branch not canonical); cross-check only."""

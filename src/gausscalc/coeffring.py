@@ -304,7 +304,10 @@ def to_fp_phases(params: Params, coeff: GaussCoeff, tag: str, m: int, num, on,
 
     Raises what to_fp of the elementwise products would raise, at the first
     element in C order at which it would: that element is evaluated by the
-    scalar path, so the exception and its message are the scalar ones."""
+    scalar path, so the exception and its message are the scalar ones.  The
+    scalar path runs only there: when the phase-free part raises (at the
+    first element of `on`) or where a mismatch or a phase denominator is
+    flagged."""
     p = params.p
     num, on = np.broadcast_arrays(num, on)
     out = np.zeros(on.shape, dtype=exact_dtype(p))
@@ -315,11 +318,13 @@ def to_fp_phases(params: Params, coeff: GaussCoeff, tag: str, m: int, num, on,
         x = coeff * GaussCoeff.phase_of(Fraction(int(num.flat[i]), m), tag)
         return to_fp(params, x.conj() if conjugate else x)
 
-    # the first element raises what the product or its phase-free part raise;
-    # past it the phase-free part (`unit`) evaluates, and only phases can fail
-    scalar(np.flatnonzero(on)[0])
     c = coeff.conj() if conjugate else coeff
-    unit = to_fp(params, GaussCoeff(c.c, c.rho, c.a, c.b))
+    try:
+        unit = to_fp(params, _normal(c.c, c.rho, c.a, c.b, _NO_PHASE))
+    except ValueError:  # ArithError, or a denominator p divides
+        # every product raises; the first element says what its scalar path raises
+        scalar(np.flatnonzero(on)[0])
+        raise
     # the phase of the product is q + num/m = E/D mod 1, where conj() negates
     # num/m on the V scale as it does every V-phase; a nonzero num/m meets a
     # phase q of the other scale only where Phase.__add__ raises
@@ -327,15 +332,16 @@ def to_fp_phases(params: Params, coeff: GaussCoeff, tag: str, m: int, num, on,
     D = math.lcm(m, q.denominator)
     sign = -1 if conjugate and tag == "V" else 1
     E = poly_mod(D, [(sign * D // m, num), (q.numerator * (D // q.denominator),)])
-    mismatch = (num != 0) if c.phase.domain not in (None, tag) else False
     # char_e takes E/D iff its reduced denominator divides p - 1, i.e. iff
     # h = D / gcd(D, p - 1) divides E; then e(E/D) = xi_g^(E/h)
     g = math.gcd(D, p - 1)
     h = D // g
-    bad = np.flatnonzero(on & (mismatch | (E % h != 0)))
-    if len(bad):
-        scalar(bad[0])
-        raise AssertionError("to_fp_phases disagrees with to_fp")
+    cross = c.phase.domain not in (None, tag)
+    if cross or h != 1:
+        bad = np.flatnonzero(on & (((num != 0) & cross) | (E % h != 0)))
+        if len(bad):
+            scalar(bad[0])
+            raise AssertionError("to_fp_phases disagrees with to_fp")
     out[on] = unit * params.xi_powers(g, E[on] // h) % p
     return out
 

@@ -136,7 +136,8 @@ def free_propagator_brute(params: Params, t: int, domain: Domain, r: int, s: int
     N = domain.N
     # the window -N/2 <= q < N/2 of domain.index_range()
     total = params.power_sum(2 * N, t, r - s, -N // 2 - 1, N // 2 - 1)
-    return total * pow(N % p, -1, p) % p
+    # power_sum raises unless 2N | p - 1, and then N * (p - (p - 1)/N) = 1 mod p
+    return total * (p - (p - 1) // N) % p
 
 
 def quadratic_phase_operator(params: Params, t: int, domain: Domain | None = None) -> GaussOperator:

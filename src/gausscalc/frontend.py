@@ -38,6 +38,7 @@ laid out positionally for the kernel at each summation step, and
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -186,6 +187,11 @@ class Token:
     col: int
 
 
+# identifiers are ASCII: a letter or '_', then letters, digits and '_'
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT_CHARS = frozenset(string.ascii_letters + string.digits + "_")
+
+
 def _tokenize(text: str) -> list[Token]:
     out = []
     line, col = 1, 1
@@ -209,9 +215,9 @@ def _tokenize(text: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _IDENT_START:
             j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            while j < len(text) and text[j] in _IDENT_CHARS:
                 j += 1
             out.append(Token("IDENT", text[i:j], line, col))
             col += j - i
@@ -468,24 +474,46 @@ def _fmt_child(e: Expr, in_sum: bool = False) -> str:
 # -- direct evaluation (the oracle) -------------------------------------------------
 
 
-def _expr_domain(e: Expr) -> str | None:
-    if isinstance(e, PhaseAtom):
-        return e.domain
-    doms = set()
-    children = ()
-    if isinstance(e, Prod):
-        children = e.factors
-    elif isinstance(e, Plus):
-        children = e.terms
-    elif isinstance(e, Quant):
-        children = (e.body,)
-    for child in children:
-        d = _expr_domain(child)
-        if d:
-            doms.add(d)
-    if len(doms) > 1:
+_MIXED = "mixed"  # a subtree with both U and V phases
+
+
+def _domains(e: Expr) -> dict[int, str | None]:
+    """The scale of `e` and of every quantifier body in it -- 'U', 'V',
+    None for no phase, or _MIXED -- keyed by the id of `e` and of each
+    Quant node, in one bottom-up pass."""
+    out: dict[int, str | None] = {}
+
+    def walk(node: Expr) -> str | None:
+        if isinstance(node, PhaseAtom):
+            return node.domain
+        if isinstance(node, Prod):
+            children = node.factors
+        elif isinstance(node, Plus):
+            children = node.terms
+        elif isinstance(node, Quant):
+            children = (node.body,)
+        else:
+            return None
+        dom = None
+        for child in children:
+            d = walk(child)
+            if d is not None and d != dom:
+                dom = d if dom is None else _MIXED
+        if isinstance(node, Quant):
+            out[id(node)] = dom
+        return dom
+
+    out[id(e)] = walk(e)
+    return out
+
+
+def _scale(domains: dict[int, str | None], e: Expr) -> str | None:
+    """The scale of `e` (the whole expression or a quantifier) from
+    `_domains`; raises DomainMismatch where it mixes U and V phases."""
+    dom = domains[id(e)]
+    if dom == _MIXED:
         raise DomainMismatch("expression mixes U and V phases")
-    return doms.pop() if doms else None
+    return dom
 
 
 def _domain_size(params: Params, domain: str) -> int:
@@ -502,10 +530,11 @@ def eval_expr(
     explicit summation over the domain index range.  The QE correctness
     oracle."""
     assignment = dict(assignment or {})
-    return _eval_fp(e, params, assignment, domain or _expr_domain(e) or "V")
+    domains = _domains(e)
+    return _eval_fp(e, params, assignment, domain or _scale(domains, e) or "V", domains)
 
 
-def _eval_fp(e: Expr, params: Params, asg: dict[str, int], dom: str) -> int:
+def _eval_fp(e: Expr, params: Params, asg: dict[str, int], dom: str, domains: dict) -> int:
     p = params.p
     if isinstance(e, Rat):
         return e.value.numerator % p * pow(e.value.denominator, -1, p) % p
@@ -521,17 +550,17 @@ def _eval_fp(e: Expr, params: Params, asg: dict[str, int], dom: str) -> int:
     if isinstance(e, Prod):
         out = 1
         for f in e.factors:
-            out = out * _eval_fp(f, params, asg, dom) % p
+            out = out * _eval_fp(f, params, asg, dom, domains) % p
         return out
     if isinstance(e, Plus):
-        return sum(_eval_fp(t, params, asg, dom) for t in e.terms) % p
+        return sum(_eval_fp(t, params, asg, dom, domains) for t in e.terms) % p
     if isinstance(e, Quant):
-        sub_dom = _expr_domain(e.body) or dom
+        sub_dom = _scale(domains, e) or dom
         N = _domain_size(params, sub_dom)
         total = 0
         for r in range(-N // 2, N // 2):
             asg[e.var] = r
-            total = (total + _eval_fp(e.body, params, asg, sub_dom)) % p
+            total = (total + _eval_fp(e.body, params, asg, sub_dom, domains)) % p
         del asg[e.var]
         if e.kind == "int":
             total = total * to_fp(params, unit_normalization(params.m, sub_dom)) % p
@@ -646,7 +675,7 @@ def _mul_terms(a: _Term, b: _Term) -> _Term:
     return _Term(a.coeff * b.coeff, phase, domain, den, a.guards + b.guards)
 
 
-def _expand(e: Expr, params: Params, mode: str, dom: str) -> list[_Term]:
+def _expand(e: Expr, params: Params, mode: str, dom: str, domains: dict) -> list[_Term]:
     if isinstance(e, Rat):
         return [_Term(GaussCoeff.rational(e.value), {}, dom)]
     if isinstance(e, JAtom):
@@ -660,18 +689,18 @@ def _expand(e: Expr, params: Params, mode: str, dom: str) -> list[_Term]:
     if isinstance(e, Plus):
         out: list[_Term] = []
         for t in e.terms:
-            out.extend(_expand(t, params, mode, dom))
+            out.extend(_expand(t, params, mode, dom, domains))
         return out
     if isinstance(e, Prod):
         terms = [_Term(GaussCoeff.one(), {}, dom)]
         for f in e.factors:
-            expanded = _expand(f, params, mode, dom)
+            expanded = _expand(f, params, mode, dom, domains)
             terms = [_mul_terms(t, u) for t in terms for u in expanded]
         return terms
     if isinstance(e, Quant):
-        sub_dom = _expr_domain(e.body) or dom
+        sub_dom = _scale(domains, e) or dom
         out = []
-        for term in _expand(e.body, params, mode, sub_dom):
+        for term in _expand(e.body, params, mode, sub_dom, domains):
             result = _eliminate_var(term, e.var, params, mode)
             if result is not None:
                 if e.kind == "int":
@@ -718,9 +747,10 @@ def eliminate(e: Expr, params: Params, mode: str = "extended") -> NormalForm:
     """Innermost-first quantifier elimination to a guarded, quantifier-free
     sum of Gaussian terms; eval-equivalent to the source expression."""
     free_variables(e)  # validates scoping
-    dom = _expr_domain(e) or "V"
+    domains = _domains(e)
+    dom = _scale(domains, e) or "V"
     return NormalForm(tuple(
         GaussTerm(t.coeff, Poly.from_dict(t.phase), t.domain, t.den,
                   tuple(Guard(k, Poly.from_dict(g)) for k, g in t.guards))
-        for t in _expand(e, params, mode, dom) if not t.coeff.is_zero()
+        for t in _expand(e, params, mode, dom, domains) if not t.coeff.is_zero()
     ))

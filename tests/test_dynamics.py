@@ -204,12 +204,9 @@ def test_sm_transfer_compose_vs_brute(params):
     T = sm_transfer(params, QuadForm(-1, 1, -1))
     TT = compose(params, T, T)
     p = params.p
+    mm = U.index_vector()  # every intermediate index, through the pinned kernel_block
     for q, r in [(0, 0), (1, 2), (-5, 17)]:
-        acc = 0
-        for mm in U.index_range():
-            a = T.kernel_value(q, mm)
-            b = T.kernel_value(mm, r)
-            acc = (acc + to_fp(params, a) * to_fp(params, b)) % p
+        acc = int((T.kernel_block(params, q, mm) * T.kernel_block(params, mm, r) % p).sum()) % p
         assert to_fp(params, TT.kernel_value(q, r)) == acc, (q, r)
 
 

@@ -74,6 +74,21 @@ def test_parse_poly_accumulates_terms():
     ("e((\u0663*r)/2N @V)", "\u0663", 4),  # Arabic-Indic digit three
 ])
 def test_non_ascii_digits_are_rejected(small, tmp_path, capsys, text, ch, col):
+    assert_rejected_at(small, tmp_path, capsys, text, ch, col)
+
+
+@pytest.mark.parametrize("text, ch, col", [
+    ("sum r . e((r\u00b2)/2N @V)", "\u00b2", 13),  # superscript two inside a name
+    ("sum r\u0663 . e((r^2)/2N @V)", "\u0663", 6),  # Arabic-Indic digit inside a name
+    ("sum \u00e9 . e((\u00e9^2)/2N @V)", "\u00e9", 5),  # a non-ASCII letter
+])
+def test_identifiers_are_ascii(small, tmp_path, capsys, text, ch, col):
+    assert_rejected_at(small, tmp_path, capsys, text, ch, col)
+
+
+def assert_rejected_at(small, tmp_path, capsys, text, ch, col):
+    """`text` is a ParseError at 1:col naming `ch`, through parse and
+    through the CLI (one JSON error document, exit status 1)."""
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert str(exc.value) == f"1:{col}: unexpected character {ch!r}"
@@ -248,6 +263,29 @@ def test_mixed_domain_product_raises(small):
     e = parse("sum r . e((-r^2)/2N @V) * e((2*r)/2N @U)")
     with pytest.raises(DomainMismatch):
         eliminate(e, small)
+
+
+def test_scales_are_found_once_per_call(small, monkeypatch):
+    import gausscalc.frontend as F
+
+    calls = []
+    real = F._domains
+    monkeypatch.setattr(F, "_domains", lambda e: calls.append(e) or real(e))
+    # the inner body has no phase and takes its scale from the enclosing U body
+    e = parse("sum x . e((-x^2)/2N @U) * sum y . e((2*x*y)/2N @U) * (sum z . 2)")
+    nf = eliminate(e, small)
+    assert len(calls) == 1
+    assert eval_expr(e, small) == eval_normal_form(nf, small)
+    assert len(calls) == 2
+    # a quantifier body that mixes scales raises when it is evaluated
+    with pytest.raises(DomainMismatch):
+        eval_expr(parse("sum r . e((-r^2)/2N @V) * e((2*r)/2N @U)"), small)
+    # with the scale given, phases of both scales outside any quantifier body still evaluate
+    mixed = parse("e((x)/2N @V) * e((x)/2N @U)")
+    want = small.char_e(Fraction(1, 2 * small.N_v)) * small.char_e(Fraction(1, 2 * small.N_u)) % small.p
+    assert eval_expr(mixed, small, {"x": 1}, domain="V") == want
+    with pytest.raises(DomainMismatch):
+        eval_expr(mixed, small, {"x": 1})
 
 
 # -- the random well-formed generator lives in tests_support_qe (shared with

@@ -376,18 +376,12 @@ def test_apply_closed_vs_brute_at_Nu_thousand_samples(params):
     rng = random.Random(82944)
     samples = [rng.randrange(-N // 2, N // 2) for _ in range(1000)]
     for r in samples:
-        # phase in q: (sA + kA) q^2 + 2(sL + kB r) q + (sC + kC r^2 + 2 kE r)
+        # phase in q: (sA + kA) q^2 + 2(sL + kB r) q + (sC + kC r^2 + 2 kE r),
+        # summed over q = 1..N (one whole period) by the pinned power_sum
         A = s.qA + op.kA
         L = s.qL + op.kB * r
         C = s.qC + op.kC * r * r + 2 * op.kE * r
-        x = pow(xi, (A + 2 * L + C) % two_m, p)  # q = 1
-        ratio = pow(xi, (3 * A + 2 * L) % two_m, p)
-        rr = pow(xi, (2 * A) % two_m, p)
-        total = 0
-        for _ in range(N):
-            total = (total + x) % p
-            x = x * ratio % p
-            ratio = ratio * rr % p
+        total = params.power_sum(two_m, A, L, 0, N) * pow(xi, C % two_m, p) % p
         want = coeff_fp * total % p
         assert to_fp(params, out.coordinate(r)) == want, r
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from gausscalc.arith import (
+    BLOCK,
     DomainMismatch,
     IncompatiblePhase,
     Params,
@@ -23,6 +24,7 @@ from gausscalc.arith import (
     _p1_factorization,
     find_params,
     is_probable_prime,
+    poly_mod,
     smallest_primitive_root,
 )
 from gausscalc.coeffring import GaussCoeff, to_fp
@@ -249,6 +251,77 @@ def test_denominator_that_does_not_divide_p_minus_1(params):
         want = outcome(lambda: scalar_block(params, late_op, conjugate))
         assert want[0] is IncompatiblePhase
         assert outcome(lambda: vector_block(params, late_op, conjugate)) == want
+
+
+# -- the per-call fast paths -------------------------------------------------------
+
+
+@pytest.mark.parametrize("tower", ["params", "small", "wide"])
+def test_power_sum_fast_path_equals_one_pow_per_term(tower, request):
+    ps = request.getfixturevalue(tower)
+    p = ps.p
+    two_m = 2 * ps.N_v
+    xi = ps.xi(two_m)
+
+    def literal(a, b, lo, hi):
+        return sum(pow(xi, (a * n * n + 2 * b * n) % two_m, p) for n in range(lo + 1, hi + 1)) % p
+
+    windows = [
+        (two_m - 5, two_m + 7),  # crosses a multiple of 2M
+        (-two_m - 3, -2),  # negative lo, crossing -2M and ending below 0
+        (-3 * two_m - 1, 2 * two_m + 9),
+        (-BLOCK - 50, 70),  # more than BLOCK terms: two blocks
+    ]
+    for a, b in [(1, 0), (0, 3), (two_m, -5), (-two_m, 2), (-7, -11), (3 * two_m + 1, -two_m - 1)]:
+        for lo, hi in windows:
+            assert ps.power_sum(two_m, a, b, lo, hi) == literal(a, b, lo, hi), (a, b, lo, hi)
+
+
+def test_poly_mod_reduces_each_array_once_with_the_same_result():
+    rng = np.random.default_rng(7)
+    x = rng.integers(-10**6, 10**6, size=12)
+    y = rng.integers(-10**6, 10**6, size=(3, 1))
+    big = (1 << 63) + 12345  # an int factor past int64
+    terms = [(5, x, x), (-3, x, y, x), (big, y), (7, x), (big, big, x), (-(1 << 70),)]
+
+    def literal(m):
+        out = np.empty((3, 12), dtype=object)
+        for i in range(3):
+            for k in range(12):
+                xv, yv = int(x[k]), int(y[i, 0])
+                out[i, k] = (5 * xv * xv - 3 * xv * yv * xv + big * yv + 7 * xv
+                             + big * big * xv - (1 << 70)) % m
+        return out
+
+    small_m, wide_m = 1 << 20, (1 << 20) * ((1 << 32) + 15)  # int64 and object dtypes
+    lo, hi = poly_mod(small_m, terms), poly_mod(wide_m, terms)
+    assert lo.dtype == np.int64 and hi.dtype == object
+    assert (lo == literal(small_m)).all() and (hi == literal(wide_m)).all()
+    assert (hi % small_m == lo).all()  # small_m | wide_m: the two dtypes agree
+    assert poly_mod(small_m, [(big, big), (3,)]) == (big * big + 3) % small_m  # ints stay ints
+    assert x.dtype == np.int64 and x.min() < 0  # the inputs are not reduced in place
+
+
+def test_kernel_block_when_the_phase_free_part_raises(small):
+    U = domain_u(small)
+    rooted = GaussCoeff(rho=7)  # 56 does not divide p - 1 = 256
+    foreign = GaussCoeff.phase_of(Fraction(1, 16), "V") * rooted
+    every, odd_q = (1, 0, 0, 0), (2, 1, 0, 1)  # first entry on the support: q = -8, q = -7
+    # with kD = 1 the first entry's phase is nonzero, and a coefficient phase
+    # of the other scale makes the product raise DomainMismatch before to_fp
+    cases = [
+        (rooted, 0, every, IncompatiblePhase),
+        (rooted, 1, odd_q, IncompatiblePhase),
+        (foreign, 0, every, IncompatiblePhase),  # zero phase at the first entry
+        (foreign, 1, every, DomainMismatch),
+        (foreign, 1, odd_q, DomainMismatch),
+    ]
+    for coeff, kD, support, exc in cases:
+        op = GaussOperator(coeff, -1, 1, 0, U, U, kD=kD, support=support)
+        for conjugate in (False, True):
+            want = outcome(lambda: scalar_block(small, op, conjugate))
+            assert want[0] is exc, (coeff, kD, support, conjugate)
+            assert outcome(lambda: vector_block(small, op, conjugate)) == want
 
 
 # -- the dtype boundary ------------------------------------------------------------
