@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import ArithError, ParamSpec, Params, find_params
+from .arith import BLOCK, ArithError, ParamSpec, Params, find_params
 from .coeffring import GaussCoeff, to_complex
 from .hilbert import (
     GaussState,
@@ -136,25 +136,40 @@ def fresnel_quadratic(alpha: float, beta: float = 0.0, gamma: float = 0.0) -> co
 # -- quadrature -----------------------------------------------------------------
 
 
-def _simpson(f, lo: float, hi: float, n: int) -> complex:
-    """Composite Simpson with an even number of panels, chunked:
-    f[0] + f[n] + 4 * (sum over odd i) + 2 * (sum over even 0 < i < n),
-    the parity taken from the global index i."""
+def _simpson(f, lo: float, hi: float, n: int):
+    """Composite Simpson with an even number of panels, in chunks of BLOCK
+    grid points: f[0] + f[n] + 4 * (sum over odd i) + 2 * (sum over even
+    0 < i < n), the parity taken from the global index i.  `f` maps a chunk
+    of grid points to real values along the last axis (one row, or real and
+    imaginary parts stacked); the result has f's leading shape."""
     if n % 2:
         n += 1
     h = (hi - lo) / n
-    odd = even = ends = 0j
-    chunk = 1 << 19  # even, so every chunk starts at an even index
-    for start in range(0, n + 1, chunk):
-        stop = min(start + chunk, n + 1)
+    odd = even = ends = 0.0
+    for start in range(0, n + 1, BLOCK):  # BLOCK is even: chunks start at even i
+        stop = min(start + BLOCK, n + 1)
         y = f(lo + np.arange(start, stop) * h)
-        even += complex(np.sum(y[0::2]))
-        odd += complex(np.sum(y[1::2]))
+        even = even + y[..., 0::2].sum(axis=-1)
+        odd = odd + y[..., 1::2].sum(axis=-1)
         if start == 0:
-            ends += complex(y[0])
+            ends = ends + y[..., 0]
         if stop == n + 1:
-            ends += complex(y[-1])
+            ends = ends + y[..., -1]
     return (4.0 * odd + 2.0 * even - ends) * h / 3.0
+
+
+def _mollified_phase(x, A: float, B: float, eps: float):
+    """e^{pi i (A x^2 + 2 B x) - eps x^2} as stacked real and imaginary
+    parts.  q = A x^2 + 2 B x is reduced exactly to q - 2 rint(q/2) in
+    [-1, 1], so cos and sin see angles in [-pi, pi]."""
+    q = A * x * x + 2 * B * x
+    q -= 2.0 * np.rint(0.5 * q)
+    q *= math.pi
+    out = np.empty((2, x.size))
+    np.cos(q, out=out[0])
+    np.sin(q, out=out[1])
+    out *= np.exp(-eps * x * x)
+    return out
 
 
 def continuum_inner_quadrature(
@@ -166,7 +181,8 @@ def continuum_inner_quadrature(
 ) -> complex:
     """Numerical oracle for continuum_inner_closed.
 
-    Euclidean: composite Simpson of the product over [-window, window].
+    Euclidean: composite Simpson of e^{-pi((A1 + A2) x^2 + 2 (B1 + B2) x)}
+    over [-window, window], times c1 c2.
     Hermitian: the integrand only oscillates, so it is damped by e^{-eps x^2}
     for eps in {1e-2, 1e-3} and Richardson-extrapolated linearly in eps
     (the m -> infinity truncation limit, realised stably).  Raises
@@ -176,11 +192,14 @@ def continuum_inner_quadrature(
     if step >= window / 100:
         raise ArithError("need step < window/100")
     if g1.kind == "Euclidean":
+        A = g1.A + g2.A
+        B = g1.B + g2.B
+
         def f(x):
-            return g1(x) * g2(x)
+            return np.exp(-math.pi * (A * x * x + 2 * B * x))
 
         n = int(2 * window / step)
-        return _simpson(f, -window, window, n)
+        return complex(g1.c * g2.c * _simpson(f, -window, window, n))
 
     A = g1.A - g2.A
     B = g1.B - g2.B
@@ -193,11 +212,8 @@ def continuum_inner_quadrature(
         rate = abs(A) * w + abs(B) + 1.0
         h = min(step, 1.0 / (40.0 * rate))
         n = int(2 * w / h)
-
-        def f(x, eps=eps):
-            return np.exp(1j * math.pi * (A * x * x + 2 * B * x) - eps * x * x)
-
-        values.append(cpair * _simpson(f, -w, w, n))
+        re, im = _simpson(lambda x, eps=eps: _mollified_phase(x, A, B, eps), -w, w, n)
+        values.append(cpair * complex(re, im))
     v1, v2 = values
     if abs(v1 - v2) > mollifier_tol * max(1.0, abs(v2)):
         raise NonConvergent(f"mollified values diverge: {v1} vs {v2}")

@@ -480,10 +480,11 @@ _MIXED = "mixed"  # a subtree with both U and V phases
 def _domains(e: Expr) -> dict[int, str | None]:
     """The scale of `e` and of every quantifier body in it -- 'U', 'V',
     None for no phase, or _MIXED -- keyed by the id of `e` and of each
-    Quant node, in one bottom-up pass."""
+    Quant node, in one bottom-up pass that also rejects rebinding a bound
+    variable, as `parse` does."""
     out: dict[int, str | None] = {}
 
-    def walk(node: Expr) -> str | None:
+    def walk(node: Expr, bound: frozenset[str]) -> str | None:
         if isinstance(node, PhaseAtom):
             return node.domain
         if isinstance(node, Prod):
@@ -491,19 +492,22 @@ def _domains(e: Expr) -> dict[int, str | None]:
         elif isinstance(node, Plus):
             children = node.terms
         elif isinstance(node, Quant):
+            if node.var in bound:
+                raise ParseError(f"variable {node.var!r} bound twice", *(node.pos or (0, 0)))
             children = (node.body,)
+            bound = bound | {node.var}
         else:
             return None
         dom = None
         for child in children:
-            d = walk(child)
+            d = walk(child, bound)
             if d is not None and d != dom:
                 dom = d if dom is None else _MIXED
         if isinstance(node, Quant):
             out[id(node)] = dom
         return dom
 
-    out[id(e)] = walk(e)
+    out[id(e)] = walk(e, frozenset())
     return out
 
 
@@ -746,8 +750,7 @@ def _eliminate_var(term: _Term, y: str, params: Params, mode: str) -> _Term | No
 def eliminate(e: Expr, params: Params, mode: str = "extended") -> NormalForm:
     """Innermost-first quantifier elimination to a guarded, quantifier-free
     sum of Gaussian terms; eval-equivalent to the source expression."""
-    free_variables(e)  # validates scoping
-    domains = _domains(e)
+    domains = _domains(e)  # also validates scoping
     dom = _scale(domains, e) or "V"
     return NormalForm(tuple(
         GaussTerm(t.coeff, Poly.from_dict(t.phase), t.domain, t.den,

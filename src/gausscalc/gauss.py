@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import BLOCK, ArithError, Params, poly_mod
+from .arith import ArithError, Params, poly_mod
 from .coeffring import GaussCoeff
 
 
@@ -78,17 +78,12 @@ def _brute_fp(params: Params, a: int, b: int, M: int, chunks: int = 1) -> int:
 
 def _brute_complex(a: int, b: int, M: int) -> complex:
     """Same sum with zeta = e^{i pi / M}: the angles as one numpy vector,
-    the real and imaginary parts of the terms streamed into math.fsum a
-    block at a time.  fsum rounds each exact sum once, so the result does
-    not depend on how the window is split."""
+    the real and imaginary parts of the terms summed by math.fsum.  fsum
+    rounds each exact sum once, so the result does not depend on how the
+    window is split."""
     n = np.arange(1, M + 1)
     theta = np.pi * poly_mod(2 * M, [(a, n, n), (2 * b, n)]) / M
-
-    def stream(part):
-        for lo in range(0, M, BLOCK):
-            yield from part(theta[lo:lo + BLOCK]).tolist()
-
-    return complex(math.fsum(stream(np.cos)), math.fsum(stream(np.sin)))
+    return complex(math.fsum(np.cos(theta).tolist()), math.fsum(np.sin(theta).tolist()))
 
 
 def gauss_brute(params: Params, spec: GaussSumSpec, chunks: int = 1):

@@ -10,6 +10,7 @@ from gausscalc.frontend import (
     DegreeError,
     ParseError,
     PhaseAtom,
+    Plus,
     Poly,
     Prod,
     Quant,
@@ -345,3 +346,19 @@ def test_qe_soundness_whole_domain(small, domain):
             for y in grid if "y" in frees else (0,):
                 asg = {"x": x, "y": y}
                 assert eval_normal_form(nf, small, asg) == eval_expr(e, small, asg), (format_expr(e), asg)
+
+
+def test_rebinding_is_rejected_by_parse_eliminate_and_eval_expr(small):
+    with pytest.raises(ParseError, match="bound twice") as exc:
+        parse("sum r . sum r . e((-r^2)/2N @V)")
+    assert (exc.value.line, exc.value.col) == (1, 9)
+    # the same tree built by hand, with no parse to check its scoping
+    inner = Quant("sum", "r", PhaseAtom(Poly.from_dict({("r", "r"): -1}), "V"), pos=(3, 7))
+    e = Quant("sum", "r", Prod((inner, PhaseAtom(Poly.from_dict({("r",): 2}), "V"))))
+    for run in (lambda: eliminate(e, small), lambda: eval_expr(e, small)):
+        with pytest.raises(ParseError, match="variable 'r' bound twice") as exc:
+            run()
+        assert (exc.value.line, exc.value.col) == (3, 7)
+    # sibling quantifiers may reuse a name
+    ok = Plus((Quant("sum", "r", inner.body), Quant("sum", "r", inner.body)))
+    assert eval_expr(ok, small) == eval_normal_form(eliminate(ok, small), small)

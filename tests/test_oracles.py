@@ -6,9 +6,13 @@ p < 2^31, Python ints otherwise).  Each is checked here against the
 elementwise definition it replaces: the same residues, and the same
 exceptions where the elementwise path raises.  The DSL's literal
 evaluator, eval_expr, reads the same roots and is checked on the same
-two sides of the int64 boundary.
+two sides of the int64 boundary.  The two floating-point oracles, the
+chunked Simpson rule behind the continuum quadrature and the complex
+Gauss sum, are checked against whole-grid and one-term-at-a-time sums.
 """
 
+import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -27,9 +31,11 @@ from gausscalc.arith import (
     poly_mod,
     smallest_primitive_root,
 )
+from gausscalc.climit import _mollified_phase, _simpson
 from gausscalc.coeffring import GaussCoeff, to_fp
 from gausscalc.dynamics import fourier_operator, free_propagator, sm_transfer, weyl_pair
 from gausscalc.frontend import eval_expr, parse
+from gausscalc.gauss import _brute_complex
 from gausscalc.hilbert import (
     DenseState,
     GaussOperator,
@@ -386,3 +392,43 @@ def test_eval_expr_with_big_integers(tower, request):
                    for r in range(-N // 2, N // 2)) % p
         assert eval_expr(parse(text), ps, {"x": x}) == want
         assert isinstance(eval_expr(parse(text), ps, {"x": x}), int)
+
+
+# -- the floating-point oracles ----------------------------------------------------
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_chunked_simpson_equals_the_whole_grid_sum(stacked):
+    def f(x):
+        if stacked:
+            return np.stack([np.cos(3 * x), np.sin(3 * x)]) * np.exp(x)
+        return np.exp(x) * (2 + x)  # nonzero at both ends
+
+    lo, hi, n = -1.0, 2.0, 3 * BLOCK + 101  # odd: Simpson takes n + 1 panels
+    got = _simpson(f, lo, hi, n)
+    n += 1
+    x = lo + np.arange(n + 1) * ((hi - lo) / n)
+    w = np.full(n + 1, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    want = f(x) @ w * ((hi - lo) / n) / 3.0
+    assert np.shape(got) == np.shape(want) == ((2,) if stacked else ())
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_reduced_angle_integrand_equals_the_complex_exponential():
+    x = np.linspace(-190.0, 190.0, 40001)
+    for B in (0.0, 0.37, -1.5):
+        for eps in (0.0, 1e-3, 1e-2):
+            got = _mollified_phase(x, 4.0, B, eps)
+            want = np.exp(1j * np.pi * (4.0 * x * x + 2 * B * x) - eps * x * x)
+            assert np.abs(got[0] - want.real).max() < 1e-9, (B, eps)
+            assert np.abs(got[1] - want.imag).max() < 1e-9, (B, eps)
+
+
+@pytest.mark.parametrize("M", [144, 2304])
+def test_brute_complex_equals_one_exp_per_term(M):
+    for a, b in [(1, 0), (2, 2), (-7, 3), (M + 5, -M - 1), (0, 1)]:
+        terms = [cmath.exp(1j * math.pi * ((a * n * n + 2 * b * n) % (2 * M)) / M) for n in range(1, M + 1)]
+        want = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+        assert abs(_brute_complex(a, b, M) - want) < 1e-10, (a, b, M)
