@@ -100,6 +100,14 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return s, r
 
 
+def require_int(x, what: str) -> int:
+    """x when it is an integer (a bool is not); ArithError naming `what`
+    otherwise.  The check on integer fields of documents read from outside."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise ArithError(f"{what} must be an integer, got {x!r}")
+
+
 def solve_congruence(a: int, b: int, m: int) -> tuple[int, int] | None:
     """Solve a*x = b (mod m); returns (step, base) with x = base + step*Z, or None.
 
@@ -240,6 +248,8 @@ class Params:
         self._validate()
 
     def _validate(self) -> None:
+        if self.m < 1 or self.k_mult < 1:
+            raise ArithError("m and k_mult must be positive")
         if (self.p - 1) % (8 * self.N_u):
             raise ArithError("8*N_u must divide p - 1")
         if self.p >= 1 << 63:
@@ -407,9 +417,16 @@ class Params:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Params":
-        params = cls(int(d["m"]), int(d["k_mult"]), int(d["p"]), int(d["epsilon"]))
+        """The Params of a document with integer fields m, k_mult, p and
+        epsilon; the derived fields, where present, must agree."""
+        if not isinstance(d, dict):
+            raise ArithError("a Params document must be an object")
+        for key in ("m", "k_mult", "p", "epsilon"):
+            if key not in d:
+                raise ArithError(f"Params document lacks {key!r}")
+        params = cls(*(require_int(d[key], f"Params field {key!r}") for key in ("m", "k_mult", "p", "epsilon")))
         for key in ("l", "j", "i", "N_v", "N_u"):
-            if key in d and int(d[key]) != getattr(params, key):
+            if key in d and require_int(d[key], f"Params field {key!r}") != getattr(params, key):
                 raise ArithError(f"inconsistent field {key!r} in serialized Params")
         return params
 

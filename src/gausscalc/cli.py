@@ -10,7 +10,7 @@ import json
 import sys
 from functools import lru_cache
 
-from .arith import ParamSpec, default_params, find_params, load_params
+from .arith import ParamSpec, default_params, find_params, load_params, require_int
 from .coeffring import to_complex, to_fp
 from .climit import (
     CausticError,
@@ -26,6 +26,7 @@ from .hilbert import (
     QuadForm,
     apply_operator,
     compose,
+    domain_of,
     domain_u,
     domain_v,
     inner,
@@ -35,7 +36,7 @@ from .wick import check_inner_correspondence
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    print(json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False))
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -90,10 +91,12 @@ def cmd_gauss_sum(args) -> int:
 
 
 def _parse_state(params, text: str):
+    """A position state {"r": int, "domain": "V" by default} or a state
+    descriptor (``state_from_descriptor``)."""
     doc = json.loads(text)
-    if "r" in doc and "form" not in doc:
-        domain = domain_v(params) if doc.get("domain", "V") == "V" else domain_u(params)
-        return PositionState(int(doc["r"]), domain)
+    if isinstance(doc, dict) and "r" in doc and "form" not in doc:
+        r = require_int(doc["r"], "position state field 'r'")
+        return PositionState(r, domain_of(params, doc.get("domain", "V")))
     return state_from_descriptor(params, doc)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -243,7 +243,9 @@ class LimitReport:
             "kind": self.kind,
             "N_sequence": self.N_sequence,
             "finite_values": [[v.real, v.imag] for v in self.finite_values],
-            "continuum_value": [self.continuum_value.real, self.continuum_value.imag],
+            # a degenerate check has no continuum value (NaN, which JSON cannot carry)
+            "continuum_value": None if self.degenerate else [self.continuum_value.real,
+                                                              self.continuum_value.imag],
             "errors": self.errors,
             "degenerate": self.degenerate,
             "note": self.note,
@@ -303,8 +305,6 @@ def convergence_check(
         dom = domain_u(params_n) if kind == "Euclidean" else domain_v(params_n)
         s1 = gauss_ket(params_n, dom, form1, p_param=p1)
         if b_cont:
-            from dataclasses import replace
-
             extra = aa * round(b_cont * params_n.m / aa)
             s1 = replace(s1, qL=s1.qL + extra)
         s2 = gauss_ket(params_n, dom, form2, p_param=p2)

@@ -117,11 +117,8 @@ class GaussCoeff:
         return self.c == 0
 
     def __mul__(self, other) -> "GaussCoeff":
-        if type(other) is not GaussCoeff:
-            if isinstance(other, (int, Fraction)):
-                other = GaussCoeff.rational(other)
-            elif not isinstance(other, GaussCoeff):
-                return NotImplemented
+        if not isinstance(other, GaussCoeff):
+            return NotImplemented
         if not self.c or not other.c:
             return _ZERO
         # sqrt(r1) sqrt(r2) = g sqrt(r1 r2 / g^2), g = gcd(r1, r2): both are
@@ -142,8 +139,6 @@ class GaussCoeff:
             (self.b + other.b) % 8,
             self.phase + other.phase,  # raises DomainMismatch-compatible error
         )
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "GaussCoeff":
         if n < 0:
@@ -169,11 +164,6 @@ class GaussCoeff:
         return _normal(
             1 / (self.c * self.rho), self.rho, -self.a, -self.b % 8, -self.phase
         )
-
-    def __truediv__(self, other) -> "GaussCoeff":
-        if isinstance(other, (int, Fraction)):
-            other = GaussCoeff.rational(other)
-        return self * other.inverse()
 
     def conj(self) -> "GaussCoeff":
         """Involution: inverts e8 and V-phases, fixes c, rho, j and U-phases."""

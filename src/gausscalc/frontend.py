@@ -416,28 +416,19 @@ def parse(text: str) -> Expr:
     tok = parser.peek()
     if tok.kind != "EOF":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    _check_scoping(expr, set())
+    _domains(expr)  # rejects rebinding a bound variable
     return expr
 
 
-def _check_scoping(e: Expr, bound: set[str]) -> set[str]:
-    """Returns free variables; rejects rebinding a bound variable."""
-    if isinstance(e, PhaseAtom):
-        return e.poly.variables() - bound
-    if isinstance(e, (Prod, Plus)):
-        out: set[str] = set()
-        for child in e.factors if isinstance(e, Prod) else e.terms:
-            out |= _check_scoping(child, bound)
-        return out
-    if isinstance(e, Quant):
-        if e.var in bound:
-            raise ParseError(f"variable {e.var!r} bound twice", *(e.pos or (0, 0)))
-        return _check_scoping(e.body, bound | {e.var}) - {e.var}
-    return set()
-
-
 def free_variables(e: Expr) -> set[str]:
-    return _check_scoping(e, set())
+    """The variables of `e` that no quantifier binds."""
+    if isinstance(e, PhaseAtom):
+        return e.poly.variables()
+    if isinstance(e, (Prod, Plus)):
+        return set().union(*map(free_variables, e.factors if isinstance(e, Prod) else e.terms))
+    if isinstance(e, Quant):
+        return free_variables(e.body) - {e.var}
+    return set()
 
 
 # -- printer ----------------------------------------------------------------------
@@ -457,16 +448,14 @@ def format_expr(e: Expr) -> str:
     if isinstance(e, Prod):
         return " * ".join(_fmt_child(f) for f in e.factors)
     if isinstance(e, Plus):
-        return " + ".join(_fmt_child(t, in_sum=True) for t in e.terms)
+        return " + ".join(_fmt_child(t) for t in e.terms)
     if isinstance(e, Quant):
         return f"{e.kind} {e.var} . {format_expr(e.body)}"
     raise ArithError(f"unknown node {type(e).__name__}")
 
 
-def _fmt_child(e: Expr, in_sum: bool = False) -> str:
-    if isinstance(e, Quant) or (isinstance(e, Plus) and not in_sum):
-        return f"({format_expr(e)})"
-    if isinstance(e, Plus):
+def _fmt_child(e: Expr) -> str:
+    if isinstance(e, (Quant, Plus)):
         return f"({format_expr(e)})"
     return format_expr(e)
 
@@ -481,7 +470,7 @@ def _domains(e: Expr) -> dict[int, str | None]:
     """The scale of `e` and of every quantifier body in it -- 'U', 'V',
     None for no phase, or _MIXED -- keyed by the id of `e` and of each
     Quant node, in one bottom-up pass that also rejects rebinding a bound
-    variable, as `parse` does."""
+    variable (the scoping rule `parse` applies)."""
     out: dict[int, str | None] = {}
 
     def walk(node: Expr, bound: frozenset[str]) -> str | None:

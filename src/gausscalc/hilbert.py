@@ -44,11 +44,13 @@ from .arith import (
     ArithError,
     DomainMismatch,
     Params,
+    Phase,
     exact_dtype,
     poly_mod,
+    require_int,
     solve_congruence,
 )
-from .coeffring import GaussCoeff, to_fp, to_fp_phases
+from .coeffring import GaussCoeff, _normal, to_fp_phases
 from .coeffring import unit_normalization as coeff_unit
 from .gauss import NonGaussianSum, divides_on_guards, gauss_sum, quadratic_window_sum
 
@@ -104,9 +106,6 @@ class QuadForm:
     def admissible(self) -> bool:
         return self.A <= 0 and self.C <= 0
 
-    def __call__(self, x: int, y: int) -> int:
-        return self.A * x * x + 2 * self.B * x * y + self.C * y * y
-
 
 @dataclass(frozen=True)
 class PositionState:
@@ -115,6 +114,12 @@ class PositionState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r", self.domain.wrap(self.r))
+
+
+def _with_phase(c: GaussCoeff, q: Fraction, tag: str) -> GaussCoeff:
+    """c * e(q @ tag) for a nonzero c, built from normal-form parts; raises
+    DomainMismatch where the two phases' scales differ."""
+    return _normal(c.c, c.rho, c.a, c.b, c.phase + Phase(q, tag))
 
 
 def _intersect_cosets(k1: int, d1: int, k2: int, d2: int) -> tuple[int, int] | None:
@@ -167,7 +172,7 @@ class GaussState:
         k, d = self.support
         if self.is_zero() or (r - d) % k:
             return GaussCoeff.zero()
-        return self.coeff * GaussCoeff.phase_of(self.phase_at(r), self.domain.tag)
+        return _with_phase(self.coeff, self.phase_at(r), self.domain.tag)
 
     def to_descriptor(self) -> dict:
         return {
@@ -210,21 +215,42 @@ def gauss_ket(
     )
 
 
+def domain_of(params: Params, tag: str) -> Domain:
+    """The V or U domain of `params` by its tag; ArithError for any other."""
+    return Domain(tag, params.N_v if tag == "V" else params.N_u)
+
+
+def _int_list(x, n: int, what: str) -> tuple[int, ...]:
+    if not isinstance(x, list) or len(x) != n:
+        raise ArithError(f"state descriptor field {what!r} must be a list of {n} integers")
+    return tuple(require_int(v, f"state descriptor field {what!r}") for v in x)
+
+
 def state_from_descriptor(params: Params, d: dict) -> GaussState:
+    """The state of a descriptor in the shape ``GaussState.to_descriptor``
+    writes: an object with a domain 'U' or 'V', a coefficient string, an
+    integer form [A, L, C] and optional integer p_param, den and support
+    [k, d]; ArithError for any other shape."""
     from .coeffring import parse_coeff
 
-    domain = domain_v(params) if d["domain"] == "V" else domain_u(params)
-    qa, ql, qc = (int(x) for x in d["form"])
-    pp = int(d.get("p_param", 1))
-    support = tuple(int(x) for x in d.get("support", (1, 0)))
+    if not isinstance(d, dict):
+        raise ArithError("a state descriptor must be an object")
+    for key in ("domain", "coeff", "form"):
+        if key not in d:
+            raise ArithError(f"state descriptor lacks {key!r}")
+    domain = domain_of(params, d["domain"])
+    if not isinstance(d["coeff"], str):
+        raise ArithError("state descriptor field 'coeff' must be a string")
+    qa, ql, qc = _int_list(d["form"], 3, "form")
+    pp = require_int(d.get("p_param", 1), "state descriptor field 'p_param'")
     return GaussState(
         parse_coeff(d["coeff"]),
         qa,
         ql * pp,
         qc * pp * pp,
         domain,
-        den=int(d.get("den", 1)),
-        support=support,  # type: ignore[arg-type]
+        den=require_int(d.get("den", 1), "state descriptor field 'den'"),
+        support=_int_list(d.get("support", [1, 0]), 2, "support"),  # type: ignore[arg-type]
     )
 
 
@@ -273,9 +299,8 @@ class GaussOperator:
             + 2 * self.kD * q
             + 2 * self.kE * r
         )
-        return self.coeff * GaussCoeff.phase_of(
-            Fraction(num, 2 * self.domain_in.N * self.den), self.domain_in.tag
-        )
+        m = 2 * self.domain_in.N * self.den
+        return _with_phase(self.coeff, Fraction(num, m), self.domain_in.tag)
 
     def kernel_block(self, params: Params, q, r, conjugate: bool = False) -> np.ndarray:
         """to_fp(kernel_value(q, r)), or of its conj(), elementwise over the
@@ -505,38 +530,27 @@ class UnitarityReport:
     pairing_failures: list
 
 
-def check_unitary(params: Params, op: GaussOperator, sample_pairs=None) -> UnitarityReport:
-    """Hermitian unitarity: every column has squared norm 1 (exact, via
-    conjugate pairing in F_p) and the operator preserves position-state
-    pairings on a sample (brute force)."""
+def check_unitary(params: Params, op: GaussOperator) -> UnitarityReport:
+    """Hermitian unitarity, literally: the Gram matrix
+    G[q, q'] = <A u[q] | A u[q']> = sum_r kernel(q, r) conj(kernel(q', r))
+    over every pair of inputs, as the exact product of the dense kernel
+    blocks (N_in x N_out residues; every caller runs at N <= N_v).  A
+    column q fails where G[q, q] != 1, a pair q != q' where G[q, q'] != 0."""
     p = params.p
-    N = op.domain_in.N
-    col_fail = []
-    k, aq, ar, d = op.support
-    norm2 = to_fp(params, op.coeff * op.coeff.conj())
-    for q in op.domain_in.index_range():
-        sol = solve_congruence(ar, d - aq * q, k)
-        count = 0 if sol is None else N // math.gcd(sol[0], N)
-        if count * norm2 % p != 1:
-            col_fail.append((q, count * norm2 % p))
-    pair_fail = []
-    if sample_pairs is None:
-        sample_pairs = [(0, 0), (1, 1), (0, 1), (2, 5), (-3, 7)]
-    for r1, r2 in sample_pairs:
-        lhs = _pairing_after(params, op, r1, r2)
-        rhs = 1 if op.domain_in.wrap(r1) == op.domain_in.wrap(r2) else 0
-        if lhs != rhs:
-            pair_fail.append((r1, r2, lhs, rhs))
+    q = op.domain_in.index_vector()
+    r = op.domain_out.index_vector()
+    K = op.kernel_block(params, q[:, None], r[None, :])
+    Kc = op.kernel_block(params, q[:, None], r[None, :], conjugate=True)
+    # int64 partial sums of at most `step` products below p^2 stay below 2^63
+    step = len(r) if K.dtype == object else max(1, (2**63 - 1) // (p - 1) ** 2)
+    G = np.zeros((len(q), len(q)), dtype=K.dtype)
+    for lo in range(0, len(r), step):
+        G = (G + K[:, lo:lo + step] @ Kc[:, lo:lo + step].T % p) % p
+    idx = q.tolist()
+    col_fail = [(a, g) for a, g in zip(idx, G.diagonal().tolist()) if g != 1]
+    np.fill_diagonal(G, 0)
+    pair_fail = [(idx[i], idx[j], int(G[i, j]), 0) for i, j in zip(*np.nonzero(G))]
     return UnitarityReport(not col_fail and not pair_fail, col_fail, pair_fail)
-
-
-def _pairing_after(params: Params, op: GaussOperator, r1: int, r2: int) -> int:
-    """<A u[r1] | A u[r2]>_H over the full output domain, brute force."""
-    def column(r, conjugate_kernel=False):
-        dense = DenseState.from_state(params, PositionState(r, op.domain_in))
-        return apply_dense(params, op, dense, conjugate_kernel)
-
-    return column(r1).pair_full(params, column(r2, conjugate_kernel=True))
 
 
 # -- restriction, permutation, tensor -------------------------------------------
@@ -580,10 +594,6 @@ class TensorState:
             raise DomainMismatch("tensor factors must share a domain")
         if not (1 <= len(self.factors) <= 4):
             raise ArithError("tensor arity must be between 1 and 4")
-
-    @property
-    def domain(self) -> Domain:
-        return self.factors[0].domain
 
 
 def tensor(states) -> TensorState:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from gausscalc.arith import ParamSpec, find_params
+from gausscalc.arith import ArithError, ParamSpec, find_params
 from gausscalc.climit import (
     CausticError,
     ContinuumGaussian,
@@ -122,11 +122,28 @@ def test_convergence_hermitian(params):
     assert abs(cmath.phase(final) - math.pi / 4) < 0.01
 
 
+def test_convergence_hermitian_surviving_linear_part(params):
+    # the `limit --B` path: the finite linear coefficient grows like sqrt(N),
+    # so the error still halves as N quadruples
+    report = convergence_check(
+        QuadForm(-1, 1, -1), 1, QuadForm(0, 0, -2), 1, "Hermitian", [144, 576, 2304], b_cont=0.5
+    )
+    errors = report.errors
+    assert errors[0] > errors[1] > errors[2]
+    assert all(1.8 < a / b < 2.3 for a, b in zip(errors, errors[1:])), errors
+    assert errors[-1] < 0.1
+    with pytest.raises(ArithError, match="Hermitian side only"):
+        convergence_check(
+            QuadForm(-2, 2, -1), 1, QuadForm(0, 0, -2), 1, "Euclidean", [144], b_cont=0.5
+        )
+
+
 def test_convergence_degenerate_reports(params):
     report = convergence_check(
         QuadForm(-1, 0, 0), 0, QuadForm(-1, 0, 0), 0, "Hermitian", [144]
     )
     assert report.degenerate and "delta" in report.note
+    assert report.to_dict()["continuum_value"] is None
 
 
 def test_fresnel_quadratic_against_mollified():

@@ -273,11 +273,13 @@ def test_scales_are_found_once_per_call(small, monkeypatch):
     real = F._domains
     monkeypatch.setattr(F, "_domains", lambda e: calls.append(e) or real(e))
     # the inner body has no phase and takes its scale from the enclosing U body
+    # parse checks scoping with the same walk
     e = parse("sum x . e((-x^2)/2N @U) * sum y . e((2*x*y)/2N @U) * (sum z . 2)")
-    nf = eliminate(e, small)
     assert len(calls) == 1
-    assert eval_expr(e, small) == eval_normal_form(nf, small)
+    nf = eliminate(e, small)
     assert len(calls) == 2
+    assert eval_expr(e, small) == eval_normal_form(nf, small)
+    assert len(calls) == 3
     # a quantifier body that mixes scales raises when it is evaluated
     with pytest.raises(DomainMismatch):
         eval_expr(parse("sum r . e((-r^2)/2N @V) * e((2*r)/2N @U)"), small)

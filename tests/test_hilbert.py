@@ -6,6 +6,7 @@ import pytest
 
 from gausscalc.arith import DomainMismatch, ParamSpec, find_params
 from gausscalc.coeffring import GaussCoeff, to_fp
+from gausscalc.dynamics import fourier_operator
 from gausscalc.hilbert import (
     BadCoset,
     DenseState,
@@ -251,6 +252,25 @@ def test_check_unitary_reports_a_non_orthogonal_operator(params, V):
     report = check_unitary(params, collapse)
     assert not report.ok and not report.column_failures
     assert (0, 1, 1, 0) in report.pairing_failures
+
+
+def test_check_unitary_reports_a_colliding_operator(params, V):
+    # q |-> 2q mod 144 maps q and q + 72 to the same output: unit columns,
+    # but <A u[0] | A u[-72]> = 1
+    doubling = GaussOperator(GaussCoeff.one(), 0, 0, 0, V, V, support=(144, 2, -1, 0))
+    report = check_unitary(params, doubling)
+    assert not report.ok and not report.column_failures
+    assert (0, -72, 1, 0) in report.pairing_failures
+    assert len(report.pairing_failures) == V.N
+
+
+def test_check_unitary_sums_the_columns_of_u_scale_phases():
+    # conj() fixes U-scale phases, so the U-domain Fourier kernel's columns
+    # do not have squared norm 1 though each entry has unit coefficient
+    mid = find_params(ParamSpec(m_base=4, k_mult=2))
+    U = domain_u(mid)
+    report = check_unitary(mid, fourier_operator(mid, U))
+    assert not report.ok and len(report.column_failures) == U.N - 2
 
 
 def test_restrict_properties(params, V):
