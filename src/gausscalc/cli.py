@@ -258,11 +258,23 @@ def cmd_qe(args) -> int:
     return 0 if doc.get("agree", True) else 2
 
 
+class UsageError(ValueError):
+    """A malformed command line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage on stderr and exit
+    with status 2; subparsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every
     main() call (parse_args leaves it unchanged)."""
-    top = argparse.ArgumentParser(prog="gausscalc")
+    top = _Parser(prog="gausscalc")
     top.add_argument("--params-file", default=None, help="TOML/JSON Params document")
     top.add_argument("--mode", choices=["extended", "strict"], default="extended")
     top.add_argument("--backend", choices=["fp", "complex"], default="fp")
@@ -334,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ArithmeticError, ValueError, OSError) as exc:
         _emit({"error": str(exc), "type": type(exc).__name__})

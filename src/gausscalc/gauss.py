@@ -94,32 +94,26 @@ def gauss_brute(params: Params, spec: GaussSumSpec, chunks: int = 1):
     return _brute_complex(spec.a, spec.b, spec.M)
 
 
-def sqrt_with_scale(value: int, domain: str, params: Params | None, c=1, e8: int = 0) -> GaussCoeff:
-    """c * sqrt(value) * e8^e8 as one GaussCoeff; on the U scale the single
-    factor of i = N_u/N_v carried by the domain size is extracted
-    symbolically as the generator j (sqrt(N_u) = m * j).  Exactly one
-    factor: the scale ratio appears once in sqrt(N_u/|A| * den); any
-    remaining numeric coincidence with i stays numeric."""
-    if domain == "U" and params is not None and value % params.i == 0:
-        return GaussCoeff(Fraction(c), value // params.i, 1, e8)
+def sqrt_with_scale(value: int, M: int, domain: str, params: Params | None, c=1, e8: int = 0) -> GaussCoeff:
+    """c * sqrt(value) * e8^e8 as one GaussCoeff, for a sum of modulus M.
+
+    The scale generator j = sqrt(i), i = N_u/N_v, comes out exactly when M
+    carries the U domain size (N_u | M, as in every inner, apply, compose
+    and eliminate sum on U, where M = N_u * den): then c * sqrt(value) =
+    c * sqrt(value/i) * j.  Otherwise sqrt(value) stays numeric, even where
+    value is a multiple of i by coincidence (M = 4i)."""
+    if domain == "U" and params is not None and M % params.N_u == 0:
+        v = Fraction(value, params.i)
+        return GaussCoeff(Fraction(c, v.denominator), v.numerator * v.denominator, 1, e8)
     return GaussCoeff(Fraction(c), value, 0, e8)
 
 
 def gauss_closed(
     spec: GaussSumSpec, mode: str = "extended", params: Params | None = None
 ) -> GaussCoeff:
-    """Closed form of the full-window sum as a normal-form coefficient."""
-    a, b, M = spec.a, spec.b, spec.M
-    if a == 0:
-        if mode == "strict":
-            return GaussCoeff.zero()
-        if b % M == 0:
-            return GaussCoeff.rational(M)
-        return GaussCoeff.zero()
-    if b % a:
-        return GaussCoeff.zero()
-    out = sqrt_with_scale(abs(a) * M, spec.domain, params, e8=1 if a > 0 else -1)
-    return out * GaussCoeff.phase_of(Fraction(-b * b, 2 * a * M), spec.domain)
+    """Closed form of the full-window sum as a normal-form coefficient: the
+    kernel's sum over M consecutive integers."""
+    return quadratic_window_sum(spec.a, spec.b, 0, spec.M, spec.M, spec.domain, mode, params)
 
 
 # -- the statistical-mechanics one-period sum ---------------------------------
@@ -138,7 +132,7 @@ def sm_brute(params: Params, a: int) -> int:
 
 
 def gauss_closed_sm(params: Params, a: int) -> GaussCoeff:
-    """Closed form of sm_brute: e(1/8) * j * sqrt(1/a).
+    """Closed form of sm_brute: the kernel's one-period sum times 1/m.
 
     Exact in F_p: (1/m) * e(1/8) sqrt(N_u/a) = e(1/8) * (m j / (m sqrt(a)))
     = e(1/8) j / sqrt(a).  Under the limit map j |-> e^{i pi/4} and
@@ -146,11 +140,8 @@ def gauss_closed_sm(params: Params, a: int) -> GaussCoeff:
     """
     if a < 1 or params.N_u % (4 * a):
         raise PreconditionViolation("need a >= 1 with 4a dividing N_u")
-    return (
-        GaussCoeff.e8_power(1)
-        * GaussCoeff.j_power(1)
-        * GaussCoeff.sqrt(Fraction(1, a))
-    )
+    one_period = quadratic_window_sum(a, 0, 0, params.N_u, params.N_u // a, "U", params=params)
+    return one_period * GaussCoeff.rational(Fraction(1, params.m))
 
 
 # -- the summation kernel ---------------------------------------------------------
@@ -261,7 +252,7 @@ def gauss_sum(Q, y: int, guards, N: int, M: int, domain: str, mode: str = "exten
     free = math.gcd(*L[:-1])
     if L[-1] % math.gcd(k, free):
         return GaussSum(_ZERO, R, M, kept, None, base)
-    guard = (k, L) if free and k > 1 else None
+    guard = (k, L) if any(c % k for c in L) else None
     if A == 0:
         return GaussSum(GaussCoeff.rational(W), R, M, kept, guard, base)
     sgn = 1 if A > 0 else -1
@@ -271,7 +262,7 @@ def gauss_sum(Q, y: int, guards, N: int, M: int, domain: str, mode: str = "exten
     for row in R:
         row[:] = [a1 * c for c in row]
     _add_product(R, [l // t for l in L], [l // t for l in L], -sgn)
-    coeff = sqrt_with_scale(T, domain, params, mult, sgn)
+    coeff = sqrt_with_scale(T, M, domain, params, mult, sgn)
     return GaussSum(coeff, R, M * a1, kept, guard, base)
 
 
@@ -295,7 +286,8 @@ def _guard_coset(guards, y: int, n1: int):
     congruence, base - new base, as a residual guard.  A guard failing the
     gcd test waits for the merged coset: where a * step = 0 (mod k) it
     becomes the residual guard rest + a * base on the other variables;
-    otherwise it branches pointwise and leaves the fragment."""
+    otherwise it branches pointwise and leaves the fragment.  Kept guards
+    that always hold (k dividing every coefficient) are dropped."""
     step, base, kept, deferred = 1, [0] * n1, [], []
     if not guards:
         return step, base, ()
@@ -331,7 +323,7 @@ def _guard_coset(guards, y: int, n1: int):
         if a * step % k:
             raise NonGaussianSum("guard gcd does not divide the free part")
         kept.append((k, [c + a * b for c, b in zip(rest, base)]))
-    return step, base, tuple(kept)
+    return step, base, tuple((k, v) for k, v in kept if any(c % k for c in v))
 
 
 def divides_on_guards(D: int, L, guards) -> bool:

@@ -195,6 +195,10 @@ BAD_INPUTS = {
     "position on an unknown domain": (SMALL, _inner({"r": 3, "domain": "Q"})),
     "float position": (SMALL, _inner({"r": 1.5})),
     "NaN output": (None, ["ho", "--omega", "1.0", "--t", "nan", "--x", "0.1", "--x0", "0.2"]),
+    "option-like value": (None, ["inner", "--s1", "-1e+16", "--s2", '{"r": 0}']),
+    "missing required flag": (None, ["gauss-sum", "--a", "1"]),
+    "bad choice": (None, ["inner", "--kind", "X", "--s1", '{"r": 0}', "--s2", '{"r": 0}']),
+    "unknown subcommand": (None, ["frobnicate"]),
 }
 
 
@@ -205,9 +209,18 @@ def test_bad_input_is_one_json_error(case, tmp_path):
         f = tmp_path / "params"
         f.write_text(params if isinstance(params, str) else json.dumps(params))
         argv = ["--params-file", str(f)] + argv
-    status, lines = main_lines(argv)
-    assert status == 1 and len(lines) == 1, lines
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status, lines = main_lines(argv)
+    assert status == 1 and len(lines) == 1 and not err.getvalue(), (lines, err.getvalue())
     assert set(strict_json(lines[0])) == {"error", "type"}
+
+
+def test_help_still_exits_zero():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        cli.main(["gauss-sum", "--help"])
+    assert exc.value.code == 0 and "--domain" in out.getvalue()
 
 
 def test_degenerate_limit_is_strict_json():

@@ -313,6 +313,8 @@ def test_qe_soundness_random(small, domain):
         except NonGaussianSum:
             continue
         assert nf.free_variables() <= {"x", "y"}
+        for g in (g for t in nf.terms for g in t.guards):  # no guard that always holds
+            assert any(c % g.modulus for _, c in g.poly.coeffs), nf.render()
         for _ in range(12):
             asg = {"x": rng.randrange(-8, 8), "y": rng.randrange(-8, 8)}
             assert eval_normal_form(nf, small, asg) == eval_expr(e, small, asg), (

@@ -143,10 +143,12 @@ def test_sm_closed_form(params):
 
 def test_sm_limit_is_real(params):
     # e(1/8) j specialises to the real 1/sqrt(a): j -> e^{i pi/4} pairs
-    # with e8 -> e^{-i pi/4}
-    for a in (1, 2, 4):
-        val = to_complex(params, gauss_closed_sm(params, a))
-        assert abs(val - 1 / math.sqrt(a)) < 1e-12
+    # with e8 -> e^{-i pi/4}; on the default, small and mid towers
+    for P in (params, find_params(ParamSpec(2, 1)), find_params(ParamSpec(4, 2))):
+        for a in range(1, P.N_u // 4 + 1):
+            if P.N_u % (4 * a) == 0:
+                val = to_complex(P, gauss_closed_sm(P, a))
+                assert abs(val - 1 / math.sqrt(a)) < 1e-12, (P, a)
 
 
 def test_sm_preconditions(params):
@@ -205,6 +207,13 @@ def test_window_sum_u_domain_extracts_j(params):
     assert to_fp(params, out) == gauss_brute(params, GaussSumSpec(-1, 0, params.N_u, domain="U"))
 
 
+def test_j_comes_from_the_u_domain_size_only(params):
+    # M = 2304 = 4i is a multiple of i by coincidence: sqrt(2304) stays numeric
+    assert str(quadratic_window_sum(1, 0, 0, 2304, 2304, "U", params=params)) == "48 * e8"
+    # N_u | M: 256 sqrt(N_u/256) = 256 sqrt(324/i) j = 192 j, with i = 24^2
+    assert str(quadratic_window_sum(256, 0, 0, params.N_u, params.N_u, "U", params=params)) == "192 * j * e8"
+
+
 # -- the summation kernel, branch by branch, against literal summation ----------
 #
 # Variables (y, x) and the constant: x^T Q x = Q00 y^2 + Q01 y x + Q02 y + Q11 x^2
@@ -214,6 +223,8 @@ KERNEL_CASES = {
     "quadratic": ([[-1, 2, 2], [0, 1, 0], [0, 0, 3]], [], 16, 16, "extended"),
     "quadratic-guarded": ([[-2, 2, 2], [0, 0, 1], [0, 0, 0]], [], 16, 16, "extended"),
     "quadratic-scaled": ([[-2, 4, 4], [0, 1, 0], [0, 0, 0]], [], 16, 32, "extended"),
+    # 2 | 2x for every x: no guard
+    "quadratic-guard-always-holds": ([[-2, 4, 0], [0, 1, 0], [0, 0, 0]], [], 16, 32, "extended"),
     "quadratic-on-coset": ([[-2, 2, 2], [0, 0, 0], [0, 0, 0]], [(2, [0, 1, 1])], 16, 32, "extended"),
     "geometric": ([[0, 2, 0], [0, 1, 0], [0, 0, 1]], [], 16, 16, "extended"),
     "geometric-telescoped-zero": ([[0, 0, 2], [0, 1, 0], [0, 0, 0]], [], 16, 16, "extended"),
@@ -260,6 +271,8 @@ def test_kernel_branch_vs_literal(case):
     if mode == "strict":  # the declared zero: a convention, not the literal sum
         assert res.coeff.is_zero()
         return
+    for k, v in res.guards + ((res.guard,) if res.guard else ()):  # none that always holds
+        assert any(c % k for c in v), (case, k, v)
     p = small.p
 
     def holds(gs, y, x):

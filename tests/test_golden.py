@@ -18,6 +18,9 @@ guard can never hold) are listed in `golden_widened.txt`, written by
 and each must give a result.  The parametrized oracle tests in
 test_gauss.py and test_hilbert.py check such results against literal
 summation.
+
+A re-record prints each key it changes and writes nothing when a changed
+entry's exit status or trailing |residue differs from the recorded one.
 """
 
 from __future__ import annotations
@@ -336,6 +339,46 @@ def test_symbolic_results_match_golden(golden):
         assert got[key] == want[key], key
 
 
+def _masked(part: str, entry):
+    """An entry as the tests compare it."""
+    return (entry["status"], _mask(entry["stdout"])) if part == "cli" and entry else entry
+
+
+def _kept(part: str, key: str, entry):
+    """What a re-record may not change: a CLI call's exit status, a symbolic
+    entry's trailing |residue (an eliminate text carries none)."""
+    if part == "cli":
+        return entry["status"]
+    return None if key.startswith("eliminate/") else entry.rsplit("|", 1)[-1]
+
+
+def rerecord() -> int:
+    """Rewrite golden.json, printing each changed key.  Exits 1 without
+    writing when a changed entry's status or residue differs from the
+    recorded one: a re-record may change a text's form, never its value.
+    Entries the tests read as unchanged (a refusal with a new message, a
+    widened entry) keep their recorded text."""
+    was, now = json.loads(GOLDEN.read_text()), record()
+    bad = []
+    for part in ("cli", "symbolic"):
+        for key in sorted(set(was[part]) | set(now[part])):
+            old, new = was[part].get(key), now[part].get(key)
+            if old is not None and (key in WIDENED or _masked(part, old) == _masked(part, new)):
+                now[part][key] = old
+                continue
+            print(f"changed {part} {key}")
+            if old is not None and new is not None and _kept(part, key, old) != _kept(part, key, new):
+                bad.append(key)
+    if bad:
+        for key in bad:
+            print(f"value changed: {key}")
+        print(f"not written: {len(bad)} entries change their status or residue")
+        return 1
+    GOLDEN.write_text(json.dumps(now, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")
+    return 0
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     if "--widened" in sys.argv:
@@ -347,5 +390,4 @@ if __name__ == "__main__":
         WIDENED_FILE.write_text("".join(k + "\n" for k in keys))
         print(f"wrote {WIDENED_FILE}")
     else:
-        GOLDEN.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
-        print(f"wrote {GOLDEN}")
+        sys.exit(rerecord())

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from gausscalc.arith import DomainMismatch, ParamSpec, find_params
-from gausscalc.coeffring import GaussCoeff, to_fp
+from gausscalc.climit import ContinuumGaussian, continuum_inner_closed
+from gausscalc.coeffring import GaussCoeff, to_complex, to_fp
 from gausscalc.dynamics import fourier_operator
 from gausscalc.hilbert import (
     BadCoset,
@@ -290,6 +291,17 @@ def test_restrict_properties(params, V):
         return total
     assert dense_norm2(r2) == dense_norm2(s)
     assert to_fp(params, norm_squared(params, r2)) == dense_norm2(s)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 12, 24])
+def test_restricted_euclidean_pairing_has_the_continuum_limit(params, k):
+    # restricting to kZ changes the summation step, not the scale: m times
+    # the pairing of e(-r^2/2N_u) with itself tends to int e^{-2 pi x^2} dx
+    U = domain_u(params)
+    s = restrict(params, gauss_ket(params, U, QuadForm(-1, 0, 0)), k)
+    got = to_complex(params, inner(params, s, s, "Euclidean") * GaussCoeff.rational(params.m))
+    g = ContinuumGaussian("Euclidean", 1.0, 1.0, 0.0)
+    assert abs(got - continuum_inner_closed(g, g)) < 1e-12
 
 
 def test_restrict_bad_coset(params, V):
