@@ -1,8 +1,11 @@
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from gausscalc.arith import ParamSpec, find_params
 from gausscalc.coeffring import GaussCoeff, to_complex, to_fp
@@ -10,6 +13,7 @@ from gausscalc.gauss import (
     GaussSumSpec,
     NonGaussianSum,
     PreconditionViolation,
+    _guard_coset,
     gauss_brute,
     gauss_closed,
     gauss_closed_sm,
@@ -300,3 +304,33 @@ def test_kernel_refusals(reason):
     Q, guards, N, M = KERNEL_REFUSALS[reason]
     with pytest.raises(NonGaussianSum, match=reason):
         gauss_sum(Q, 0, guards, N, M, "U", "extended", small)
+
+
+# -- the coset merge, against the guards it consumes ------------------------------
+
+GUARD_MODULI = (2, 3, 4, 6, 8, 9, 12, 16, 18)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(GUARD_MODULI), st.lists(st.integers(-9, 9), min_size=4, max_size=4)),
+                min_size=1, max_size=3))
+def test_guard_coset_is_the_solution_set(guards):
+    # guards k | v . (y, x1, x2, 1); every solution y mod L, L the lcm of the
+    # moduli, lies on the returned coset y = base . x + step Z exactly where
+    # the kept guards hold
+    try:
+        step, base, kept = _guard_coset(guards, 0, 4)
+    except NonGaussianSum:
+        event("refused")
+        return
+    L = math.lcm(*(k for k, _ in guards))
+    assert L % step == 0
+    for x in itertools.product(range(-4, 4), repeat=2):
+        z = (0, *x, 1)
+        want = {y for y in range(L)
+                if all((v[0] * y + v[1] * x[0] + v[2] * x[1] + v[3]) % k == 0 for k, v in guards)}
+        got = set()
+        if all(sum(c * t for c, t in zip(v, z)) % k == 0 for k, v in kept):
+            b = sum(c * t for c, t in zip(base, z))
+            got = {y for y in range(L) if (y - b) % step == 0}
+        assert got == want, (x, step, base, kept)

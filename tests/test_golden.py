@@ -29,7 +29,9 @@ import contextlib
 import io
 import json
 import random
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -188,12 +190,14 @@ def cli_key(case: list[str]) -> str:
 # -- the symbolic grid -----------------------------------------------------------
 
 
-def _text(fn, *args) -> str:
+def _text(fn, refusals: Counter | None = None) -> str:
     from gausscalc.gauss import NonGaussianSum
 
     try:
-        return fn(*args)
-    except NonGaussianSum:
+        return fn()
+    except NonGaussianSum as exc:
+        if refusals is not None:
+            refusals[re.sub(r"-?\d+", "#", str(exc))] += 1
         return REFUSED
     except (ArithmeticError, ValueError) as exc:
         return f"!{type(exc).__name__}: {exc}"
@@ -252,7 +256,9 @@ def _op_text(P, op) -> str:
             f"{op.unitary}|{to_fp(P, op.coeff)}")
 
 
-def symbolic_grid() -> dict[str, str]:
+def symbolic_grid(refusals: Counter | None = None) -> dict[str, str]:
+    """The grid's texts by key; `refusals`, when given, counts each
+    refusal's message with its digits masked."""
     from gausscalc import frontend as F
     from gausscalc import hilbert as H
     from gausscalc.arith import ParamSpec, find_params
@@ -269,12 +275,12 @@ def symbolic_grid() -> dict[str, str]:
                 for kind in ("Euclidean", "Hermitian"):
                     for mode in ("extended", "strict"):
                         out[f"inner/{tag}/{i}/{j}/{kind}/{mode}"] = _text(
-                            lambda: (lambda c: f"{c}|{to_fp(P, c)}")(H.inner(P, s1, s2, kind, mode)))
+                            lambda: (lambda c: f"{c}|{to_fp(P, c)}")(H.inner(P, s1, s2, kind, mode)), refusals)
         for i, op in enumerate(ops):
             for j, s in enumerate(states[::3]):
-                out[f"apply/{tag}/{i}/{j}"] = _text(lambda: _state_text(P, H.apply_operator(P, op, s)))
+                out[f"apply/{tag}/{i}/{j}"] = _text(lambda: _state_text(P, H.apply_operator(P, op, s)), refusals)
             for j, op2 in enumerate(ops[::2]):
-                out[f"compose/{tag}/{i}/{j}"] = _text(lambda: _op_text(P, H.compose(P, op, op2)))
+                out[f"compose/{tag}/{i}/{j}"] = _text(lambda: _op_text(P, H.compose(P, op, op2)), refusals)
     small = find_params(ParamSpec(2, 1))
     for tower, params in (("small", small), ("default", P)):
         for domain in ("V", "U"):
@@ -282,7 +288,7 @@ def symbolic_grid() -> dict[str, str]:
             for i in range(60):
                 e = random_expression(rng, rng.choice((1, 2, 2, 3, 3)), domain)
                 out[f"eliminate/{tower}/{domain}/{i}"] = _text(
-                    lambda: f"{F.format_expr(e)} => {F.eliminate(e, params).render()}")
+                    lambda: f"{F.format_expr(e)} => {F.eliminate(e, params).render()}", refusals)
     return out
 
 
@@ -381,7 +387,13 @@ def rerecord() -> int:
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    if "--widened" in sys.argv:
+    if "--refusals" in sys.argv:
+        counts: Counter = Counter()
+        symbolic_grid(counts)
+        for reason, n in counts.most_common():
+            print(f"{n:6d}  {reason}")
+        print(f"{sum(counts.values()):6d}  total")
+    elif "--widened" in sys.argv:
         # entries refused in golden.json that the current code evaluates
         was, now = json.loads(GOLDEN.read_text()), record()
         keys = [k for part in ("cli", "symbolic") for k in sorted(was[part])

@@ -496,3 +496,23 @@ def test_compose_unsatisfiable_guard_is_zero_operator():
     for q in V4.index_range():
         for r in V4.index_range():
             assert _composition_sum(small, op1, op2, q, r) == 0, (q, r)
+
+
+# supports a q + b r = d (mod k) whose r coefficient shares a factor with k:
+# the image of u[q] lives on a coset of r with step k / gcd(b, k), or is zero
+POSITION_SUPPORTS = [(4, 1, 2, 1), (4, 1, 2, 0), (6, 1, 4, 3), (12, 3, 8, 0), (8, 2, 4, 2), (9, 3, 6, 0),
+                     (6, 0, 3, 1), (4, 2, 0, 1)]
+
+
+def test_apply_to_position_state_on_a_gcd_support_vs_dense(params, V):
+    zeros = 0
+    for support in POSITION_SUPPORTS:
+        op = GaussOperator(unit_normalization(params, V), -1, 2, -2, V, V, kD=1, kE=-3, den=2, support=support)
+        for q in range(-9, 9):
+            s = PositionState(q, V)
+            out = apply_operator(params, op, s)
+            dense_out = apply_dense(params, op, DenseState.from_state(params, s))
+            zeros += out.is_zero()
+            for r in V.index_range():
+                assert to_fp(params, out.coordinate(r)) == dense_out.coords[r], (support, q, r)
+    assert zeros == 85
