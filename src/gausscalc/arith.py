@@ -108,27 +108,6 @@ def require_int(x, what: str) -> int:
     raise ArithError(f"{what} must be an integer, got {x!r}")
 
 
-def solve_congruence(a: int, b: int, m: int) -> tuple[int, int] | None:
-    """Solve a*x = b (mod m); returns (step, base) with x = base + step*Z, or None.
-
-    step = m // gcd(a, m); base is the least nonnegative representative.
-    """
-    if m <= 0:
-        raise ArithError("modulus must be positive")
-    a %= m
-    b %= m
-    if a == 0:
-        return (1, 0) if b == 0 else None
-    import math
-
-    g = math.gcd(a, m)
-    if b % g:
-        return None
-    m1 = m // g
-    x0 = (b // g) * pow(a // g, -1, m1) % m1
-    return (m1, x0)
-
-
 def exact_dtype(bound: int):
     """The array dtype for exact arithmetic on integers below `bound`:
     int64 while the product of two of them fits (bound <= 2^31), else

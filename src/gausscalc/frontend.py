@@ -22,8 +22,8 @@ summation formula, evaluated by the summation kernel ``gauss.gauss_sum``:
 a variable y entering as (A y^2 + 2 L(frees) y + R(frees))/2N contributes
 the closed-form coefficient and the residual phase (R - L^2/A)/2N, guarded
 by the congruence A | L(frees); guards are first-class data in the normal
-form, and guards on y itself first restrict it to a coset (merged by CRT
-when their moduli are coprime).  Quantified variables must carry even
+form, and guards on y itself first restrict it to one coset (merged by
+`gauss.merge_cosets`, whatever their moduli).  Quantified variables must carry even
 linear coefficients (the 2L structure of the summation formula); odd ones
 leave the Gaussian fragment and raise.
 

@@ -172,9 +172,10 @@ def gauss_sum(Q, y: int, guards, N: int, M: int, domain: str, mode: str = "exten
     """Sum e(x^T Q x / 2M) over N consecutive values of x_y where the guards
     hold, in closed form.  Raises NonGaussianSum outside the fragment.
 
-    1. Coset.  The guards on x_y resolve into x_y = base . x + step * sigma
-       (CRT for coprime moduli; a nested guard leaves a residual guard on
-       the other variables); the window in sigma is W = N / step.
+    1. Coset.  The guards on x_y merge into x_y = base . x + step * sigma
+       by `merge_cosets`, whatever their moduli, leaving residual guards
+       on the other variables (the sum is zero where one never holds); the
+       window in sigma is W = N / step.
     2. Completing the square.  With the substitution the phase reads
        (A sigma^2 + 2 L.x sigma + R(x)) / 2M, and:
 
@@ -191,34 +192,27 @@ def gauss_sum(Q, y: int, guards, N: int, M: int, domain: str, mode: str = "exten
 
        The telescoping conditions hold coefficient-wise or on the coset of
        one of the remaining guards (on-coset divisibility).  A divisibility
-       guard that no x satisfies makes the sum zero (telescoped-zero), and
-       outside the fragment the sum is still zero when a remaining guard
-       never holds (say, two inconsistent guards on x_y).
+       guard that no x satisfies makes the sum zero (telescoped-zero).
     """
     if N < 1:
         raise NonGaussianSum("empty summation window")
     step, base, kept = _guard_coset(guards, y, len(Q))
-
-    def refuse(reason: str) -> GaussSum:
-        # a remaining guard that never holds makes the sum zero, closed form or not
-        if any(v[-1] % math.gcd(k, *v[:-1]) for k, v in kept):
-            return GaussSum(_ZERO, Q, M, kept, None, base)
-        raise NonGaussianSum(reason)
-
+    if never_holds(kept):
+        return GaussSum(_ZERO, Q, M, kept, None, base)
     if N % step:
-        return refuse(f"guard coset step {step} does not divide the window {N}")
+        raise NonGaussianSum(f"guard coset step {step} does not divide the window {N}")
     W = N // step
     A0 = Q[y][y]
     A = A0 * step * step
     aa = abs(A)
     if A and W > 1:
         if M % aa:
-            return refuse(f"period M/|A| not integral (A={A}, M={M})")
+            raise NonGaussianSum(f"period M/|A| not integral (A={A}, M={M})")
         T = M // aa
         if T % 4:
-            return refuse(f"period {T} not divisible by 4 (A={A}, M={M})")
+            raise NonGaussianSum(f"period {T} not divisible by 4 (A={A}, M={M})")
         if W % T:
-            return refuse(f"window {W} not a multiple of the period {T}")
+            raise NonGaussianSum(f"window {W} not a multiple of the period {T}")
     # Q = A0 x_y^2 + x_y (ell . x) + R(x), then x_y = base . x + step * sigma
     n1 = len(Q)
     ell = [Q[j][y] for j in range(y)] + [0] + Q[y][y + 1:]
@@ -232,25 +226,24 @@ def gauss_sum(Q, y: int, guards, N: int, M: int, domain: str, mode: str = "exten
         _add_product(R, base, ell)
         ell = [step * (2 * A0 * b + e) for b, e in zip(base, ell)]
     if any(e % 2 for e in ell):
-        return refuse("odd linear coefficient of a quantified variable")
+        raise NonGaussianSum("odd linear coefficient of a quantified variable")
     L = [e // 2 for e in ell]
     if A == 0:
         if mode == "strict":
             return GaussSum(_ZERO, R, M, kept, None, base)
         if not divides_on_guards(M // math.gcd(M, W), L, kept):
-            return refuse("geometric sum does not telescope over the window")
+            raise NonGaussianSum("geometric sum does not telescope over the window")
         k = M
     elif W == 1:
         if M != N or N % 2 or not periodic:
-            return refuse(f"pinned phase not N-periodic in the summed variable (M={M}, N={N})")
+            raise NonGaussianSum(f"pinned phase not N-periodic in the summed variable (M={M}, N={N})")
         return GaussSum(_ONE, R, M, kept, None, base)
     else:
         mult = W // T
         if not divides_on_guards(aa // math.gcd(aa, mult), L, kept):
-            return refuse(f"quadratic sum does not telescope over {mult} blocks")
+            raise NonGaussianSum(f"quadratic sum does not telescope over {mult} blocks")
         k = aa
-    free = math.gcd(*L[:-1])
-    if L[-1] % math.gcd(k, free):
+    if L[-1] % math.gcd(k, *L[:-1]):
         return GaussSum(_ZERO, R, M, kept, None, base)
     guard = (k, L) if any(c % k for c in L) else None
     if A == 0:
@@ -277,53 +270,83 @@ def _add_product(R, u, v, scale: int = 1) -> None:
                 row[j] += scale * (u[i] * v[j] + u[j] * v[i])
 
 
+def merge_cosets(k1: int, b1, k2: int, b2):
+    """x = b1 . z (mod k1) and x = b2 . z (mod k2) as (step, base, guard):
+    x = base . z (mod step = lcm(k1, k2)) where the residual guard
+    gcd(k1, k2) | (b1 - b2) . z holds (None for coprime moduli).
+
+    Each prime of the lcm goes to the modulus with the higher power of it,
+    on a tie to the larger one (k1 if equal), which splits the lcm into
+    coprime f1 | k1 and f2 | k2; base is the CRT of b1 mod f1 and b2 mod
+    f2, so a nested pair keeps the finer base as it is."""
+    g = math.gcd(k1, k2)
+    f1, f2, d, q = k1, k2, g, 2
+    while d > 1:
+        if q * q > d:
+            q = d
+        if d % q == 0:
+            q1, q2 = math.gcd(k1, q ** k1.bit_length()), math.gcd(k2, q ** k2.bit_length())
+            f1, f2 = (f1, f2 // q2) if (q1, k1) >= (q2, k2) else (f1 // q1, f2)
+            d //= min(q1, q2)
+        q += 1
+    if f1 == 1 or f2 == 1:  # the CRT's value, without its two inverses
+        base = b1 if f2 == 1 else b2
+    else:
+        u1, u2 = f2 * pow(f2, -1, f1), f1 * pow(f1, -1, f2)
+        base = [c1 * u1 + c2 * u2 for c1, c2 in zip(b1, b2)]
+    return f1 * f2, base, ((g, [c1 - c2 for c1, c2 in zip(b1, b2)]) if g > 1 else None)
+
+
 def _guard_coset(guards, y: int, n1: int):
     """Consume the guards on x_y into one coset x_y = base . x + step * Z.
 
-    A guard a x_y + rest . x = 0 (mod k) whose gcd(a, k) divides `rest`
-    coefficient-wise restricts x_y to a coset.  Cosets with coprime steps
-    merge by CRT; nested ones keep the finer step and leave the other
-    congruence, base - new base, as a residual guard.  A guard failing the
-    gcd test waits for the merged coset: where a * step = 0 (mod k) it
-    becomes the residual guard rest + a * base on the other variables;
-    otherwise it branches pointwise and leaves the fragment.  Kept guards
-    that always hold (k dividing every coefficient) are dropped."""
-    step, base, kept, deferred = 1, [0] * n1, [], []
+    A guard a x_y + rest . x = 0 (mod k) whose g = gcd(a, k) divides `rest`
+    coefficient-wise restricts x_y to a coset, which `merge_cosets`
+    intersects with the coset so far; its residual guard is kept.  A guard
+    failing the gcd test with a constant rest never holds and is kept as
+    g | rest; any other waits for the merged coset: where a * step = 0
+    (mod k) it becomes the residual guard rest + a * base on the other
+    variables, otherwise it branches pointwise and leaves the fragment.
+    Kept guards that always hold (k dividing every coefficient) are
+    dropped."""
     if not guards:
-        return step, base, ()
+        return 1, [0] * n1, ()
+    step, base, kept, deferred = 1, [0] * n1, [], []
     for k, v in guards:
         a = v[y]
         if a == 0:
             kept.append((k, v))
             continue
         g = math.gcd(a, k)
-        rest = [0 if i == y else c for i, c in enumerate(v)]
-        if any(c % g for c in rest):
-            deferred.append((k, a, rest))
+        rest = list(v)
+        rest[y] = 0
+        if g > 1 and any(c % g for c in rest):
+            if any(rest[:-1]):
+                deferred.append((k, a, rest))
+            else:
+                kept.append((g, rest))
             continue
         a, k = a // g, k // g
         if k == 1:
             continue
         m = -pow(a, -1, k) % k
-        new = [c // g * m for c in rest]
-        if step == 1:
-            base, step = new, k
-        elif math.gcd(step, k) == 1:
-            u1, u2 = k * pow(k, -1, step), step * pow(step, -1, k)
-            base = [b * u1 + c * u2 for b, c in zip(base, new)]
-            step *= k
-        elif step % k == 0:
-            kept.append((k, [b - c for b, c in zip(base, new)]))
-        elif k % step == 0:
-            kept.append((step, [b - c for b, c in zip(base, new)]))
-            base, step = new, k
-        else:
-            raise NonGaussianSum(f"incomparable guard cosets (steps {step} and {k})")
+        step, base, guard = merge_cosets(step, base, k, [c // g * m for c in rest])
+        if guard:
+            kept.append(guard)
     for k, a, rest in deferred:
         if a * step % k:
             raise NonGaussianSum("guard gcd does not divide the free part")
         kept.append((k, [c + a * b for c, b in zip(rest, base)]))
     return step, base, tuple((k, v) for k, v in kept if any(c % k for c in v))
+
+
+def never_holds(guards) -> bool:
+    """Whether some guard (k, v) holds for no x: the gcd of k and the
+    coefficients of the variables does not divide the constant v[-1]."""
+    for k, v in guards:
+        if v[-1] % math.gcd(k, *v[:-1]):
+            return True
+    return False
 
 
 def divides_on_guards(D: int, L, guards) -> bool:

@@ -48,11 +48,11 @@ from .arith import (
     exact_dtype,
     poly_mod,
     require_int,
-    solve_congruence,
 )
 from .coeffring import GaussCoeff, _normal, to_fp_phases
 from .coeffring import unit_normalization as coeff_unit
-from .gauss import NonGaussianSum, divides_on_guards, gauss_sum, quadratic_window_sum
+from .gauss import NonGaussianSum, _guard_coset, divides_on_guards, gauss_sum, merge_cosets, never_holds
+from .gauss import quadratic_window_sum
 
 
 class InadmissibleForm(ArithError):
@@ -123,14 +123,10 @@ def _with_phase(c: GaussCoeff, q: Fraction, tag: str) -> GaussCoeff:
 
 
 def _intersect_cosets(k1: int, d1: int, k2: int, d2: int) -> tuple[int, int] | None:
-    g = math.gcd(k1, k2)
-    if (d1 - d2) % g:
-        return None
-    lcm = k1 // g * k2
-    sol = solve_congruence(k1, (d2 - d1) % lcm, k2)
-    assert sol is not None
-    _, t = sol
-    return lcm, (d1 + k1 * t) % lcm
+    """k1 Z + d1 intersected with k2 Z + d2 (None when they are disjoint):
+    `merge_cosets` without free variables."""
+    k, (d,), guard = merge_cosets(k1, [d1], k2, [d2])
+    return None if guard and (d1 - d2) % guard[0] else (k, d % k)
 
 
 @dataclass(frozen=True)
@@ -409,10 +405,9 @@ def apply_operator(params: Params, op: GaussOperator, s) -> GaussState:
         if s.domain != op.domain_in:
             raise DomainMismatch("operator input domain mismatch")
         k, aq, ar, dd = op.support
-        sol = solve_congruence(ar, dd - aq * s.r, k)
-        if sol is None:
+        step, base, kept = _guard_coset([(k, [ar, aq * s.r - dd])], 0, 2)
+        if never_holds(kept):
             return zero_state(op.domain_out)
-        step, base = sol
         if op.domain_out.N % step:
             raise NonGaussianSum("kernel coset incompatible with the domain")
         return GaussState(
@@ -422,7 +417,7 @@ def apply_operator(params: Params, op: GaussOperator, s) -> GaussState:
             op.kA * s.r * s.r + 2 * op.kD * s.r,
             op.domain_out,
             den=op.den,
-            support=(step, base),
+            support=(step, base[1]),
         )
     if not isinstance(s, GaussState):
         raise ArithError(f"cannot apply operator to {type(s).__name__}")
@@ -446,20 +441,16 @@ def apply_operator(params: Params, op: GaussOperator, s) -> GaussState:
     res = gauss_sum(Q, 0, [g for g in guards if g[0] > 1], N, N * den, s.domain.tag, params=params)
     if res.coeff.is_zero():
         return zero_state(op.domain_out)
-    support = (1, 0)
-    for k, v in res.guards + ((res.guard,) if res.guard else ()):
-        sol = solve_congruence(v[1], -v[2], k)
-        if sol is None:
-            return zero_state(op.domain_out)
-        if N % sol[0]:
-            raise NonGaussianSum("image coset incompatible with the domain")
-        support = _intersect_cosets(*support, *sol)
-        if support is None:
-            return zero_state(op.domain_out)
+    # the guards on the output index (q is summed out) give its coset
+    step, base, kept = _guard_coset(res.guards + ((res.guard,) if res.guard else ()), 1, 3)
+    if never_holds(kept):
+        return zero_state(op.domain_out)
+    if N % step:
+        raise NonGaussianSum("image coset incompatible with the domain")
     R = res.Q
     return GaussState(
         s.coeff * op.coeff * res.coeff, R[1][1], R[1][2] // 2, R[2][2], op.domain_out,
-        den=res.M // N, support=support,
+        den=res.M // N, support=(step, base[2]),
     )
 
 

@@ -12,7 +12,6 @@ from gausscalc.arith import (
     find_params,
     is_probable_prime,
     load_params,
-    solve_congruence,
     squarefree_split,
 )
 from fractions import Fraction
@@ -235,15 +234,6 @@ def test_params_reject_composite_p_and_non_primitive_epsilon():
     with pytest.raises(ArithError, match="primitive root"):
         load_params("epsilon = 2\nk_mult = 1\nm = 2\np = 257\n")
     assert Params(2, 1, SMALL_P, 3).p1_factorization() == {2: 8}
-
-
-def test_solve_congruence():
-    assert solve_congruence(2, 4, 6) == (3, 2)
-    assert solve_congruence(2, 3, 6) is None
-    assert solve_congruence(0, 0, 5) == (1, 0)
-    assert solve_congruence(0, 3, 5) is None
-    step, base = solve_congruence(5, 7, 12)
-    assert (5 * base - 7) % 12 == 0 and step == 12
 
 
 def test_squarefree_split():

@@ -18,6 +18,7 @@ from gausscalc.gauss import (
     gauss_closed,
     gauss_closed_sm,
     gauss_sum,
+    merge_cosets,
     quadratic_window_sum,
     sm_brute,
 )
@@ -221,7 +222,8 @@ def test_j_comes_from_the_u_domain_size_only(params):
 # -- the summation kernel, branch by branch, against literal summation ----------
 #
 # Variables (y, x) and the constant: x^T Q x = Q00 y^2 + Q01 y x + Q02 y + Q11 x^2
-# + Q12 x + Q22.  Sums run over N = N_u = 16 consecutive y on the small tower.
+# + Q12 x + Q22.  Sums run over N consecutive y, on the small tower (N_u = 16)
+# unless KERNEL_TOWERS names another.
 
 KERNEL_CASES = {
     "quadratic": ([[-1, 2, 2], [0, 1, 0], [0, 0, 3]], [], 16, 16, "extended"),
@@ -243,12 +245,21 @@ KERNEL_CASES = {
     # 2y + x = 0 (mod 8) does not pin y; on the coset y = 0 (mod 4) it reads 8 | x
     "deferred-guard": ([[-1, 0, 0], [0, 1, 0], [0, 0, 0]], [(8, [2, 1, 0]), (4, [1, 0, 0])], 16, 64,
                        "extended"),
+    # 4 | y and 6 | y + 1 never both hold: the residual guard reads 2 | 1
+    "coset-incomparable-zero": ([[-1, 0, 0], [0, 0, 0], [0, 0, 0]], [(4, [1, 0, 0]), (6, [1, 0, 1])], 16, 16,
+                                "extended"),
+    # 4 | y and 6 | y - x: y = 4x (mod 12) where 2 | x, summed over 144 = 12 * 12 values
+    "coset-incomparable": ([[-1, 4, 0], [0, 1, 0], [0, 0, 0]], [(4, [1, 0, 0]), (6, [1, -1, 0])], 144, 576,
+                           "extended"),
 }
+
+# (m, k) of the tower a case runs on when it is not the small one: a coset
+# step of 12 needs 12 | N and a 2M-th root of unity, 2M = 1152 | p - 1
+KERNEL_TOWERS = {"coset-incomparable": (6, 1)}
 
 KERNEL_REFUSALS = {
     "empty summation window": ([[-1, 0, 0], [0, 0, 0], [0, 0, 0]], [], 0, 16),
     "guard gcd does not divide": ([[-1, 0, 0], [0, 0, 0], [0, 0, 0]], [(4, [2, 1, 0])], 16, 16),
-    "incomparable guard cosets": ([[-1, 0, 0], [0, 0, 0], [0, 0, 0]], [(4, [1, 0, 0]), (6, [1, 0, 1])], 16, 16),
     "does not divide the window": ([[-1, 0, 0], [0, 0, 0], [0, 0, 0]], [(3, [1, 0, 0])], 16, 16),
     "odd linear coefficient": ([[-1, 1, 0], [0, 0, 0], [0, 0, 0]], [], 16, 16),
     "geometric sum does not telescope": ([[0, 2, 2], [0, 0, 0], [0, 0, 0]], [], 16, 32),
@@ -269,22 +280,22 @@ def _phase(small, Q, x, M):
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_kernel_branch_vs_literal(case):
-    small = find_params(ParamSpec(2, 1))
+    P = find_params(ParamSpec(*KERNEL_TOWERS.get(case, (2, 1))))
     Q, guards, N, M, mode = KERNEL_CASES[case]
-    res = gauss_sum([row[:] for row in Q], 0, guards, N, M, "U", mode, small)
+    res = gauss_sum([row[:] for row in Q], 0, guards, N, M, "U", mode, P)
     if mode == "strict":  # the declared zero: a convention, not the literal sum
         assert res.coeff.is_zero()
         return
     for k, v in res.guards + ((res.guard,) if res.guard else ()):  # none that always holds
         assert any(c % k for c in v), (case, k, v)
-    p = small.p
+    p = P.p
 
     def holds(gs, y, x):
         return all((v[0] * y + v[1] * x + v[2]) % k == 0 for k, v in gs)
 
     checked = 0
     for x in range(-8, 8):
-        xi = small.xi(2 * M)
+        xi = P.xi(2 * M)
         literal = sum(
             pow(xi, (Q[0][0] * y * y + Q[0][1] * y * x + Q[0][2] * y + Q[1][1] * x * x
                      + Q[1][2] * x + Q[2][2]) % (2 * M), p)
@@ -292,7 +303,7 @@ def test_kernel_branch_vs_literal(case):
         ) % p
         closed = 0
         if holds(res.guards + ((res.guard,) if res.guard else ()), 0, x):
-            closed = to_fp(small, res.coeff) * _phase(small, res.Q, x, res.M) % p
+            closed = to_fp(P, res.coeff) * _phase(P, res.Q, x, res.M) % p
         assert closed == literal, (case, x)
         checked += literal != 0
     assert bool(checked) != case.endswith("zero"), case
@@ -307,6 +318,23 @@ def test_kernel_refusals(reason):
 
 
 # -- the coset merge, against the guards it consumes ------------------------------
+
+
+def test_merge_cosets_keeps_the_nested_and_coprime_bases():
+    b1, b2 = [3, -5, 7], [-2, 4, 1]
+    diff = [5, -9, 6]
+    # nested: the finer modulus's base as it is, the coarser as a residual guard
+    assert merge_cosets(12, b1, 4, b2) == (12, b1, (4, diff))
+    assert merge_cosets(4, b1, 12, b2) == (12, b2, (4, diff))
+    assert merge_cosets(6, b1, 6, b2) == (6, b1, (6, diff))
+    assert merge_cosets(1, b1, 9, b2) == (9, b2, None)
+    # coprime: the CRT base with u1 = 9 * (9^-1 mod 4), u2 = 4 * (4^-1 mod 9)
+    assert merge_cosets(4, b1, 9, b2) == (36, [9 * c1 + 28 * c2 for c1, c2 in zip(b1, b2)], None)
+    # incomparable: 2^2 from 4, 3 from 6
+    assert merge_cosets(4, b1, 6, b2) == (12, [9 * c1 + 4 * c2 for c1, c2 in zip(b1, b2)], (2, diff))
+    # a tie on 2^2 goes to the larger modulus 20: 20 from the first, 3 from the second
+    assert merge_cosets(20, b1, 12, b2) == (60, [21 * c1 + 40 * c2 for c1, c2 in zip(b1, b2)], (4, diff))
+
 
 GUARD_MODULI = (2, 3, 4, 6, 8, 9, 12, 16, 18)
 

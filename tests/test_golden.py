@@ -9,15 +9,21 @@ Gauss-summation kernel replaced the per-caller summation code, with
 
 Refusals (`NonGaussianSum`) are pinned by type only: their message text
 may change.  Inputs that were refused then and that the kernel now
-accepts (coprime support cosets merged by CRT, on-coset divisibility,
+accepts (support cosets of any two moduli merged by `merge_cosets`,
+coprime, nested or overlapping such as 4 and 6; on-coset divisibility,
 pinned windows, unit support coefficients other than +-1, zero where a
 guard can never hold) are listed in `golden_widened.txt`, written by
 
     PYTHONPATH=src python tests/test_golden.py --widened
 
-and each must give a result.  The parametrized oracle tests in
-test_gauss.py and test_hilbert.py check such results against literal
-summation.
+and each must give a result.  The widened V entries are checked against
+the literal oracles at every point below, the apply ones on U after
+rebuilding them on the (6, 1) tower; the parametrized oracle tests in
+test_gauss.py and test_hilbert.py check the kernel's branches.
+
+    PYTHONPATH=src python tests/test_golden.py --refusals
+
+prints the grid's refusal count per message, digits masked.
 
 A re-record prints each key it changes and writes nothing when a changed
 entry's exit status or trailing |residue differs from the recorded one.
@@ -34,6 +40,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -203,44 +210,47 @@ def _text(fn, refusals: Counter | None = None) -> str:
         return f"!{type(exc).__name__}: {exc}"
 
 
-def _grid_objects():
+def _grid_objects(u_params=None):
+    """The grid's states and operators by domain tag, on the default tower;
+    `u_params` builds the U ones on that tower's U domain from the same
+    draws."""
     from gausscalc import dynamics as D
     from gausscalc import hilbert as H
     from gausscalc.arith import ParamSpec, find_params
     from gausscalc.coeffring import GaussCoeff
 
     P = find_params(ParamSpec())
-    V, U = H.domain_v(P), H.domain_u(P)
     rng = random.Random(20241001)
 
-    def states(dom):
+    def states(params, dom):
         out = []
         for A in (0, -1, -2, -3, -4):
             for support in ((1, 0), (2, 1), (3, 2), (4, 0), (6, 5), (8, 3), (9, 4)):
                 for den in (1, 2):
                     B, C, pp = rng.randint(-3, 3), rng.choice((0, -1)), rng.randint(-6, 6)
-                    coeff = H.unit_normalization(P, dom) * GaussCoeff.rational(rng.choice((1, 2)))
+                    coeff = H.unit_normalization(params, dom) * GaussCoeff.rational(rng.choice((1, 2)))
                     out.append(H.GaussState(coeff, A, B * pp, C * pp * pp, dom, den=den, support=support))
         out += [H.PositionState(r, dom) for r in (-5, 0, 7)]
         return out
 
-    def ops(dom):
-        out = [H.identity_operator(dom), D.position_operator_u(P, dom), D.shift_operator_v(P, dom),
-               D.quadratic_phase_operator(P, 1, dom), D.quadratic_phase_operator(P, -2, dom),
-               D.fourier_operator(P, dom)]
+    def ops(params, dom):
+        out = [H.identity_operator(dom), D.position_operator_u(params, dom), D.shift_operator_v(params, dom),
+               D.quadratic_phase_operator(params, 1, dom), D.quadratic_phase_operator(params, -2, dom),
+               D.fourier_operator(params, dom)]
         if dom.tag == "V":
-            out += [D.free_propagator(P, t, dom) for t in (1, 2, 3, 4, 6, 12)]
+            out += [D.free_propagator(params, t, dom) for t in (1, 2, 3, 4, 6, 12)]
         for support in ((1, 0, 0, 0), (2, 1, -1, 0), (3, 1, 1, 2), (4, -1, 1, 1), (6, 1, -1, 3),
                         (8, -1, -1, 0), (9, 1, 2, 0), (12, 5, -1, 0), (12, 2, -1, 0), (16, 1, -1, 1)):
             for _ in range(3):
                 kA, kC = rng.choice((0, -1, -2)), rng.choice((0, -1, -2))
                 out.append(H.GaussOperator(
-                    H.unit_normalization(P, dom), kA, rng.randint(-2, 2), kC, dom, dom,
+                    H.unit_normalization(params, dom), kA, rng.randint(-2, 2), kC, dom, dom,
                     kD=rng.randint(-2, 2), kE=rng.randint(-2, 2), den=rng.choice((1, 1, 2)),
                     support=support))
         return out
 
-    return P, {tag: (states(d), ops(d)) for tag, d in (("V", V), ("U", U))}
+    towers = (("V", P, H.domain_v(P)), ("U", u_params or P, H.domain_u(u_params or P)))
+    return P, {tag: (states(params, d), ops(params, d)) for tag, params, d in towers}
 
 
 def _state_text(P, s) -> str:
@@ -290,6 +300,61 @@ def symbolic_grid(refusals: Counter | None = None) -> dict[str, str]:
                 out[f"eliminate/{tower}/{domain}/{i}"] = _text(
                     lambda: f"{F.format_expr(e)} => {F.eliminate(e, params).render()}", refusals)
     return out
+
+
+# -- widened entries against the literal oracles -----------------------------------
+
+
+def _widened(prefix: str) -> list[tuple[int, int]]:
+    """The (i, j) of the widened symbolic keys under prefix."""
+    return sorted(tuple(map(int, k[len(prefix):].split("/"))) for k in WIDENED if k.startswith(prefix))
+
+
+def _apply_vs_dense(P, states, ops, prefix: str) -> tuple[int, int]:
+    """apply_operator against apply_dense at every output index for each
+    widened apply key under prefix that P accepts: (keys checked, nonzero
+    coordinates seen)."""
+    from gausscalc import hilbert as H
+    from gausscalc.gauss import NonGaussianSum
+
+    checked = nonzero = 0
+    for i, j in _widened(prefix):
+        op, s = ops[i], states[::3][j]
+        try:
+            out = H.apply_operator(P, op, s)
+        except NonGaussianSum:
+            continue
+        want = H.apply_dense(P, op, H.DenseState.from_state(P, s)).vec
+        assert np.array_equal(H.DenseState.from_state(P, out).vec, want), (prefix, i, j)
+        checked += 1
+        nonzero += int(np.count_nonzero(want))
+    return checked, nonzero
+
+
+def test_widened_v_results_match_the_literal_oracles():
+    from gausscalc import hilbert as H
+
+    P, objs = _grid_objects()
+    states, ops = objs["V"]
+    checked, nonzero = _apply_vs_dense(P, states, ops, "apply/V/")
+    assert checked == len(_widened("apply/V/")) and nonzero
+    # op1 after op2 at every (q, r): the product of the two kernel blocks
+    q = H.domain_v(P).index_vector()
+    for i, j in _widened("compose/V/"):
+        op1, op2 = ops[i], ops[::2][j]
+        block = [op.kernel_block(P, q[:, None], q[None, :]) for op in (H.compose(P, op1, op2), op2, op1)]
+        assert np.array_equal(block[0], block[1] @ block[2] % P.p), (i, j)
+
+
+def test_widened_u_lifts_match_the_literal_oracle_on_a_small_u_domain():
+    # the grid's U objects rebuilt on the (6, 1) tower, N_u = 1296; the keys
+    # whose periods do not fit that domain are refused there
+    from gausscalc.arith import ParamSpec, find_params
+
+    P6 = find_params(ParamSpec(6, 1))
+    _, objs = _grid_objects(P6)
+    checked, nonzero = _apply_vs_dense(P6, *objs["U"], "apply/U/")
+    assert checked >= 30 and nonzero
 
 
 # -- recording and checking -------------------------------------------------------
