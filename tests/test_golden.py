@@ -331,6 +331,14 @@ def _apply_vs_dense(P, states, ops, prefix: str) -> tuple[int, int]:
     return checked, nonzero
 
 
+def _accepted(prefix: str) -> list[tuple[int, int]]:
+    """The (i, j) of every symbolic key under prefix that golden.json
+    records with a result or that is widened."""
+    golden = json.loads(GOLDEN.read_text())["symbolic"]
+    return sorted(tuple(map(int, k[len(prefix):].split("/"))) for k, v in golden.items()
+                  if k.startswith(prefix) and (v != REFUSED or k in WIDENED))
+
+
 def test_widened_v_results_match_the_literal_oracles():
     from gausscalc import hilbert as H
 
@@ -338,9 +346,12 @@ def test_widened_v_results_match_the_literal_oracles():
     states, ops = objs["V"]
     checked, nonzero = _apply_vs_dense(P, states, ops, "apply/V/")
     assert checked == len(_widened("apply/V/")) and nonzero
-    # op1 after op2 at every (q, r): the product of the two kernel blocks
+    # op1 after op2 at every (q, r), for every accepted compose key: the
+    # product of the two kernel blocks
     q = H.domain_v(P).index_vector()
-    for i, j in _widened("compose/V/"):
+    keys = _accepted("compose/V/")
+    assert len(keys) >= 228
+    for i, j in keys:
         op1, op2 = ops[i], ops[::2][j]
         block = [op.kernel_block(P, q[:, None], q[None, :]) for op in (H.compose(P, op1, op2), op2, op1)]
         assert np.array_equal(block[0], block[1] @ block[2] % P.p), (i, j)
@@ -349,12 +360,31 @@ def test_widened_v_results_match_the_literal_oracles():
 def test_widened_u_lifts_match_the_literal_oracle_on_a_small_u_domain():
     # the grid's U objects rebuilt on the (6, 1) tower, N_u = 1296; the keys
     # whose periods do not fit that domain are refused there
+    from gausscalc import hilbert as H
     from gausscalc.arith import ParamSpec, find_params
+    from gausscalc.gauss import NonGaussianSum
 
     P6 = find_params(ParamSpec(6, 1))
     _, objs = _grid_objects(P6)
-    checked, nonzero = _apply_vs_dense(P6, *objs["U"], "apply/U/")
+    states, ops = objs["U"]
+    checked, nonzero = _apply_vs_dense(P6, states, ops, "apply/U/")
     assert checked >= 30 and nonzero
+    # every compose key the tower accepts, at a seeded 16 x 16 sample of
+    # (q, r): K2[qs, :] @ K1[:, rs] over the whole intermediate domain
+    m = H.domain_u(P6).index_vector()
+    rng = np.random.default_rng(20241001)
+    checked = 0
+    for i, op1 in enumerate(ops):
+        for j, op2 in enumerate(ops[::2]):
+            try:
+                op = H.compose(P6, op1, op2)
+            except NonGaussianSum:
+                continue
+            qs, rs = (rng.choice(m, 16, replace=False) for _ in range(2))
+            want = op2.kernel_block(P6, qs[:, None], m[None, :]) @ op1.kernel_block(P6, m[:, None], rs[None, :])
+            assert np.array_equal(op.kernel_block(P6, qs[:, None], rs[None, :]), want % P6.p), (i, j)
+            checked += 1
+    assert checked >= 208
 
 
 # -- recording and checking -------------------------------------------------------
