@@ -63,7 +63,7 @@ def position_operator_u(params: Params, domain: Domain | None = None) -> GaussOp
         domain = domain_v(params)
     return GaussOperator(
         GaussCoeff.one(), 0, 0, 0, domain, domain,
-        kD=1, support=(domain.N, 1, -1, 0), unitary=True,
+        kD=1, support=((domain.N, (1, -1, 0)),), unitary=True,
     )
 
 
@@ -73,7 +73,7 @@ def shift_operator_v(params: Params, domain: Domain | None = None) -> GaussOpera
         domain = domain_v(params)
     return GaussOperator(
         GaussCoeff.one(), 0, 0, 0, domain, domain,
-        support=(domain.N, 1, -1, -1), unitary=True,
+        support=((domain.N, (1, -1, 1)),), unitary=True,
     )
 
 
@@ -125,7 +125,7 @@ def free_propagator(params: Params, t: int, domain: Domain | None = None) -> Gau
     )
     return GaussOperator(
         coeff, -1, 1, -1, domain, domain, den=t,
-        support=(t, 1, -1, 0), unitary=True,
+        support=((t, (1, -1, 0)),), unitary=True,
     )
 
 
@@ -146,7 +146,7 @@ def quadratic_phase_operator(params: Params, t: int, domain: Domain | None = Non
         domain = domain_v(params)
     return GaussOperator(
         GaussCoeff.one(), t, 0, 0, domain, domain,
-        support=(domain.N, 1, -1, 0), unitary=True,
+        support=((domain.N, (1, -1, 0)),), unitary=True,
     )
 
 

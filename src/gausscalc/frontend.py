@@ -722,10 +722,7 @@ def _eliminate_var(term: _Term, y: str, params: Params, mode: str) -> _Term | No
     res = gauss_sum(Q, pos[y], guards, N, N * term.den, term.domain, mode, params)
     if res.coeff.is_zero():
         return None
-    new_guards = tuple(
-        (k, {keys[i]: c for i, c in enumerate(v) if c})
-        for k, v in res.guards + ((res.guard,) if res.guard else ())
-    )
+    new_guards = tuple((k, {keys[i]: c for i, c in enumerate(v) if c}) for k, v in res.guards)
     phase = {keys[i] + keys[j]: c for i, row in enumerate(res.Q) for j, c in enumerate(row) if c}
     den = res.M // N
     if Q[pos[y]][pos[y]]:

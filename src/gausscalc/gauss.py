@@ -154,17 +154,14 @@ class GaussSum(NamedTuple):
     """The sum over x_y: coeff * e(x^T Q x / 2M), with x_y eliminated (its
     row and column of Q are zero), nonzero only where the guards hold.
 
-    `guards` are the input guards that do not mention x_y followed by those
-    the coset merge left over; `guard` is the new divisibility condition on
-    the other variables (None when it always holds).  `base` is the coset
-    representative x_y = base . x the sum substituted."""
+    `guards` are the input guards that do not mention x_y, then those the
+    coset merge left over, then the new divisibility condition on the
+    other variables when it can fail."""
 
     coeff: GaussCoeff
     Q: list
     M: int
     guards: tuple
-    guard: tuple | None
-    base: list
 
 
 def gauss_sum(Q, y: int, guards, N: int, M: int, domain: str, mode: str = "extended",
@@ -198,7 +195,7 @@ def gauss_sum(Q, y: int, guards, N: int, M: int, domain: str, mode: str = "exten
         raise NonGaussianSum("empty summation window")
     step, base, kept = _guard_coset(guards, y, len(Q))
     if never_holds(kept):
-        return GaussSum(_ZERO, Q, M, kept, None, base)
+        return GaussSum(_ZERO, Q, M, kept)
     if N % step:
         raise NonGaussianSum(f"guard coset step {step} does not divide the window {N}")
     W = N // step
@@ -230,24 +227,25 @@ def gauss_sum(Q, y: int, guards, N: int, M: int, domain: str, mode: str = "exten
     L = [e // 2 for e in ell]
     if A == 0:
         if mode == "strict":
-            return GaussSum(_ZERO, R, M, kept, None, base)
+            return GaussSum(_ZERO, R, M, kept)
         if not divides_on_guards(M // math.gcd(M, W), L, kept):
             raise NonGaussianSum("geometric sum does not telescope over the window")
         k = M
     elif W == 1:
         if M != N or N % 2 or not periodic:
             raise NonGaussianSum(f"pinned phase not N-periodic in the summed variable (M={M}, N={N})")
-        return GaussSum(_ONE, R, M, kept, None, base)
+        return GaussSum(_ONE, R, M, kept)
     else:
         mult = W // T
         if not divides_on_guards(aa // math.gcd(aa, mult), L, kept):
             raise NonGaussianSum(f"quadratic sum does not telescope over {mult} blocks")
         k = aa
     if L[-1] % math.gcd(k, *L[:-1]):
-        return GaussSum(_ZERO, R, M, kept, None, base)
-    guard = (k, L) if any(c % k for c in L) else None
+        return GaussSum(_ZERO, R, M, kept)
+    if any(c % k for c in L):
+        kept += ((k, L),)
     if A == 0:
-        return GaussSum(GaussCoeff.rational(W), R, M, kept, guard, base)
+        return GaussSum(GaussCoeff.rational(W), R, M, kept)
     sgn = 1 if A > 0 else -1
     # complete the square in units of t = gcd(step, L): (|A|/t^2) R - sign(A) (L/t . x)^2
     t = math.gcd(step, *L)
@@ -256,7 +254,7 @@ def gauss_sum(Q, y: int, guards, N: int, M: int, domain: str, mode: str = "exten
         row[:] = [a1 * c for c in row]
     _add_product(R, [l // t for l in L], [l // t for l in L], -sgn)
     coeff = sqrt_with_scale(T, M, domain, params, mult, sgn)
-    return GaussSum(coeff, R, M * a1, kept, guard, base)
+    return GaussSum(coeff, R, M * a1, kept)
 
 
 def _add_product(R, u, v, scale: int = 1) -> None:

@@ -3,8 +3,9 @@
 States are kept symbolic: a Gaussian ket is a coefficient together with an
 integer quadratic phase (qA r^2 + 2 qL r + qC) / (2 N den) and a support
 coset k Z + d outside which the coordinates vanish.  Operators carry a
-quadratic kernel in (input q, output r) plus linear terms and a pair-coset
-constraint aq*q + ar*r = d (mod k).  Nothing is materialised as a
+quadratic kernel in (input q, output r) plus linear terms and a support
+of the summation kernel's own guards (k, (aq, ar, c)), each the
+congruence k | aq*q + ar*r + c.  Nothing is materialised as a
 length-N vector outside the brute-force oracles (DenseState, the kernel
 residues of ``GaussOperator.kernel_block``), which work on numpy vectors of
 F_p residues (see ``arith.exact_dtype``).
@@ -21,8 +22,8 @@ Every sum is evaluated by the one Gauss-summation kernel
 * ``apply_operator`` / ``compose`` -- linearity sums over the whole
   domain, so closed forms carry the block multiplicity.  The phase is
   lowered to a quadratic form in (input, summed, output) indices and the
-  support cosets to guards on them; the kernel's divisibility guard and
-  residual guards become the image support.
+  supports to guards on them; the guards the kernel returns become the
+  image support.
 
 Denominators introduced by operator images (phases over 2tN and the like)
 are tracked in ``den``; support cosets fall out of the divisibility case
@@ -252,8 +253,8 @@ def state_from_descriptor(params: Params, d: dict) -> GaussState:
 
 @dataclass(frozen=True)
 class GaussOperator:
-    """u[q] |-> coeff * sum_r e(alpha(q, r)/(2 N den)) u[r] on the pair coset
-    aq*q + ar*r = d (mod k), with
+    """u[q] |-> coeff * sum_r e(alpha(q, r)/(2 N den)) u[r] where every
+    guard (k, (aq, ar, c)) of the support holds, k | aq*q + ar*r + c, with
 
         alpha(q, r) = kA q^2 + 2 kB q r + kC r^2 + 2 kD q + 2 kE r.
     """
@@ -267,23 +268,22 @@ class GaussOperator:
     kD: int = 0
     kE: int = 0
     den: int = 1
-    support: tuple[int, int, int, int] = (1, 0, 0, 0)  # (k, aq, ar, d)
+    support: tuple = ()  # guards (k, (aq, ar, c))
     unitary: bool = False
 
     def __post_init__(self) -> None:
-        k, aq, ar, _ = self.support
-        if k < 1:
-            raise BadCoset("support modulus must be positive")
-        # the pair coset must be well-defined under index wraparound mod N
-        if (aq * self.domain_in.N) % k or (ar * self.domain_out.N) % k:
-            raise BadCoset("support coset not compatible with the domain period")
+        for k, (aq, ar, _) in self.support:
+            if k < 1:
+                raise BadCoset("support modulus must be positive")
+            # each guard must be well-defined under index wraparound mod N
+            if (aq * self.domain_in.N) % k or (ar * self.domain_out.N) % k:
+                raise BadCoset("support coset not compatible with the domain period")
 
     def is_zero(self) -> bool:
         return self.coeff.is_zero()
 
     def on_support(self, q: int, r: int) -> bool:
-        k, aq, ar, d = self.support
-        return (aq * q + ar * r - d) % k == 0
+        return all((aq * q + ar * r + c) % k == 0 for k, (aq, ar, c) in self.support)
 
     def kernel_value(self, q: int, r: int) -> GaussCoeff:
         if self.is_zero() or not self.on_support(q, r):
@@ -303,18 +303,19 @@ class GaussOperator:
         broadcast of the index arrays (or ints) q and r; raises what
         kernel_value and to_fp raise, for the first element in C order at
         which they would."""
-        k, aq, ar, d = self.support
         m = 2 * self.domain_in.N * self.den
         num = poly_mod(m, [(self.kA, q, q), (2 * self.kB, q, r), (self.kC, r, r),
                            (2 * self.kD, q), (2 * self.kE, r)])
-        on = poly_mod(k, [(aq, q), (ar, r), (-d,)]) == 0
+        on = True
+        for k, (aq, ar, c) in self.support:
+            on = on & (poly_mod(k, [(aq, q), (ar, r), (c,)]) == 0)
         return to_fp_phases(params, self.coeff, self.domain_in.tag, m, num, on, conjugate)
 
 
 def identity_operator(domain: Domain) -> GaussOperator:
     return GaussOperator(
         GaussCoeff.one(), 0, 0, 0, domain, domain,
-        support=(domain.N, 1, -1, 0), unitary=True,
+        support=((domain.N, (1, -1, 0)),), unitary=True,
     )
 
 
@@ -391,9 +392,9 @@ def norm_squared(params: Params, s) -> GaussCoeff:
 
 
 def _summed_guard(k: int, v: tuple, y: int) -> tuple:
-    """The support congruence k | v . x, oriented with v[y] = -1 when v[y] = 1:
-    the coset of x_y is then the remainder of the guard, today's canonical
-    representative in the lifted GaussState/GaussOperator fields."""
+    """The support guard k | v . x, oriented with v[y] = -1 when v[y] = 1:
+    the coset of x_y is then the remainder of the guard, which fixes the
+    representatives the lifted supports print."""
     return (k, tuple(-c for c in v) if v[y] == 1 else v)
 
 
@@ -404,8 +405,7 @@ def apply_operator(params: Params, op: GaussOperator, s) -> GaussState:
     if isinstance(s, PositionState):
         if s.domain != op.domain_in:
             raise DomainMismatch("operator input domain mismatch")
-        k, aq, ar, dd = op.support
-        step, base, kept = _guard_coset([(k, [ar, aq * s.r - dd])], 0, 2)
+        step, base, kept = _guard_coset([(k, [ar, aq * s.r + c]) for k, (aq, ar, c) in op.support], 0, 2)
         if never_holds(kept):
             return zero_state(op.domain_out)
         if op.domain_out.N % step:
@@ -436,13 +436,12 @@ def apply_operator(params: Params, op: GaussOperator, s) -> GaussState:
         [0, 0, s.qC * fs],
     ]
     ks, ds = s.support
-    ko, aq, ar, do = op.support
-    guards = [(ks, (-1, 0, ds)), _summed_guard(ko, (aq, ar, -do), 0)]
-    res = gauss_sum(Q, 0, [g for g in guards if g[0] > 1], N, N * den, s.domain.tag, params=params)
+    guards = [(ks, (-1, 0, ds))] + [_summed_guard(k, (aq, ar, c), 0) for k, (aq, ar, c) in op.support]
+    res = gauss_sum(Q, 0, guards, N, N * den, s.domain.tag, params=params)
     if res.coeff.is_zero():
         return zero_state(op.domain_out)
     # the guards on the output index (q is summed out) give its coset
-    step, base, kept = _guard_coset(res.guards + ((res.guard,) if res.guard else ()), 1, 3)
+    step, base, kept = _guard_coset(res.guards, 1, 3)
     if never_holds(kept):
         return zero_state(op.domain_out)
     if N % step:
@@ -456,9 +455,9 @@ def apply_operator(params: Params, op: GaussOperator, s) -> GaussState:
 
 def compose(params: Params, op1: GaussOperator, op2: GaussOperator) -> GaussOperator:
     """op1 after op2: kernel(q, r) = sum_m k2(q, m) k1(m, r), Gauss-summed
-    over the intermediate variable.  The composed support is the finest of
-    the divisibility guard and the two supports restricted to the summed
-    coset; it must imply the others (a single pair congruence)."""
+    over the intermediate variable.  The composed support is the kernel's
+    guards lifted onto (q, r): each divided by its content with its
+    coefficients reduced mod its modulus, less those another one implies."""
     if op1.domain_in != op2.domain_out:
         raise DomainMismatch("compose: op1 input must match op2 output")
     dom_in, dom_out = op2.domain_in, op1.domain_out
@@ -476,37 +475,26 @@ def compose(params: Params, op1: GaussOperator, op2: GaussOperator) -> GaussOper
         [0, 0, op1.kC * f1, 2 * op1.kE * f1],
         [0, 0, 0, 0],
     ]
-    k1, aq1, ar1, d1 = op1.support
-    k2, aq2, ar2, d2 = op2.support
-    supports = [(k1, (0, aq1, ar1, -d1)), (k2, (aq2, ar2, 0, -d2))]
-    res = gauss_sum(Q, 1, [_summed_guard(k, v, 1) for k, v in supports if k > 1], N, N * den, tag,
-                    params=params)
+    guards = [_summed_guard(k, (0, aq, ar, c), 1) for k, (aq, ar, c) in op1.support]
+    guards += [_summed_guard(k, (aq, ar, 0, c), 1) for k, (aq, ar, c) in op2.support]
+    res = gauss_sum(Q, 1, guards, N, N * den, tag, params=params)
     if res.coeff.is_zero():
         return zero
-    # each support restricted to the summed coset m = base (mod a step that
-    # the support moduli divide): trivial for the one the sum followed
-    cosets = ([res.guard] if res.guard else []) + [
-        (k, [c + v[1] * b for c, b in zip(v, res.base)]) for k, v in supports
-    ]
-    pairs = []
-    for k, v in cosets:
-        c = math.gcd(k, v[0], v[2], v[3])
-        if k > c:
-            pairs.append((k // c, [v[0] // c, 0, v[2] // c, v[3] // c]))
-    support = (1, 0, 0, 0)
-    for k, v in pairs:
-        if all(divides_on_guards(kc, vc, [(k, v)]) for kc, vc in pairs):
-            support = (k, v[0] % k, v[2] % k, -v[3] % k)
-            break
-    else:
-        if pairs:
-            raise NonGaussianSum("pair cosets outside the single-congruence fragment")
+    lifted = []
+    for k, (a, _, b, c) in res.guards:
+        g = math.gcd(k, a, b, c)
+        k //= g
+        lifted.append((k, (a // g % k, b // g % k, c // g % k)))
+    support = []
+    for i, (k, v) in enumerate(lifted):
+        if not any(divides_on_guards(k, v, [h]) for h in support + lifted[i + 1:]):
+            support.append((k, v))
     R = res.Q
     dd = res.M // N
     coeff = op1.coeff * op2.coeff * res.coeff * GaussCoeff.phase_of(Fraction(R[3][3], 2 * N * dd), tag)
     return GaussOperator(
         coeff, R[0][0], R[0][2] // 2, R[2][2], dom_in, dom_out,
-        kD=R[0][3] // 2, kE=R[2][3] // 2, den=dd, support=support,
+        kD=R[0][3] // 2, kE=R[2][3] // 2, den=dd, support=tuple(support),
         unitary=op1.unitary and op2.unitary,
     )
 

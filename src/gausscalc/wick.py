@@ -72,7 +72,7 @@ def wick_operator(params: Params, op: GaussOperator) -> GaussOperator:
     if op.domain_in.tag != "U" or op.domain_out.tag != "U":
         raise WrongDomain("wick_operator expects a U-domain operator")
     target = domain_v(params)
-    if op.support[0] > 1 and target.N % op.support[0]:
+    if any(target.N % k for k, _ in op.support):
         raise WrongDomain("kernel coset does not fit the V sublattice")
     return GaussOperator(
         wick_coeff(params, op.coeff),

@@ -16,10 +16,12 @@ guard can never hold) are listed in `golden_widened.txt`, written by
 
     PYTHONPATH=src python tests/test_golden.py --widened
 
-and each must give a result.  The widened V entries are checked against
-the literal oracles at every point below, the apply ones on U after
-rebuilding them on the (6, 1) tower; the parametrized oracle tests in
-test_gauss.py and test_hilbert.py check the kernel's branches.
+and each must give a result.  The widened apply/V entries and every
+accepted compose/V entry are checked against the literal oracles at every
+point below; on U, after rebuilding the grid on the (6, 1) tower, the
+widened apply entries at every point and every accepted compose entry at
+a seeded sample of points.  The parametrized oracle tests in test_gauss.py
+and test_hilbert.py check the kernel's branches.
 
     PYTHONPATH=src python tests/test_golden.py --refusals
 
@@ -239,14 +241,14 @@ def _grid_objects(u_params=None):
                D.fourier_operator(params, dom)]
         if dom.tag == "V":
             out += [D.free_propagator(params, t, dom) for t in (1, 2, 3, 4, 6, 12)]
-        for support in ((1, 0, 0, 0), (2, 1, -1, 0), (3, 1, 1, 2), (4, -1, 1, 1), (6, 1, -1, 3),
-                        (8, -1, -1, 0), (9, 1, 2, 0), (12, 5, -1, 0), (12, 2, -1, 0), (16, 1, -1, 1)):
+        for guard in (None, (2, (1, -1, 0)), (3, (1, 1, -2)), (4, (-1, 1, -1)), (6, (1, -1, -3)),
+                      (8, (-1, -1, 0)), (9, (1, 2, 0)), (12, (5, -1, 0)), (12, (2, -1, 0)), (16, (1, -1, -1))):
             for _ in range(3):
                 kA, kC = rng.choice((0, -1, -2)), rng.choice((0, -1, -2))
                 out.append(H.GaussOperator(
                     H.unit_normalization(params, dom), kA, rng.randint(-2, 2), kC, dom, dom,
                     kD=rng.randint(-2, 2), kE=rng.randint(-2, 2), den=rng.choice((1, 1, 2)),
-                    support=support))
+                    support=(guard,) if guard else ()))
         return out
 
     towers = (("V", P, H.domain_v(P)), ("U", u_params or P, H.domain_u(u_params or P)))
@@ -350,7 +352,7 @@ def test_widened_v_results_match_the_literal_oracles():
     # product of the two kernel blocks
     q = H.domain_v(P).index_vector()
     keys = _accepted("compose/V/")
-    assert len(keys) >= 228
+    assert len(keys) >= 248
     for i, j in keys:
         op1, op2 = ops[i], ops[::2][j]
         block = [op.kernel_block(P, q[:, None], q[None, :]) for op in (H.compose(P, op1, op2), op2, op1)]
@@ -384,7 +386,7 @@ def test_widened_u_lifts_match_the_literal_oracle_on_a_small_u_domain():
             want = op2.kernel_block(P6, qs[:, None], m[None, :]) @ op1.kernel_block(P6, m[:, None], rs[None, :])
             assert np.array_equal(op.kernel_block(P6, qs[:, None], rs[None, :]), want % P6.p), (i, j)
             checked += 1
-    assert checked >= 208
+    assert checked >= 241
 
 
 # -- recording and checking -------------------------------------------------------

@@ -2,12 +2,16 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from gausscalc.arith import DomainMismatch, ParamSpec, find_params
 from gausscalc.climit import ContinuumGaussian, continuum_inner_closed
 from gausscalc.coeffring import GaussCoeff, to_complex, to_fp
 from gausscalc.dynamics import fourier_operator
+from gausscalc.gauss import NonGaussianSum
 from gausscalc.hilbert import (
     BadCoset,
     DenseState,
@@ -249,7 +253,7 @@ def test_check_unitary_scaled_kernel_fails(params, V):
 
 def test_check_unitary_reports_a_non_orthogonal_operator(params, V):
     # every column is the unit vector u[0]: unit columns, but <A u[q] | A u[q']> = 1
-    collapse = GaussOperator(GaussCoeff.one(), 0, 0, 0, V, V, support=(V.N, 0, 1, 0))
+    collapse = GaussOperator(GaussCoeff.one(), 0, 0, 0, V, V, support=((V.N, (0, 1, 0)),))
     report = check_unitary(params, collapse)
     assert not report.ok and not report.column_failures
     assert (0, 1, 1, 0) in report.pairing_failures
@@ -258,7 +262,7 @@ def test_check_unitary_reports_a_non_orthogonal_operator(params, V):
 def test_check_unitary_reports_a_colliding_operator(params, V):
     # q |-> 2q mod 144 maps q and q + 72 to the same output: unit columns,
     # but <A u[0] | A u[-72]> = 1
-    doubling = GaussOperator(GaussCoeff.one(), 0, 0, 0, V, V, support=(144, 2, -1, 0))
+    doubling = GaussOperator(GaussCoeff.one(), 0, 0, 0, V, V, support=((144, (2, -1, 0)),))
     report = check_unitary(params, doubling)
     assert not report.ok and not report.column_failures
     assert (0, -72, 1, 0) in report.pairing_failures
@@ -310,6 +314,16 @@ def test_restrict_bad_coset(params, V):
         restrict(params, s, 5)
     empty = restrict(params, restrict(params, s, 2, 0), 2, 1)
     assert empty.is_zero()
+
+
+@pytest.mark.parametrize("bad", [(0, (1, -1, 0)), (-3, (1, -1, 0)), (288, (1, 0, 0)), (288, (0, 1, 0))])
+def test_operator_bad_guard_anywhere_in_the_support(V, bad):
+    # a modulus below 1, or a guard that the index wraparound mod N = 144
+    # breaks (288 does not divide 1 * 144), first or second in the support
+    for support in ((bad,), ((2, (1, -1, 0)), bad)):
+        with pytest.raises(BadCoset):
+            GaussOperator(GaussCoeff.one(), 0, 0, 0, V, V, support=support)
+    GaussOperator(GaussCoeff.one(), 0, 0, 0, V, V, support=((2, (1, -1, 0)), (288, (2, 2, 1))))
 
 
 def test_permutation_unitary(params, V):
@@ -438,8 +452,8 @@ def test_apply_widened_fragment_vs_dense(params, V, t, A, support):
 
 @pytest.mark.parametrize("form1, form2", [((-1, 1, -1), (0, -1, 0)), ((0, 1, 0), (0, -1, 0))])
 def test_compose_coprime_supports_vs_brute(params, V, form1, form2):
-    op1 = GaussOperator(unit_normalization(params, V), *form1, V, V, support=(2, 1, -1, 0))
-    op2 = GaussOperator(unit_normalization(params, V), *form2, V, V, kE=1, support=(3, 1, -1, 1))
+    op1 = GaussOperator(unit_normalization(params, V), *form1, V, V, support=((2, (1, -1, 0)),))
+    op2 = GaussOperator(unit_normalization(params, V), *form2, V, V, kE=1, support=((3, (1, -1, -1)),))
     prod = compose(params, op1, op2)
     pairs = [(0, 0), (1, 3), (-5, 2), (7, -7), (4, 1), (-2, -3)]
     pairs += [(q, r) for q in range(-6, 6) for r in range(-6, 6) if prod.on_support(q, r)][:6]
@@ -461,7 +475,7 @@ def _composition_sum(params, op1, op2, q, r):
 def test_apply_guard_with_gcd_on_the_state_coset(params, V):
     # the kernel support 2q - r = 0 (mod 12) does not pin q, but on the state's
     # coset q = 5 (mod 144) it reads r = 10 (mod 12), as for the position state u[5]
-    op = GaussOperator(unit_normalization(params, V), 0, 0, 0, V, V, support=(12, 2, -1, 0))
+    op = GaussOperator(unit_normalization(params, V), 0, 0, 0, V, V, support=((12, (2, -1, 0)),))
     s = GaussState(GaussCoeff.one(), 0, 0, 0, V, support=(144, 5))
     out = apply_operator(params, op, s)
     assert out == apply_operator(params, op, PositionState(5, V))
@@ -477,7 +491,7 @@ def test_apply_inconsistent_supports_is_zero():
     # integral period
     small = find_params(ParamSpec(2, 1))
     V4 = domain_v(small)
-    op = GaussOperator(GaussCoeff.one(), -3, -1, 0, V4, V4, kD=-2, kE=-1, support=(2, -1, 2, 1))
+    op = GaussOperator(GaussCoeff.one(), -3, -1, 0, V4, V4, kD=-2, kE=-1, support=((2, (-1, 2, -1)),))
     s = GaussState(GaussCoeff.one(), -1, -2, 0, V4, support=(2, 0))
     assert apply_operator(small, op, s).is_zero()
     assert not any(apply_dense(small, op, DenseState.from_state(small, s)).coords.values())
@@ -490,7 +504,7 @@ def test_compose_unsatisfiable_guard_is_zero_operator():
     small = find_params(ParamSpec(2, 1))
     V4 = domain_v(small)
     op1 = GaussOperator(GaussCoeff.one(), -2, 0, 0, V4, V4, kD=-2, den=2)
-    op2 = GaussOperator(GaussCoeff.one(), 0, 2, 1, V4, V4, kD=2, support=(2, 1, 1, 1))
+    op2 = GaussOperator(GaussCoeff.one(), 0, 2, 1, V4, V4, kD=2, support=((2, (1, 1, -1)),))
     prod = compose(small, op1, op2)
     assert prod.is_zero()
     for q in V4.index_range():
@@ -498,16 +512,16 @@ def test_compose_unsatisfiable_guard_is_zero_operator():
             assert _composition_sum(small, op1, op2, q, r) == 0, (q, r)
 
 
-# supports a q + b r = d (mod k) whose r coefficient shares a factor with k:
+# support guards k | a q + b r + c whose r coefficient shares a factor with k:
 # the image of u[q] lives on a coset of r with step k / gcd(b, k), or is zero
-POSITION_SUPPORTS = [(4, 1, 2, 1), (4, 1, 2, 0), (6, 1, 4, 3), (12, 3, 8, 0), (8, 2, 4, 2), (9, 3, 6, 0),
-                     (6, 0, 3, 1), (4, 2, 0, 1)]
+POSITION_SUPPORTS = [(4, (1, 2, -1)), (4, (1, 2, 0)), (6, (1, 4, -3)), (12, (3, 8, 0)), (8, (2, 4, -2)),
+                     (9, (3, 6, 0)), (6, (0, 3, -1)), (4, (2, 0, -1))]
 
 
 def test_apply_to_position_state_on_a_gcd_support_vs_dense(params, V):
     zeros = 0
     for support in POSITION_SUPPORTS:
-        op = GaussOperator(unit_normalization(params, V), -1, 2, -2, V, V, kD=1, kE=-3, den=2, support=support)
+        op = GaussOperator(unit_normalization(params, V), -1, 2, -2, V, V, kD=1, kE=-3, den=2, support=(support,))
         for q in range(-9, 9):
             s = PositionState(q, V)
             out = apply_operator(params, op, s)
@@ -516,3 +530,70 @@ def test_apply_to_position_state_on_a_gcd_support_vs_dense(params, V):
             for r in V.index_range():
                 assert to_fp(params, out.coordinate(r)) == dense_out.coords[r], (support, q, r)
     assert zeros == 85
+
+
+# -- multi-guard operators through the public lifts, on N_v = 36 --------------------
+# the (6, 1) tower's V domain; every operator and state phase is N-periodic
+# (a den of 2 comes with even coefficients), so the literal sums are
+# well-defined over the whole domain
+
+SIX = find_params(ParamSpec(6, 1))
+V36 = domain_v(SIX)
+FUZZ_MODULI = (2, 3, 4, 6, 9, 12, 18, 36)  # the divisors of 36
+_guards = st.lists(st.tuples(st.sampled_from(FUZZ_MODULI),
+                             st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-6, 6))), max_size=2)
+_operators = st.tuples(st.sampled_from((1, 2)), st.lists(st.integers(-2, 2), min_size=5, max_size=5), _guards)
+_states = st.tuples(st.sampled_from((1, 2)), st.integers(-2, 2), st.integers(-3, 3), st.integers(-3, 3),
+                    st.sampled_from((1,) + FUZZ_MODULI), st.integers(0, 35))
+
+
+def _fuzz_operator(den, ks, guards):
+    kA, kB, kC, kD, kE = (den * k for k in ks)
+    return GaussOperator(unit_normalization(SIX, V36), kA, kB, kC, V36, V36, kD=kD, kE=kE, den=den,
+                         support=tuple(guards))
+
+
+def _lifted_or_refused(fn, what):
+    try:
+        return fn()
+    except NonGaussianSum:
+        event(f"{what} refused")
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_operators, _operators, _states, st.integers(-18, 17))
+def test_multi_guard_lifts_vs_literal(d1, d2, sd, q):
+    # compose against the product of the kernel blocks at every (q, r), and
+    # apply_operator against apply_dense at every r, for the drawn operator
+    # and for the composition; refusals are allowed
+    P, p = SIX, SIX.p
+    op1, op2 = _fuzz_operator(*d1), _fuzz_operator(*d2)
+    idx = V36.index_vector()
+    ops = [op1]
+    prod = _lifted_or_refused(lambda: compose(P, op1, op2), "compose")
+    if prod is not None:
+        blocks = [op.kernel_block(P, idx[:, None], idx[None, :]) for op in (prod, op2, op1)]
+        assert np.array_equal(blocks[0], blocks[1] @ blocks[2] % p), prod.support
+        ops.append(prod)
+    den, A, L, C, k, d = sd
+    s = GaussState(unit_normalization(P, V36), den * A, den * L, C, V36, den=den, support=(k, d))
+    for op in ops:
+        for state in (s, PositionState(q, V36)):
+            out = _lifted_or_refused(lambda: apply_operator(P, op, state), "apply")
+            if out is not None:
+                want = apply_dense(P, op, DenseState.from_state(P, state)).vec
+                assert np.array_equal(DenseState.from_state(P, out).vec, want), (op.support, state)
+
+
+def test_compose_keeps_one_of_two_equivalent_guards():
+    # 4 | r + 1 and 4 | 3r + 3 hold on the same r: each implies the other,
+    # and the composed support keeps one of them
+    unit = unit_normalization(SIX, V36)
+    op1 = GaussOperator(unit, -1, 1, 0, V36, V36, support=((4, (0, 1, 1)), (4, (0, 3, 3))))
+    op2 = GaussOperator(unit, 0, -1, 0, V36, V36)
+    prod = compose(SIX, op1, op2)
+    assert prod.support == ((4, (0, 3, 3)),)
+    idx = V36.index_vector()
+    blocks = [op.kernel_block(SIX, idx[:, None], idx[None, :]) for op in (prod, op2, op1)]
+    assert blocks[0].any() and np.array_equal(blocks[0], blocks[1] @ blocks[2] % SIX.p)

@@ -134,7 +134,7 @@ def operators(params, domain):
         weyl_pair(params, domain).V,
         free_propagator(params, 2, domain),
         GaussOperator(unit * GaussCoeff(Fraction(2, 3), 2, 0, 1, Phase(Fraction(1, 8), domain.tag)),
-                      -1, 2, -3, domain, domain, kD=1, kE=-2, den=2, support=(4, 1, 1, 2)),
+                      -1, 2, -3, domain, domain, kD=1, kE=-2, den=2, support=((4, (1, 1, -2)),)),
     ]
     if domain.tag == "U":
         ops.append(sm_transfer(params, QuadForm(-1, 1, -2), domain))
@@ -312,7 +312,7 @@ def test_kernel_block_when_the_phase_free_part_raises(small):
     U = domain_u(small)
     rooted = GaussCoeff(rho=7)  # 56 does not divide p - 1 = 256
     foreign = GaussCoeff.phase_of(Fraction(1, 16), "V") * rooted
-    every, odd_q = (1, 0, 0, 0), (2, 1, 0, 1)  # first entry on the support: q = -8, q = -7
+    every, odd_q = (), ((2, (1, 0, -1)),)  # first entry on the support: q = -8, q = -7
     # with kD = 1 the first entry's phase is nonzero, and a coefficient phase
     # of the other scale makes the product raise DomainMismatch before to_fp
     cases = [

@@ -8,6 +8,7 @@ from gausscalc.coeffring import GaussCoeff, to_complex, to_fp
 from gausscalc.dynamics import sm_transfer
 from gausscalc.hilbert import (
     GaussOperator,
+    GaussState,
     QuadForm,
     compose,
     domain_u,
@@ -69,6 +70,17 @@ def test_wick_state_uniform(params, U):
     assert w.coeff == unit_normalization(params, domain_v(params))
     with pytest.raises(WrongDomain):
         wick_state(params, w)
+
+
+def test_wick_refuses_a_modulus_that_does_not_divide_n_v(params, U):
+    # 288 divides N_u = 82944, not N_v = 144; as the second guard of the
+    # support, after one that fits
+    op = GaussOperator(GaussCoeff.one(), 0, 0, 0, U, U, support=((2, (1, -1, 0)), (288, (1, -1, 0))))
+    with pytest.raises(WrongDomain):
+        wick_operator(params, op)
+    s = GaussState(GaussCoeff.one(), -1, 0, 0, U, support=(288, 1))
+    with pytest.raises(WrongDomain):
+        wick_state(params, s)
 
 
 def test_wick_state_coordinates_agree_on_sublattice(params, U):
