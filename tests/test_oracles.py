@@ -12,7 +12,9 @@ Gauss sum, are checked against whole-grid and one-term-at-a-time sums.
 """
 
 import cmath
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +36,20 @@ from gausscalc.arith import (
 from gausscalc.climit import _mollified_phase, _simpson
 from gausscalc.coeffring import GaussCoeff, to_fp
 from gausscalc.dynamics import fourier_operator, free_propagator, sm_transfer, weyl_pair
-from gausscalc.frontend import eval_expr, parse
+from gausscalc.frontend import (
+    E8Atom,
+    JAtom,
+    PhaseAtom,
+    Plus,
+    Poly,
+    Prod,
+    Quant,
+    Rat,
+    SqrtAtom,
+    eval_expr,
+    format_expr,
+    parse,
+)
 from gausscalc.gauss import _brute_complex
 from gausscalc.hilbert import (
     DenseState,
@@ -392,6 +407,89 @@ def test_eval_expr_with_big_integers(tower, request):
                    for r in range(-N // 2, N // 2)) % p
         assert eval_expr(parse(text), ps, {"x": x}) == want
         assert isinstance(eval_expr(parse(text), ps, {"x": x}), int)
+
+
+def _random_tree(rng, domain, scope, bound):
+    """A product of 1-3 atoms over `scope`, sometimes summed with one more
+    atom, with the quantifiers over `bound` nested inside it (siblings when
+    more than one is left); any phase polynomial of degree <= 2."""
+
+    def atom():
+        kind = rng.choice(["rat", "j", "e8", "sqrt", "phase", "phase", "phase"])
+        if kind == "rat":
+            return Rat(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        if kind == "sqrt":
+            return SqrtAtom(Fraction(rng.choice([1, 2, 8, 9, 18]), rng.randint(1, 2)))
+        if kind != "phase":
+            return JAtom() if kind == "j" else E8Atom()
+        names = list(scope)
+        terms = {(): rng.randint(-5, 5)}
+        for _ in range(rng.randint(1, 3)):
+            mono = tuple(sorted(rng.sample(names, k=rng.randint(1, min(2, len(names))))))
+            if rng.random() < 0.3:
+                mono = (mono[0], mono[0])
+            terms[mono] = rng.choice([rng.randint(-6, 6), (1 << 62) + rng.randint(0, 9)])
+        return PhaseAtom(Poly.from_dict(terms), domain)
+
+    parts = [atom() for _ in range(rng.randint(1, 3))]
+    if bound:
+        split = rng.randint(1, len(bound) - 1) if len(bound) > 1 and rng.random() < 0.4 else len(bound)
+        for group in (bound[:split], bound[split:]):
+            if group:
+                v = group[0]
+                body = _random_tree(rng, domain, scope + [v], group[1:])
+                parts.append(Quant(rng.choice(["sum", "int"]), v, body))
+    rng.shuffle(parts)
+    expr = parts[0] if len(parts) == 1 else Prod(tuple(parts))
+    return Plus((expr, atom())) if rng.random() < 0.3 else expr
+
+
+def _pointwise(e, ps, asg, dom):
+    """The literal value of `e`: nested Python loops over the domain, one
+    pow(xi_2N, poly mod 2N, p) per phase atom per point."""
+    p = ps.p
+    if isinstance(e, Rat):
+        return e.value.numerator * pow(e.value.denominator, -1, p) % p
+    if isinstance(e, JAtom):
+        return ps.j % p
+    if isinstance(e, E8Atom):
+        return ps.xi(8)
+    if isinstance(e, SqrtAtom):
+        return to_fp(ps, GaussCoeff.sqrt(e.value))
+    if isinstance(e, PhaseAtom):
+        two_n = 2 * (ps.N_v if e.domain == "V" else ps.N_u)
+        return pow(ps.xi(two_n), e.poly.eval(asg) % two_n, p)
+    if isinstance(e, Prod):
+        return math.prod(_pointwise(f, ps, asg, dom) for f in e.factors) % p
+    if isinstance(e, Plus):
+        return sum(_pointwise(t, ps, asg, dom) for t in e.terms) % p
+    N = ps.N_v if dom == "V" else ps.N_u
+    total = sum(_pointwise(e.body, ps, {**asg, e.var: r}, dom) for r in range(-N // 2, N // 2))
+    if e.kind == "int":
+        total *= to_fp(ps, unit_normalization(ps, domain_v(ps) if dom == "V" else domain_u(ps)))
+    return total % p
+
+
+@pytest.mark.parametrize("tower", ["small", "wide"])
+def test_eval_expr_equals_the_pointwise_sum(tower, request):
+    # every node kind, 1-3 quantifiers (nested or siblings), U and V; on the
+    # small tower at every (x, y) of the domain (x alone for the 16^3-point
+    # U nests), on the p > 2^31 tower at a few points
+    ps = request.getfixturevalue(tower)
+    rng = random.Random(0xE7A1)
+    for domain in ("V", "U"):
+        N = ps.N_v if domain == "V" else ps.N_u
+        grid = range(-N // 2, N // 2)
+        for n_quant in (1, 2, 3, 1, 2, 3):
+            frees = ["x"] if domain == "U" and n_quant == 3 else ["x", "y"]
+            e = _random_tree(rng, domain, frees, [f"q{i}" for i in range(n_quant)])
+            if tower == "small":
+                points = [dict(zip(frees, xy)) for xy in itertools.product(grid, repeat=len(frees))]
+            else:
+                points = [{"x": rng.randrange(-N, N), "y": rng.randrange(-N, N)} for _ in range(2)]
+            scale = domain if "@" in format_expr(e) else "V"  # a tree with no phase sums on V
+            for asg in points:
+                assert eval_expr(e, ps, asg) == _pointwise(e, ps, asg, scale), (format_expr(e), asg)
 
 
 # -- the floating-point oracles ----------------------------------------------------
