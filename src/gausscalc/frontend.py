@@ -33,17 +33,25 @@ The parser adds its terms into a monomial -> coefficient dict and builds
 one ``Poly`` per phase atom; expansion and elimination work on such dicts,
 laid out positionally for the kernel at each summation step, and
 ``eliminate`` builds each normal-form term's ``Poly`` once.
+
+``eval_expr``, the literal oracle elimination is checked against, sums
+each quantifier nest's body over the numpy index grid of its bound
+variables, up to ``arith.BLOCK`` elements; outer quantifiers beyond that
+cap loop over their values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import ArithError, DomainMismatch, Params
+import numpy as np
+
+from .arith import BLOCK, ArithError, DomainMismatch, Params, poly_mod
 from .coeffring import GaussCoeff, to_fp, unit_normalization
 from .gauss import gauss_sum
 
@@ -519,45 +527,71 @@ def eval_expr(
     assignment: dict[str, int] | None = None,
     domain: str | None = None,
 ) -> int:
-    """Literal recursive evaluation in F_p; quantifiers are evaluated by
-    explicit summation over the domain index range.  The QE correctness
-    oracle."""
-    assignment = dict(assignment or {})
+    """Literal evaluation in F_p, the QE correctness oracle: each quantifier
+    sums its body over the whole domain index range.  A quantifier nest's
+    body is evaluated at once over the numpy index grid of its bound
+    variables, one axis each, joined from the innermost quantifier outward
+    while the grid stays within ``arith.BLOCK`` elements (the innermost
+    always joins); a quantifier that does not fit loops over its values."""
     domains = _domains(e)
-    return _eval_fp(e, params, assignment, domain or _scale(domains, e) or "V", domains)
+    run, _, _ = _compile(e, params, domain or _scale(domains, e) or "V", domains)
+    return run(dict(assignment or {}))
 
 
-def _eval_fp(e: Expr, params: Params, asg: dict[str, int], dom: str, domains: dict) -> int:
+def _compile(e: Expr, params: Params, dom: str, domains: dict):
+    """`e` as a function from its variables' values (ints, or index arrays
+    on grid axes) to residues, with the number of grid axes its arrays span
+    and its largest grid's size (inf once a quantifier in it loops)."""
     p = params.p
-    if isinstance(e, Rat):
-        return e.value.numerator % p * pow(e.value.denominator, -1, p) % p
-    if isinstance(e, JAtom):
-        return params.j % p
-    if isinstance(e, E8Atom):
-        return params.xi(8)
-    if isinstance(e, SqrtAtom):
-        return to_fp(params, GaussCoeff.sqrt(e.value))
+    if isinstance(e, (Rat, JAtom, E8Atom, SqrtAtom)):
+        if isinstance(e, Rat):
+            c = e.value.numerator % p * pow(e.value.denominator, -1, p) % p
+        elif isinstance(e, SqrtAtom):
+            c = to_fp(params, GaussCoeff.sqrt(e.value))
+        else:
+            c = params.j % p if isinstance(e, JAtom) else params.xi(8)
+        return (lambda env: c), 0, 1
     if isinstance(e, PhaseAtom):
         two_n = 2 * _domain_size(params, e.domain)
-        return pow(params.xi(two_n), e.poly.eval(asg) % two_n, p)
-    if isinstance(e, Prod):
-        out = 1
-        for f in e.factors:
-            out = out * _eval_fp(f, params, asg, dom, domains) % p
-        return out
-    if isinstance(e, Plus):
-        return sum(_eval_fp(t, params, asg, dom, domains) for t in e.terms) % p
+        table = params.power_table(two_n)
+
+        def phase(env):
+            try:
+                k = poly_mod(two_n, [(c, *(env[v] for v in m)) for m, c in e.poly.coeffs])
+            except KeyError as exc:
+                raise UnboundVariable(f"unbound variable {exc.args[0]!r}") from None
+            return table[k] if isinstance(k, np.ndarray) else int(table[k])
+
+        return phase, 0, 1
+    if isinstance(e, (Prod, Plus)):
+        parts = [_compile(c, params, dom, domains) for c in (e.factors if isinstance(e, Prod) else e.terms)]
+        fns = [f for f, _, _ in parts]
+        axes = max((a for _, a, _ in parts), default=0)
+        size = max((s for _, _, s in parts), default=1)
+        if isinstance(e, Plus):
+            return (lambda env: sum(f(env) for f in fns) % p), axes, size
+        return (lambda env: functools.reduce(lambda out, f: out * f(env) % p, fns, 1)), axes, size
     if isinstance(e, Quant):
         sub_dom = _scale(domains, e) or dom
         N = _domain_size(params, sub_dom)
-        total = 0
-        for r in range(-N // 2, N // 2):
-            asg[e.var] = r
-            total = (total + _eval_fp(e.body, params, asg, sub_dom, domains)) % p
-        del asg[e.var]
-        if e.kind == "int":
-            total = total * to_fp(params, unit_normalization(params.m, sub_dom)) % p
-        return total
+        body, axes, size = _compile(e.body, params, sub_dom, domains)
+        unit = to_fp(params, unit_normalization(params.m, sub_dom)) if e.kind == "int" else 1
+        if size == 1 or N * size <= BLOCK:
+            index = np.arange(-N // 2, N // 2).reshape((N,) + (1,) * axes)
+
+            def grid_sum(env):
+                x = body({**env, e.var: index})
+                on_axis = isinstance(x, np.ndarray) and x.ndim > axes and x.shape[-1 - axes] == N
+                x = (x.sum(axis=-1 - axes, keepdims=True) if on_axis else x * N) % p * unit % p
+                return x.item() if isinstance(x, np.ndarray) and x.size == 1 else x
+
+            return grid_sum, axes + 1, N * size
+
+        def loop_sum(env):
+            total = sum(body({**env, e.var: r}) for r in range(-N // 2, N // 2))
+            return total % p * unit % p
+
+        return loop_sum, 0, math.inf
     raise ArithError(f"cannot evaluate {type(e).__name__}")
 
 

@@ -489,6 +489,9 @@ def compose(params: Params, op1: GaussOperator, op2: GaussOperator) -> GaussOper
     for i, (k, v) in enumerate(lifted):
         if not any(divides_on_guards(k, v, [h]) for h in support + lifted[i + 1:]):
             support.append((k, v))
+    for k, (a, b, c) in support:  # a kernel phase that is not N-periodic can lift such a guard
+        if (a * dom_in.N) % k or (b * dom_out.N) % k:
+            raise NonGaussianSum(f"composed guard {k} | {a}*q + {b}*r + {c} breaks the index wraparound")
     R = res.Q
     dd = res.M // N
     coeff = op1.coeff * op2.coeff * res.coeff * GaussCoeff.phase_of(Fraction(R[3][3], 2 * N * dd), tag)

@@ -327,16 +327,17 @@ def test_qe_soundness_random(small, domain):
 @pytest.mark.parametrize("domain", ["V", "U"])
 def test_qe_soundness_whole_domain(small, domain):
     # the normal form against the literal sum at every (x, y) of the domain;
-    # a 3-quantifier U expression keeps x free only, because its literal sum
-    # (16^3 terms) at each of the 16^2 points would take seconds
+    # the first 3-quantifier U draws keep x free only, the last two both
     from gausscalc.gauss import NonGaussianSum
 
     rng = random.Random(0x5EED if domain == "V" else 0xD0E)
     N = small.N_v if domain == "V" else small.N_u
     grid = range(-N // 2, N // 2)
-    plan = [1, 1, 2, 2, 3, 3] * (3 if domain == "V" else 1)
-    for n_quant in plan:
-        frees = ("x",) if domain == "U" and n_quant == 3 else ("x", "y")
+    plan = [(n, ("x",) if domain == "U" and n == 3 else ("x", "y"))
+            for n in [1, 1, 2, 2, 3, 3] * (3 if domain == "V" else 1)]
+    if domain == "U":
+        plan += [(3, ("x", "y"))] * 2
+    for n_quant, frees in plan:
         for _ in range(50):
             e = random_expression(rng, n_quant, domain, frees)
             try:
@@ -350,6 +351,28 @@ def test_qe_soundness_whole_domain(small, domain):
             for y in grid if "y" in frees else (0,):
                 asg = {"x": x, "y": y}
                 assert eval_normal_form(nf, small, asg) == eval_expr(e, small, asg), (format_expr(e), asg)
+
+
+@pytest.mark.parametrize("tower, text, points", [
+    # N_u = 1024: the 1024^2-point grid exceeds BLOCK, so the outer sum loops
+    ((4, 2), "sum r . sum s . e((-r^2 + 2*r*s + 2*r*x)/2N @U) * e((-2*s^2 + 2*s*y)/2N @U)",
+     [(0, 0), (3, -5), (-7, 2)]),
+    # N_v = 144: 144^2 points fit, 144^3 do not, so the outermost sum loops;
+    # the normal form's guard 12 | (-8 + 4x - 8y) holds at the first three points
+    ((12, 2), "sum r . sum s . sum t . e((-r^2 + 2*r*s + 2*r*x)/2N @V) * e((s^2 + 2*s*t + 2*s*y)/2N @V)"
+              " * e((-t^2 + 2*t)/2N @V)",
+     [(2, 0), (0, -1), (4, 1), (1, 0)]),
+], ids=["mid-U", "default-V"])
+def test_eval_expr_loops_the_quantifiers_outside_the_grid_cap(tower, text, points):
+    params = find_params(ParamSpec(*tower))
+    e = parse(text)
+    nf = eliminate(e, params)
+    values = set()
+    for x, y in points:
+        want = eval_normal_form(nf, params, {"x": x, "y": y})
+        assert eval_expr(e, params, {"x": x, "y": y}) == want, (x, y)
+        values.add(want)
+    assert len(values) == len(points)  # nonzero at the guarded points, and distinct
 
 
 def test_rebinding_is_rejected_by_parse_eliminate_and_eval_expr(small):

@@ -586,6 +586,16 @@ def test_multi_guard_lifts_vs_literal(d1, d2, sd, q):
                 assert np.array_equal(DenseState.from_state(P, out).vec, want), (op.support, state)
 
 
+def test_compose_refuses_a_lifted_guard_that_breaks_the_wraparound():
+    # den-2 kernels with odd coefficients are not N-periodic; the Gauss sum
+    # lifts 72 | r, which N = 36 does not keep well-defined
+    one = GaussCoeff.one()
+    op1 = GaussOperator(one, -2, 1, -2, V36, V36, den=2, support=((12, (0, -2, -4)),))
+    op2 = GaussOperator(one, 0, 0, 2, V36, V36, den=2)
+    with pytest.raises(NonGaussianSum, match=r"composed guard 72 \| 0\*q \+ 1\*r \+ 0"):
+        compose(SIX, op1, op2)
+
+
 def test_compose_keeps_one_of_two_equivalent_guards():
     # 4 | r + 1 and 4 | 3r + 3 hold on the same r: each implies the other,
     # and the composed support keeps one of them
