@@ -251,6 +251,13 @@ def state_from_descriptor(params: Params, d: dict) -> GaussState:
     )
 
 
+def _wraps(guard, domain_in: Domain, domain_out: Domain) -> bool:
+    """Whether the guard (k, (aq, ar, c)) is well-defined under index
+    wraparound mod N: k divides aq*N_in and ar*N_out."""
+    k, (aq, ar, _) = guard
+    return (aq * domain_in.N) % k == 0 and (ar * domain_out.N) % k == 0
+
+
 @dataclass(frozen=True)
 class GaussOperator:
     """u[q] |-> coeff * sum_r e(alpha(q, r)/(2 N den)) u[r] where every
@@ -272,11 +279,10 @@ class GaussOperator:
     unitary: bool = False
 
     def __post_init__(self) -> None:
-        for k, (aq, ar, _) in self.support:
-            if k < 1:
+        for guard in self.support:
+            if guard[0] < 1:
                 raise BadCoset("support modulus must be positive")
-            # each guard must be well-defined under index wraparound mod N
-            if (aq * self.domain_in.N) % k or (ar * self.domain_out.N) % k:
+            if not _wraps(guard, self.domain_in, self.domain_out):
                 raise BadCoset("support coset not compatible with the domain period")
 
     def is_zero(self) -> bool:
@@ -490,7 +496,7 @@ def compose(params: Params, op1: GaussOperator, op2: GaussOperator) -> GaussOper
         if not any(divides_on_guards(k, v, [h]) for h in support + lifted[i + 1:]):
             support.append((k, v))
     for k, (a, b, c) in support:  # a kernel phase that is not N-periodic can lift such a guard
-        if (a * dom_in.N) % k or (b * dom_out.N) % k:
+        if not _wraps((k, (a, b, c)), dom_in, dom_out):
             raise NonGaussianSum(f"composed guard {k} | {a}*q + {b}*r + {c} breaks the index wraparound")
     R = res.Q
     dd = res.M // N

@@ -389,3 +389,7 @@ def test_rebinding_is_rejected_by_parse_eliminate_and_eval_expr(small):
     # sibling quantifiers may reuse a name
     ok = Plus((Quant("sum", "r", inner.body), Quant("sum", "r", inner.body)))
     assert eval_expr(ok, small) == eval_normal_form(eliminate(ok, small), small)
+    # a quantifier may reuse the name of an assigned free variable, which keeps its value outside
+    shadow = parse("(sum r . e((-r^2 + 2*r)/2N @V)) * e((r)/2N @V)")
+    want = eval_normal_form(eliminate(shadow, small), small, {"r": 1})
+    assert want and eval_expr(shadow, small, {"r": 1}) == want
