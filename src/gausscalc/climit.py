@@ -177,7 +177,6 @@ def continuum_inner_quadrature(
     g2: ContinuumGaussian,
     window: float = 10.0,
     step: float = 1e-3,
-    mollifier_tol: float = 0.2,
 ) -> complex:
     """Numerical oracle for continuum_inner_closed.
 
@@ -215,7 +214,7 @@ def continuum_inner_quadrature(
         re, im = _simpson(lambda x, eps=eps: _mollified_phase(x, A, B, eps), -w, w, n)
         values.append(cpair * complex(re, im))
     v1, v2 = values
-    if abs(v1 - v2) > mollifier_tol * max(1.0, abs(v2)):
+    if abs(v1 - v2) > 0.2 * max(1.0, abs(v2)):
         raise NonConvergent(f"mollified values diverge: {v1} vs {v2}")
     eps1, eps2 = 1e-2, 1e-3
     return (eps1 * v2 - eps2 * v1) / (eps1 - eps2)
@@ -234,8 +233,9 @@ class LimitReport:
     degenerate: bool = False
     note: str = ""
 
-    def tail_monotone(self, last: int = 3, slack: float = 0.0) -> bool:
-        tail = self.errors[-last:]
+    def tail_monotone(self, slack: float = 0.0) -> bool:
+        """Whether the last three errors fall, each within a factor 1 + slack."""
+        tail = self.errors[-3:]
         return all(b <= a * (1 + slack) + 1e-15 for a, b in zip(tail, tail[1:]))
 
     def to_dict(self) -> dict:
@@ -259,7 +259,6 @@ def convergence_check(
     p2: int,
     kind: str,
     N_sequence,
-    k_mult: int = 1,
     mode: str = "extended",
     b_cont: float = 0.0,
 ) -> LimitReport:
@@ -301,7 +300,7 @@ def convergence_check(
         m = math.isqrt(N)
         if m * m != N:
             raise ArithError(f"N = {N} is not a perfect square")
-        params_n = find_params(ParamSpec(m_base=m, k_mult=k_mult))
+        params_n = find_params(ParamSpec(m_base=m, k_mult=1))
         dom = domain_u(params_n) if kind == "Euclidean" else domain_v(params_n)
         s1 = gauss_ket(params_n, dom, form1, p_param=p1)
         if b_cont:

@@ -52,9 +52,7 @@ def fourier_operator(params: Params, domain: Domain | None = None) -> GaussOpera
     """u[q] |-> v[q]: kernel (1/sqrt(N)) e(-q r / N)."""
     if domain is None:
         domain = domain_v(params)
-    return GaussOperator(
-        unit_normalization(params, domain), 0, -1, 0, domain, domain, unitary=True
-    )
+    return GaussOperator(unit_normalization(params, domain), 0, -1, 0, domain, domain)
 
 
 def position_operator_u(params: Params, domain: Domain | None = None) -> GaussOperator:
@@ -63,7 +61,7 @@ def position_operator_u(params: Params, domain: Domain | None = None) -> GaussOp
         domain = domain_v(params)
     return GaussOperator(
         GaussCoeff.one(), 0, 0, 0, domain, domain,
-        kD=1, support=((domain.N, (1, -1, 0)),), unitary=True,
+        kD=1, support=((domain.N, (1, -1, 0)),),
     )
 
 
@@ -73,7 +71,7 @@ def shift_operator_v(params: Params, domain: Domain | None = None) -> GaussOpera
         domain = domain_v(params)
     return GaussOperator(
         GaussCoeff.one(), 0, 0, 0, domain, domain,
-        support=((domain.N, (1, -1, 1)),), unitary=True,
+        support=((domain.N, (1, -1, 1)),),
     )
 
 
@@ -125,7 +123,7 @@ def free_propagator(params: Params, t: int, domain: Domain | None = None) -> Gau
     )
     return GaussOperator(
         coeff, -1, 1, -1, domain, domain, den=t,
-        support=((t, (1, -1, 0)),), unitary=True,
+        support=((t, (1, -1, 0)),),
     )
 
 
@@ -146,12 +144,11 @@ def quadratic_phase_operator(params: Params, t: int, domain: Domain | None = Non
         domain = domain_v(params)
     return GaussOperator(
         GaussCoeff.one(), t, 0, 0, domain, domain,
-        support=((domain.N, (1, -1, 0)),), unitary=True,
+        support=((domain.N, (1, -1, 0)),),
     )
 
 
-def sm_transfer(params: Params, form: QuadForm, domain: Domain | None = None,
-                den: int = 1) -> GaussOperator:
+def sm_transfer(params: Params, form: QuadForm, domain: Domain | None = None) -> GaussOperator:
     """Transfer kernel T(q, r) = (1/sqrt(N)) e(form(q, r) / 2N) on the U
     scale: the statistical (real-exponential) propagator."""
     if domain is None:
@@ -160,7 +157,4 @@ def sm_transfer(params: Params, form: QuadForm, domain: Domain | None = None,
         raise ArithError("the transfer matrix lives on the U domain")
     if not form.admissible:
         raise InadmissibleForm(f"transfer form {form} needs A <= 0 and C <= 0")
-    return GaussOperator(
-        unit_normalization(params, domain),
-        form.A, form.B, form.C, domain, domain, den=den,
-    )
+    return GaussOperator(unit_normalization(params, domain), form.A, form.B, form.C, domain, domain)

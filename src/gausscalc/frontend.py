@@ -428,17 +428,6 @@ def parse(text: str) -> Expr:
     return expr
 
 
-def free_variables(e: Expr) -> set[str]:
-    """The variables of `e` that no quantifier binds."""
-    if isinstance(e, PhaseAtom):
-        return e.poly.variables()
-    if isinstance(e, (Prod, Plus)):
-        return set().union(*map(free_variables, e.factors if isinstance(e, Prod) else e.terms))
-    if isinstance(e, Quant):
-        return free_variables(e.body) - {e.var}
-    return set()
-
-
 # -- printer ----------------------------------------------------------------------
 
 
@@ -525,16 +514,17 @@ def eval_expr(
     e: Expr,
     params: Params,
     assignment: dict[str, int] | None = None,
-    domain: str | None = None,
 ) -> int:
     """Literal evaluation in F_p, the QE correctness oracle: each quantifier
-    sums its body over the whole domain index range.  A quantifier nest's
-    body is evaluated at once over the numpy index grid of its bound
-    variables, one axis each, joined from the innermost quantifier outward
-    while the grid stays within ``arith.BLOCK`` elements (the innermost
-    always joins); a quantifier that does not fit loops over its values."""
+    sums its body over the whole domain index range.  The scale comes from
+    the expression, as in `eliminate`: DomainMismatch where it mixes U and
+    V phases.  A quantifier nest's body is evaluated at once over the numpy
+    index grid of its bound variables, one axis each, joined from the
+    innermost quantifier outward while the grid stays within
+    ``arith.BLOCK`` elements (the innermost always joins); a quantifier
+    that does not fit loops over its values."""
     domains = _domains(e)
-    run, _, _ = _compile(e, params, domain or _scale(domains, e) or "V", domains)
+    run, _, _ = _compile(e, params, _scale(domains, e) or "V", domains)
     return run(dict(assignment or {}))
 
 

@@ -193,12 +193,11 @@ def gauss_ket(
     p_param: int = 0,
     coeff: GaussCoeff | None = None,
     den: int = 1,
-    allow_inadmissible: bool = False,
 ) -> GaussState:
     """The ket with coordinates coeff * e(f(r, p)/2N), f = A r^2 + 2B r p + C p^2.
 
     coeff defaults to the 1/sqrt(N) normalisation."""
-    if not form.admissible and not allow_inadmissible:
+    if not form.admissible:
         raise InadmissibleForm(f"form {form} needs A <= 0 and C <= 0")
     if coeff is None:
         coeff = unit_normalization(params, domain)
@@ -276,7 +275,6 @@ class GaussOperator:
     kE: int = 0
     den: int = 1
     support: tuple = ()  # guards (k, (aq, ar, c))
-    unitary: bool = False
 
     def __post_init__(self) -> None:
         for guard in self.support:
@@ -321,7 +319,7 @@ class GaussOperator:
 def identity_operator(domain: Domain) -> GaussOperator:
     return GaussOperator(
         GaussCoeff.one(), 0, 0, 0, domain, domain,
-        support=((domain.N, (1, -1, 0)),), unitary=True,
+        support=((domain.N, (1, -1, 0)),),
     )
 
 
@@ -504,7 +502,6 @@ def compose(params: Params, op1: GaussOperator, op2: GaussOperator) -> GaussOper
     return GaussOperator(
         coeff, R[0][0], R[0][2] // 2, R[2][2], dom_in, dom_out,
         kD=R[0][3] // 2, kE=R[2][3] // 2, den=dd, support=tuple(support),
-        unitary=op1.unitary and op2.unitary,
     )
 
 
@@ -644,7 +641,7 @@ class DenseState:
         return int((self.vec * other.vec % p).sum()) % p
 
 
-def apply_dense(params: Params, op: GaussOperator, dense: DenseState, conjugate_kernel: bool = False) -> DenseState:
+def apply_dense(params: Params, op: GaussOperator, dense: DenseState) -> DenseState:
     """Literal matrix action out[r] = sum_q dense[q] kernel(q, r) over the
     nonzero inputs, the kernel residues in blocks of output rows of at most
     BLOCK entries (r-major, the order of the elementwise sum)."""
@@ -656,6 +653,6 @@ def apply_dense(params: Params, op: GaussOperator, dense: DenseState, conjugate_
     out = np.zeros(len(r), dtype=exact_dtype(p))
     rows = max(1, BLOCK // max(len(q), 1))
     for lo in range(0, len(r), rows):
-        K = op.kernel_block(params, q[None, :], r[lo:lo + rows, None], conjugate_kernel)
+        K = op.kernel_block(params, q[None, :], r[lo:lo + rows, None])
         out[lo:lo + rows] = (K * v % p).sum(axis=1) % p
     return DenseState(op.domain_out, out)

@@ -85,7 +85,6 @@ def wick_operator(params: Params, op: GaussOperator) -> GaussOperator:
         kE=op.kE,
         den=op.den,
         support=op.support,
-        unitary=op.unitary,
     )
 
 

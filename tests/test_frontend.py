@@ -18,7 +18,6 @@ from gausscalc.frontend import (
     eval_expr,
     eval_normal_form,
     format_expr,
-    free_variables,
     parse,
 )
 
@@ -33,7 +32,7 @@ def test_parse_phase_atom():
     e = parse("e((-r^2 + 2*r*p)/2N @V)")
     assert isinstance(e, PhaseAtom)
     assert e.domain == "V"
-    assert free_variables(e) == {"r", "p"}
+    assert e.poly.variables() == {"r", "p"}
     d = e.poly.as_dict()
     assert d[("r", "r")] == -1 and d[("p", "r")] == 2
 
@@ -283,12 +282,15 @@ def test_scales_are_found_once_per_call(small, monkeypatch):
     # a quantifier body that mixes scales raises when it is evaluated
     with pytest.raises(DomainMismatch):
         eval_expr(parse("sum r . e((-r^2)/2N @V) * e((2*r)/2N @U)"), small)
-    # with the scale given, phases of both scales outside any quantifier body still evaluate
+    # a top-level expression that mixes scales raises too, as in eliminate;
+    # each of its phases evaluates at its own scale
     mixed = parse("e((x)/2N @V) * e((x)/2N @U)")
-    want = small.char_e(Fraction(1, 2 * small.N_v)) * small.char_e(Fraction(1, 2 * small.N_u)) % small.p
-    assert eval_expr(mixed, small, {"x": 1}, domain="V") == want
     with pytest.raises(DomainMismatch):
         eval_expr(mixed, small, {"x": 1})
+    with pytest.raises(DomainMismatch):
+        eliminate(mixed, small)
+    for tag, N in (("V", small.N_v), ("U", small.N_u)):
+        assert eval_expr(parse(f"e((x)/2N @{tag})"), small, {"x": 1}) == small.char_e(Fraction(1, 2 * N))
 
 
 # -- the random well-formed generator lives in tests_support_qe (shared with

@@ -18,17 +18,20 @@ guard can never hold) are listed in `golden_widened.txt`, written by
 
 and each must give a result.  The widened apply/V entries and every
 accepted compose/V entry are checked against the literal oracles at every
-point below; on U, after rebuilding the grid on the (6, 1) tower, the
-widened apply entries at every point and every accepted compose entry at
-a seeded sample of points.  The parametrized oracle tests in test_gauss.py
-and test_hilbert.py check the kernel's branches.
+point below; on U, each widened apply entry at a seeded sample of output
+points of the default tower, and, after rebuilding the grid on the (6, 1)
+tower, the widened apply entries at every point and every accepted
+compose entry at a seeded sample of points.  The parametrized oracle
+tests in test_gauss.py and test_hilbert.py check the kernel's branches.
 
     PYTHONPATH=src python tests/test_golden.py --refusals
 
 prints the grid's refusal count per message, digits masked.
 
-A re-record prints each key it changes and writes nothing when a changed
-entry's exit status or trailing |residue differs from the recorded one.
+A re-record prints each key it changes, then the count of changed keys
+per part and kind (for example `340 symbolic compose`), and writes nothing
+when a changed entry's exit status or trailing |residue differs from the
+recorded one.
 """
 
 from __future__ import annotations
@@ -264,8 +267,7 @@ def _state_text(P, s) -> str:
 def _op_text(P, op) -> str:
     from gausscalc.coeffring import to_fp
 
-    return (f"{op.coeff}|{op.kA},{op.kB},{op.kC},{op.kD},{op.kE}|{op.den}|{list(op.support)}|"
-            f"{op.unitary}|{to_fp(P, op.coeff)}")
+    return f"{op.coeff}|{op.kA},{op.kB},{op.kC},{op.kD},{op.kE}|{op.den}|{list(op.support)}|{to_fp(P, op.coeff)}"
 
 
 def symbolic_grid(refusals: Counter | None = None) -> dict[str, str]:
@@ -357,6 +359,37 @@ def test_widened_v_results_match_the_literal_oracles():
         op1, op2 = ops[i], ops[::2][j]
         block = [op.kernel_block(P, q[:, None], q[None, :]) for op in (H.compose(P, op1, op2), op2, op1)]
         assert np.array_equal(block[0], block[1] @ block[2] % P.p), (i, j)
+
+
+def test_widened_u_apply_results_match_row_sums_on_the_default_tower():
+    # every widened apply/U key on N_u = 82,944: the image coordinate at 6
+    # seeded output indices, 4 of them on the image support, against the
+    # literal row sum of dense[q] K(q, r) over the state's nonzero q
+    from gausscalc import hilbert as H
+    from gausscalc.coeffring import to_fp
+
+    P, objs = _grid_objects()
+    states, ops = objs["U"]
+    U = H.domain_u(P)
+    q = U.index_vector()
+    rng = random.Random(20241001)
+    keys = _widened("apply/U/")
+    assert len(keys) == 171
+    nonzero = 0
+    for i, j in keys:
+        op, s = ops[i], states[::3][j]
+        out = H.apply_operator(P, op, s)
+        k, d = out.support
+        rs = [U.wrap(d + k * rng.randrange(U.N // k)) for _ in range(4)]
+        rs += [U.wrap(rng.randrange(U.N)) for _ in range(2)]
+        dense = H.DenseState.from_state(P, s)
+        live = np.flatnonzero(dense.vec)
+        K = op.kernel_block(P, q[live][None, :], np.array(rs)[:, None])
+        want = (K * dense.vec[live] % P.p).sum(axis=1) % P.p
+        got = [to_fp(P, out.coordinate(r)) for r in rs]
+        assert got == want.tolist(), (i, j, rs)
+        nonzero += sum(map(bool, got))
+    assert nonzero >= 200
 
 
 def test_widened_u_lifts_match_the_literal_oracle_on_a_small_u_domain():
@@ -455,14 +488,27 @@ def _kept(part: str, key: str, entry):
     return None if key.startswith("eliminate/") else entry.rsplit("|", 1)[-1]
 
 
+def _kind(part: str, key: str) -> str:
+    """A key's kind: the symbolic grid's first field, a CLI call's subcommand."""
+    if part == "symbolic":
+        return key.split("/", 1)[0]
+    case = json.loads(key)
+    i = 0
+    while case[i].startswith("--"):  # each top-level option takes a value
+        i += 2
+    return case[i]
+
+
 def rerecord() -> int:
-    """Rewrite golden.json, printing each changed key.  Exits 1 without
-    writing when a changed entry's status or residue differs from the
-    recorded one: a re-record may change a text's form, never its value.
-    Entries the tests read as unchanged (a refusal with a new message, a
-    widened entry) keep their recorded text."""
+    """Rewrite golden.json, printing each changed key and, last, the count
+    of changed keys per (part, kind).  Exits 1 without writing when a
+    changed entry's status or residue differs from the recorded one: a
+    re-record may change a text's form, never its value.  Entries the
+    tests read as unchanged (a refusal with a new message, a widened
+    entry) keep their recorded text."""
     was, now = json.loads(GOLDEN.read_text()), record()
     bad = []
+    changed: Counter = Counter()
     for part in ("cli", "symbolic"):
         for key in sorted(set(was[part]) | set(now[part])):
             old, new = was[part].get(key), now[part].get(key)
@@ -470,16 +516,19 @@ def rerecord() -> int:
                 now[part][key] = old
                 continue
             print(f"changed {part} {key}")
+            changed[part, _kind(part, key)] += 1
             if old is not None and new is not None and _kept(part, key, old) != _kept(part, key, new):
                 bad.append(key)
     if bad:
         for key in bad:
             print(f"value changed: {key}")
         print(f"not written: {len(bad)} entries change their status or residue")
-        return 1
-    GOLDEN.write_text(json.dumps(now, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
-    return 0
+    else:
+        GOLDEN.write_text(json.dumps(now, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {GOLDEN}")
+    for (part, kind), n in sorted(changed.items()):
+        print(f"{n} {part} {kind}")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

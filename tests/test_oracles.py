@@ -194,14 +194,23 @@ def test_apply_dense_matches_the_elementwise_sum(mid):
     op = operators(mid, V)[4]
     s = states(mid, V)[1]
     dense = DenseState.from_state(mid, s)
-    for conjugate in (False, True):
-        got = apply_dense(mid, op, dense, conjugate)
-        for r in V.index_range():
-            want = 0
-            for q in V.index_range():
-                kv = op.kernel_value(q, r)
-                want = (want + dense.coords[q] * to_fp(mid, kv.conj() if conjugate else kv)) % p
-            assert got.coords[r] == want, (conjugate, r)
+    got = apply_dense(mid, op, dense)
+    for r in V.index_range():
+        want = 0
+        for q in V.index_range():
+            want = (want + dense.coords[q] * to_fp(mid, op.kernel_value(q, r))) % p
+        assert got.coords[r] == want, r
+
+
+def test_conjugated_kernel_block_matches_the_elementwise_conj(mid):
+    # the conjugated block that check_unitary multiplies, at every (q, r)
+    V = domain_v(mid)
+    op = operators(mid, V)[4]
+    idx = V.index_vector()
+    K = op.kernel_block(mid, idx[:, None], idx[None, :], conjugate=True)
+    for i, q in enumerate(V.index_range()):
+        for j, r in enumerate(V.index_range()):
+            assert K[i, j] == to_fp(mid, op.kernel_value(q, r).conj()), (q, r)
 
 
 # -- exceptions where the elementwise path raises ---------------------------------

@@ -158,9 +158,7 @@ def test_functoriality_on_compositions(params, U):
 def test_wick_preserves_unitary_outcome(params, U):
     from gausscalc.hilbert import check_unitary
 
-    schroedinger_like = GaussOperator(
-        unit_normalization(params, U), 0, -1, 0, U, U, unitary=True
-    )
+    schroedinger_like = GaussOperator(unit_normalization(params, U), 0, -1, 0, U, U)
     v_img = wick_operator(params, schroedinger_like)
     assert check_unitary(params, v_img).ok
 
