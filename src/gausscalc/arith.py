@@ -21,6 +21,7 @@ mod 2M the same way (``poly_mod``) and read from a cached power table.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -101,10 +102,13 @@ def squarefree_split(n: int) -> tuple[int, int]:
 
 
 def require_int(x, what: str) -> int:
-    """x when it is an integer (a bool is not); ArithError naming `what`
-    otherwise.  The check on integer fields of documents read from outside."""
-    if isinstance(x, int) and not isinstance(x, bool):
+    """x as an int when it is an integer (a bool is not); ArithError
+    naming `what` otherwise.  The check on integer fields of documents read
+    from outside and of the coefficient ring's constructor."""
+    if type(x) is int:
         return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
     raise ArithError(f"{what} must be an integer, got {x!r}")
 
 
@@ -161,33 +165,37 @@ class ParamSpec:
             raise ArithError("prime_search_limit must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Phase:
     """A rational phase q (mod 1) naming the root of unity e(q) = exp_p((p-1)q).
 
     ``domain`` tags which scale the phase lives on: 'V' (quantum/Hermitian),
     'U' (statistical/Euclidean) or None for scale-free roots of unity.
+
+    q is held as two coprime integers, a numerator in [0, den) and a
+    positive denominator; ``q`` reads them as a Fraction.  The constructor
+    takes q as an int or a Fraction; ``ratio_phase`` builds e(num/den) from
+    integers without a Fraction.
     """
 
-    q: Fraction
-    domain: str | None = None
+    _num: int
+    _den: int
+    domain: str | None
 
-    def __post_init__(self) -> None:
-        if self.domain not in (None, "U", "V"):
+    def __init__(self, q, domain: str | None = None) -> None:
+        if domain not in (None, "U", "V"):
             raise ArithError("domain tag must be 'U', 'V' or None")
-        q = Fraction(self.q) % 1
-        object.__setattr__(self, "q", q)
-        # canonical: q = 0 carries no scale; nonzero untagged phases are
-        # scale-free roots of unity and behave like the V (unit-circle) rule
-        if q == 0:
-            object.__setattr__(self, "domain", None)
-        elif self.domain is None:
-            object.__setattr__(self, "domain", "V")
+        _store_phase(self, *rational_parts(q, "a phase"), domain)
+
+    @property
+    def q(self) -> Fraction:
+        return Fraction(self._num, self._den)
 
     @property
     def balanced(self) -> Fraction:
         """Representative in [-1/2, 1/2) -- used by the real (U-scale) limit."""
-        return self.q - 1 if self.q >= Fraction(1, 2) else self.q
+        n, d = self._num, self._den
+        return Fraction(n - d if 2 * n >= d else n, d)
 
     def __add__(self, other: "Phase") -> "Phase":
         # the zero phase (and only it) carries no domain: adding it is free
@@ -197,13 +205,58 @@ class Phase:
             return other
         if self.domain != other.domain:
             raise DomainMismatch("cannot combine U-scale and V-scale phases")
-        return Phase(self.q + other.q, self.domain)
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            return ratio_phase(self._num + other._num, d1, self.domain)
+        return ratio_phase(self._num * d2 + other._num * d1, d1 * d2, self.domain)
 
     def __neg__(self) -> "Phase":
-        return self if self.domain is None else Phase(-self.q, self.domain)
+        return self if self.domain is None else ratio_phase(-self._num, self._den, self.domain)
+
+    def scaled(self, k: int, domain: str | None = None) -> "Phase":
+        """e(k q) for an integer k, on `domain` (this phase's own by default)."""
+        return ratio_phase(k * self._num, self._den, domain or self.domain)
 
     def is_zero(self) -> bool:
-        return self.q == 0
+        return self._num == 0
+
+    def __repr__(self) -> str:
+        return f"Phase(q={self.q!r}, domain={self.domain!r})"
+
+
+def _store_phase(x: Phase, num: int, den: int, domain: str | None) -> None:
+    """Fill x with num/den (den > 0) reduced into [0, 1) and to lowest terms.
+    Canonical: q = 0 carries no scale; nonzero untagged phases are
+    scale-free roots of unity and behave like the V (unit-circle) rule."""
+    num %= den
+    g = math.gcd(num, den)
+    d = x.__dict__
+    d["_num"] = num // g
+    d["_den"] = den // g
+    d["domain"] = (domain or "V") if num else None
+
+
+def ratio_phase(num: int, den: int, domain: str | None = None) -> Phase:
+    """e(num/den @ domain) for integers num and den > 0, reduced here: the
+    constructor for phases computed inside the calculus, which checks
+    neither the types nor the domain tag."""
+    x = object.__new__(Phase)
+    _store_phase(x, num, den, domain)
+    return x
+
+
+def rational_parts(x, what: str) -> tuple[int, int]:
+    """(numerator, denominator) of x, lowest terms with a positive
+    denominator, when x is an int (a bool is not) or a Fraction; ArithError
+    naming `what` otherwise.  The check on rational input at the boundary
+    of the coefficient ring."""
+    if type(x) is int:
+        return x, 1
+    if isinstance(x, Fraction):
+        return int(x.numerator), int(x.denominator)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x), 1
+    raise ArithError(f"{what} must be an int or a Fraction, got {x!r}")
 
 
 class Params:
@@ -280,13 +333,16 @@ class Params:
         return self.power_table(two_m)[np.asarray(exps, dtype=np.intp)]
 
     def char_e(self, phase: Phase | Fraction) -> FpElem:
-        """e(q) = exp_p((p-1) * q); multiplicative in q."""
-        q = phase.q if isinstance(phase, Phase) else Fraction(phase) % 1
-        if (self.p - 1) % q.denominator:
-            raise IncompatiblePhase(
-                f"phase denominator {q.denominator} incompatible with p - 1"
-            )
-        return pow(self.xi(q.denominator), q.numerator, self.p) if q else 1
+        """e(q) = exp_p((p-1) * q); multiplicative in q.  A bare q must be
+        an int or a Fraction."""
+        if isinstance(phase, Phase):
+            n, d = phase._num, phase._den
+        else:
+            n, d = rational_parts(phase, "a phase")
+            n %= d
+        if (self.p - 1) % d:
+            raise IncompatiblePhase(f"phase denominator {d} incompatible with p - 1")
+        return pow(self.xi(d), n, self.p) if n else 1
 
     # -- orders and square roots -------------------------------------------
 

@@ -17,6 +17,16 @@ limit map reduces a mod 8.
 
 Conjugation inverts the unit-circle parts (b, V-phase) and fixes c, rho,
 a and U-phases: j is a standard integer residue, hence pseudo-real.
+
+Representation: c is held as two coprime integers, a numerator and a
+positive denominator, and q likewise (``arith.Phase``); every operation here
+works on those integers, reducing each result by one gcd.  ``Fraction``
+remains only at the edges: as constructor input (c and q may be an int or
+a Fraction), in the reads ``GaussCoeff.c`` and ``Phase.q``, and in the text
+form, which writes c and q as ``str(Fraction)`` does.  Only this module and
+``arith`` know the representation; the rest of the calculus builds
+coefficients through the ring operations, ``GaussCoeff.with_phase`` and
+``arith.ratio_phase``.
 """
 
 from __future__ import annotations
@@ -30,7 +40,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import ArithError, Params, Phase, exact_dtype, poly_mod, squarefree_split
+from .arith import (
+    ArithError, Params, Phase, exact_dtype, poly_mod, ratio_phase, rational_parts, require_int,
+    squarefree_split,
+)
 from .arith import DomainMismatch  # noqa: F401  (re-exported: raised by coefficient products)
 
 __all__ = [
@@ -39,41 +52,52 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-_NO_PHASE = Phase(Fraction(0))
+_NO_PHASE = Phase(0)
+# below 256, a number with no square factor q^2 (q < 16) is squarefree; the
+# public constructor factors only the rho outside this set
+_SMALL_SQUAREFREE = frozenset(n for n in range(1, 256) if all(n % (q * q) for q in range(2, 16)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class GaussCoeff:
-    c: Fraction = Fraction(1)
-    rho: int = 1
-    a: int = 0
-    b: int = 0
-    phase: Phase = _NO_PHASE
+    """c * sqrt(rho) * j**a * e8**b * e(phase) in normal form; immutable.
 
-    def __post_init__(self) -> None:
+    c is held as two coprime integers, a numerator and a positive
+    denominator, and ``c`` reads them as a Fraction.  The constructor takes
+    c as an int or a Fraction, rho, a and b as ints, and the phase as a
+    Phase (or a q for ``Phase(q)``), and normalises; ``_normal`` builds a
+    coefficient from parts already in normal form."""
+
+    _num: int
+    _den: int
+    rho: int
+    a: int
+    b: int
+    phase: Phase
+
+    def __init__(self, c=1, rho=1, a=0, b=0, phase=_NO_PHASE) -> None:
         # the one place that validates and normalises: ring operations build
         # their results from parts already in normal form (``_normal``)
-        c = self.c if isinstance(self.c, Fraction) else Fraction(self.c)
-        rho = self.rho
+        num, den = rational_parts(c, "the rational part c")
+        rho = require_int(rho, "rho")
+        a = require_int(a, "the j-exponent a")
+        b = require_int(b, "the e8-exponent b")
+        if not isinstance(phase, Phase):
+            phase = Phase(phase)
         if rho < 1:
             raise ArithError("rho must be a positive integer")
-        if rho != 1:
-            s, r = squarefree_split(rho)
-            if s != 1:
-                c *= s
-                rho = r
-        if c == 0:
-            object.__setattr__(self, "c", Fraction(0))
-            object.__setattr__(self, "rho", 1)
-            object.__setattr__(self, "a", 0)
-            object.__setattr__(self, "b", 0)
-            object.__setattr__(self, "phase", _NO_PHASE)
+        if num == 0:
+            _fill(self, 0, 1, 1, 0, 0, _NO_PHASE)
             return
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "b", self.b % 8)
-        if not isinstance(self.phase, Phase):
-            object.__setattr__(self, "phase", Phase(Fraction(self.phase)))
+        if rho not in _SMALL_SQUAREFREE:
+            s, rho = squarefree_split(rho)
+            g = math.gcd(s, den)
+            num, den = num * (s // g), den // g
+        _fill(self, num, den, rho, a, b % 8, phase)
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self._num, self._den)
 
     # -- constructors --------------------------------------------------------
 
@@ -89,15 +113,15 @@ class GaussCoeff:
 
     @classmethod
     def rational(cls, c) -> "GaussCoeff":
-        return cls(Fraction(c))
+        return cls(c)
 
     @classmethod
     def sqrt(cls, value) -> "GaussCoeff":
         """sqrt of a positive rational, normalised: sqrt(n/d) = sqrt(n*d)/d."""
-        v = Fraction(value)
-        if v <= 0:
+        n, d = rational_parts(value, "a square root's argument")
+        if n <= 0:
             raise ArithError("sqrt argument must be positive")
-        return cls(Fraction(1, v.denominator), v.numerator * v.denominator)
+        return cls(Fraction(1, d), n * d)
 
     @classmethod
     def j_power(cls, a: int) -> "GaussCoeff":
@@ -109,21 +133,32 @@ class GaussCoeff:
 
     @classmethod
     def phase_of(cls, q, domain: str | None = None) -> "GaussCoeff":
-        return cls(phase=Phase(Fraction(q), domain))
+        return cls(phase=Phase(q, domain))
+
+    def with_phase(self, phase: Phase, a: int | None = None) -> "GaussCoeff":
+        """This coefficient with its phase replaced by `phase` (and its
+        j-exponent by `a`), the other parts as they are; zero stays zero.
+        The constructor for coefficients the calculus computes from another
+        one: no part needs normalising."""
+        if not self._num:
+            return self
+        return _normal(self._num, self._den, self.rho, self.a if a is None else a, self.b, phase)
 
     # -- ring structure ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.c == 0
+        return self._num == 0
 
     def __mul__(self, other) -> "GaussCoeff":
         if not isinstance(other, GaussCoeff):
             return NotImplemented
-        if not self.c or not other.c:
+        n1, n2 = self._num, other._num
+        if not n1 or not n2:
             return _ZERO
+        num, den = n1 * n2, self._den * other._den
         # sqrt(r1) sqrt(r2) = g sqrt(r1 r2 / g^2), g = gcd(r1, r2): both are
         # squarefree, so r1/g and r2/g are coprime and their product is too
-        c, r1, r2 = self.c * other.c, self.rho, other.rho
+        r1, r2 = self.rho, other.rho
         if r1 == 1:
             rho = r2
         elif r2 == 1:
@@ -131,9 +166,13 @@ class GaussCoeff:
         else:
             g = math.gcd(r1, r2)
             rho = (r1 // g) * (r2 // g)
-            c *= g
+            num *= g
+        if den != 1:
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
         return _normal(
-            c,
+            num,
+            den,
             rho,
             self.a + other.a,
             (self.b + other.b) % 8,
@@ -145,69 +184,87 @@ class GaussCoeff:
             return self.inverse() ** (-n)
         if n == 0:
             return _ONE
-        if not self.c:
+        if not self._num:
             return _ZERO
         # sqrt(rho)^n = rho^(n // 2) * sqrt(rho)^(n % 2)
+        num, den = self._num ** n * self.rho ** (n // 2), self._den ** n
+        g = math.gcd(num, den)
         phase = self.phase
         return _normal(
-            self.c ** n * self.rho ** (n // 2),
+            num // g,
+            den // g,
             self.rho if n % 2 else 1,
             self.a * n,
             self.b * n % 8,
-            phase if phase.domain is None else Phase(phase.q * n, phase.domain),
+            phase if phase.domain is None else phase.scaled(n),
         )
 
     def inverse(self) -> "GaussCoeff":
-        if not self.c:
+        if not self._num:
             raise ZeroDivisionError("zero Gaussian coefficient")
-        # 1/sqrt(rho) = sqrt(rho)/rho
-        return _normal(
-            1 / (self.c * self.rho), self.rho, -self.a, -self.b % 8, -self.phase
-        )
+        # 1/(c sqrt(rho)) = (d / (n rho)) sqrt(rho) for c = n/d
+        num, den = self._den, self._num * self.rho
+        if den < 0:
+            num, den = -num, -den
+        g = math.gcd(num, den)
+        return _normal(num // g, den // g, self.rho, -self.a, -self.b % 8, -self.phase)
 
     def conj(self) -> "GaussCoeff":
         """Involution: inverts e8 and V-phases, fixes c, rho, j and U-phases."""
-        if not self.c:
+        if not self._num:
             return self
         phase = self.phase if self.phase.domain == "U" else -self.phase
-        return _normal(self.c, self.rho, self.a, -self.b % 8, phase)
+        return _normal(self._num, self._den, self.rho, self.a, -self.b % 8, phase)
 
     # -- rendering ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero():
+        num, den = self._num, self._den
+        if not num:
             return "0"
         parts = []
-        if self.c != 1 or (self.rho == 1 and self.a == 0 and self.b == 0 and self.phase.is_zero()):
-            parts.append(str(self.c))
+        phase = self.phase
+        if num != 1 or den != 1 or (self.rho == 1 and self.a == 0 and self.b == 0 and phase.domain is None):
+            parts.append(_ratio_text(num, den))
         if self.rho != 1:
             parts.append(f"sqrt({self.rho})")
         if self.a:
             parts.append("j" if self.a == 1 else f"j^{self.a}")
         if self.b:
             parts.append("e8" if self.b == 1 else f"e8^{self.b}")
-        if not self.phase.is_zero():
-            parts.append(f"e({self.phase.q}@{self.phase.domain})")
+        if phase.domain is not None:
+            parts.append(f"e({_ratio_text(phase._num, phase._den)}@{phase.domain})")
         return " * ".join(parts)
 
     __repr__ = __str__
 
 
-def _normal(c: Fraction, rho: int, a: int, b: int, phase: Phase) -> GaussCoeff:
-    """A coefficient from parts already in normal form -- c a nonzero
-    Fraction, rho squarefree, b in [0, 8), phase a Phase -- without
-    revalidating them: the ring operations' constructor."""
-    x = object.__new__(GaussCoeff)
+def _ratio_text(num: int, den: int) -> str:
+    """num/den as str(Fraction(num, den)) writes it, for lowest terms."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _fill(x: GaussCoeff, num: int, den: int, rho: int, a: int, b: int, phase: Phase) -> None:
     d = x.__dict__
-    d["c"] = c
+    d["_num"] = num
+    d["_den"] = den
     d["rho"] = rho
     d["a"] = a
     d["b"] = b
     d["phase"] = phase
+
+
+def _normal(num: int, den: int, rho: int, a: int, b: int, phase: Phase) -> GaussCoeff:
+    """A coefficient from parts already in normal form -- c = num/den
+    nonzero in lowest terms with den > 0, rho squarefree, b in [0, 8),
+    phase a Phase -- without revalidating them: the ring operations'
+    constructor."""
+    x = object.__new__(GaussCoeff)
+    _fill(x, num, den, rho, a, b, phase)
     return x
 
 
-_ZERO = GaussCoeff(Fraction(0))
+_ZERO = GaussCoeff(0)
 _ONE = GaussCoeff()
 
 
@@ -273,14 +330,16 @@ def to_fp(params: Params, x: GaussCoeff) -> int:
     if x.is_zero():
         return 0
     p = params.p
-    val = x.c.numerator % p * pow(x.c.denominator, -1, p) % p
+    val = x._num % p
+    if x._den != 1:
+        val = val * pow(x._den, -1, p) % p
     if x.rho != 1:
         val = val * params.sqrt_squarefree(x.rho) % p
     if x.a:
         val = val * pow(params.j, x.a, p) % p
     if x.b:
         val = val * pow(params.xi(8), x.b, p) % p
-    if not x.phase.is_zero():
+    if x.phase.domain is not None:
         val = val * params.char_e(x.phase) % p
     return val
 
@@ -305,12 +364,12 @@ def to_fp_phases(params: Params, coeff: GaussCoeff, tag: str, m: int, num, on,
         return out
 
     def scalar(i):
-        x = coeff * GaussCoeff.phase_of(Fraction(int(num.flat[i]), m), tag)
+        x = coeff.with_phase(coeff.phase + ratio_phase(int(num.flat[i]), m, tag))
         return to_fp(params, x.conj() if conjugate else x)
 
     c = coeff.conj() if conjugate else coeff
     try:
-        unit = to_fp(params, _normal(c.c, c.rho, c.a, c.b, _NO_PHASE))
+        unit = to_fp(params, c.with_phase(_NO_PHASE))
     except ValueError:  # ArithError, or a denominator p divides
         # every product raises; the first element says what its scalar path raises
         scalar(np.flatnonzero(on)[0])
@@ -318,10 +377,10 @@ def to_fp_phases(params: Params, coeff: GaussCoeff, tag: str, m: int, num, on,
     # the phase of the product is q + num/m = E/D mod 1, where conj() negates
     # num/m on the V scale as it does every V-phase; a nonzero num/m meets a
     # phase q of the other scale only where Phase.__add__ raises
-    q = c.phase.q
-    D = math.lcm(m, q.denominator)
+    qn, qd = c.phase._num, c.phase._den
+    D = math.lcm(m, qd)
     sign = -1 if conjugate and tag == "V" else 1
-    E = poly_mod(D, [(sign * D // m, num), (q.numerator * (D // q.denominator),)])
+    E = poly_mod(D, [(sign * D // m, num), (qn * (D // qd),)])
     # char_e takes E/D iff its reduced denominator divides p - 1, i.e. iff
     # h = D / gcd(D, p - 1) divides E; then e(E/D) = xi_g^(E/h)
     g = math.gcd(D, p - 1)
@@ -345,17 +404,18 @@ def to_complex(params: Params, x: GaussCoeff) -> complex:
     """
     if x.is_zero():
         return 0j
-    val = complex(float(x.c) * math.sqrt(x.rho))
+    val = complex(x._num / x._den * math.sqrt(x.rho))
     if x.a:
         val *= cmath.exp(1j * math.pi * (x.a % 8) / 4.0)
     if x.b:
         val *= cmath.exp(-1j * math.pi * x.b / 4.0)
-    if not x.phase.is_zero():
-        if x.phase.domain == "U":
-            exponent = -_TWO_PI * float(x.phase.balanced) * (params.N_u / params.N_v)
-            if exponent > 709.0:
-                raise OverflowError("U-scale coefficient exceeds double range")
-            val *= math.exp(exponent)
-        else:
-            val *= cmath.exp(-1j * _TWO_PI * float(x.phase.q))
+    phase = x.phase
+    if phase.domain == "U":
+        n, d = phase._num, phase._den
+        exponent = -_TWO_PI * ((n - d if 2 * n >= d else n) / d) * (params.N_u / params.N_v)
+        if exponent > 709.0:
+            raise OverflowError("U-scale coefficient exceeds double range")
+        val *= math.exp(exponent)
+    elif phase.domain == "V":
+        val *= cmath.exp(-1j * _TWO_PI * (phase._num / phase._den))
     return val

@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import BLOCK, ArithError, DomainMismatch, Params, poly_mod
+from .arith import BLOCK, ArithError, DomainMismatch, Params, poly_mod, ratio_phase
 from .coeffring import GaussCoeff, to_fp, unit_normalization
 from .gauss import gauss_sum
 
@@ -652,7 +652,7 @@ def eval_normal_form(
             continue
         n = t.poly.eval(assignment)
         N = _domain_size(params, t.domain)
-        val = to_fp(params, t.coeff) * params.char_e(Fraction(n, 2 * N * t.den) % 1)
+        val = to_fp(params, t.coeff) * params.char_e(ratio_phase(n, 2 * N * t.den))
         total = (total + val) % params.p
     return total
 

@@ -34,11 +34,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .arith import ArithError, Params, poly_mod
+from .arith import ArithError, Params, poly_mod, ratio_phase, squarefree_split
 from .coeffring import GaussCoeff
 
 
@@ -94,18 +95,35 @@ def gauss_brute(params: Params, spec: GaussSumSpec, chunks: int = 1):
     return _brute_complex(spec.a, spec.b, spec.M)
 
 
-def sqrt_with_scale(value: int, M: int, domain: str, params: Params | None, c=1, e8: int = 0) -> GaussCoeff:
-    """c * sqrt(value) * e8^e8 as one GaussCoeff, for a sum of modulus M.
+def sqrt_with_scale(value: int, M: int, domain: str, params: Params | None, c: int = 1,
+                    e8: int = 0) -> GaussCoeff:
+    """c * sqrt(value) * e8^e8 as one GaussCoeff, for a sum of modulus M
+    and integers value >= 1 and c.
 
     The scale generator j = sqrt(i), i = N_u/N_v, comes out exactly when M
     carries the U domain size (N_u | M, as in every inner, apply, compose
     and eliminate sum on U, where M = N_u * den): then c * sqrt(value) =
-    c * sqrt(value/i) * j.  Otherwise sqrt(value) stays numeric, even where
-    value is a multiple of i by coincidence (M = 4i)."""
+    c * sqrt(value/i) * j, and with value/i = n/d in lowest terms,
+    sqrt(n/d) = sqrt(n d)/d.  Otherwise sqrt(value) stays numeric, even
+    where value is a multiple of i by coincidence (M = 4i)."""
+    a, d = 0, 1
     if domain == "U" and params is not None and M % params.N_u == 0:
-        v = Fraction(value, params.i)
-        return GaussCoeff(Fraction(c, v.denominator), v.numerator * v.denominator, 1, e8)
-    return GaussCoeff(Fraction(c), value, 0, e8)
+        g = math.gcd(value, params.i)
+        a, d = 1, params.i // g
+        value = value // g * d
+    s, rho = _squarefree(value)
+    c *= s
+    if d != 1:
+        g = math.gcd(c, d)
+        c, d = c // g, d // g
+    return GaussCoeff(c if d == 1 else Fraction(c, d), rho, a, e8)
+
+
+@lru_cache(maxsize=None)
+def _squarefree(n: int) -> tuple[int, int]:
+    """squarefree_split, once per n: the kernel's periods repeat (on the
+    default tower they are the few divisors 2^x 3^y of its moduli)."""
+    return squarefree_split(n)
 
 
 def gauss_closed(
@@ -245,7 +263,7 @@ def gauss_sum(Q, y: int, guards, N: int, M: int, domain: str, mode: str = "exten
     if any(c % k for c in L):
         kept += ((k, L),)
     if A == 0:
-        return GaussSum(GaussCoeff.rational(W), R, M, kept)
+        return GaussSum(GaussCoeff(W), R, M, kept)
     sgn = 1 if A > 0 else -1
     # complete the square in units of t = gcd(step, L): (|A|/t^2) R - sign(A) (L/t . x)^2
     t = math.gcd(step, *L)
@@ -381,4 +399,4 @@ def quadratic_window_sum(
     res = gauss_sum([[A, 2 * B], [0, C]], 0, (), window, M, domain, mode, params)
     if res.coeff.is_zero():
         return res.coeff
-    return res.coeff * GaussCoeff.phase_of(Fraction(res.Q[1][1], 2 * res.M), domain)
+    return res.coeff.with_phase(res.coeff.phase + ratio_phase(res.Q[1][1], 2 * res.M, domain))

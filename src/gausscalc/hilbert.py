@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
@@ -45,12 +44,12 @@ from .arith import (
     ArithError,
     DomainMismatch,
     Params,
-    Phase,
     exact_dtype,
     poly_mod,
+    ratio_phase,
     require_int,
 )
-from .coeffring import GaussCoeff, _normal, to_fp_phases
+from .coeffring import GaussCoeff, to_fp_phases
 from .coeffring import unit_normalization as coeff_unit
 from .gauss import NonGaussianSum, _guard_coset, divides_on_guards, gauss_sum, merge_cosets, never_holds
 from .gauss import quadratic_window_sum
@@ -117,12 +116,6 @@ class PositionState:
         object.__setattr__(self, "r", self.domain.wrap(self.r))
 
 
-def _with_phase(c: GaussCoeff, q: Fraction, tag: str) -> GaussCoeff:
-    """c * e(q @ tag) for a nonzero c, built from normal-form parts; raises
-    DomainMismatch where the two phases' scales differ."""
-    return _normal(c.c, c.rho, c.a, c.b, c.phase + Phase(q, tag))
-
-
 def _intersect_cosets(k1: int, d1: int, k2: int, d2: int) -> tuple[int, int] | None:
     """k1 Z + d1 intersected with k2 Z + d2 (None when they are disjoint):
     `merge_cosets` without free variables."""
@@ -159,17 +152,15 @@ class GaussState:
     def is_zero(self) -> bool:
         return self.coeff.is_zero()
 
-    def phase_at(self, r: int) -> Fraction:
-        return Fraction(
-            self.qA * r * r + 2 * self.qL * r + self.qC, 2 * self.domain.N * self.den
-        )
-
     def coordinate(self, r: int) -> GaussCoeff:
         r = self.domain.wrap(r)
         k, d = self.support
         if self.is_zero() or (r - d) % k:
             return GaussCoeff.zero()
-        return _with_phase(self.coeff, self.phase_at(r), self.domain.tag)
+        c = self.coeff
+        phase = ratio_phase(self.qA * r * r + 2 * self.qL * r + self.qC, 2 * self.domain.N * self.den,
+                            self.domain.tag)
+        return c.with_phase(c.phase + phase)
 
     def to_descriptor(self) -> dict:
         return {
@@ -299,8 +290,8 @@ class GaussOperator:
             + 2 * self.kD * q
             + 2 * self.kE * r
         )
-        m = 2 * self.domain_in.N * self.den
-        return _with_phase(self.coeff, Fraction(num, m), self.domain_in.tag)
+        c = self.coeff
+        return c.with_phase(c.phase + ratio_phase(num, 2 * self.domain_in.N * self.den, self.domain_in.tag))
 
     def kernel_block(self, params: Params, q, r, conjugate: bool = False) -> np.ndarray:
         """to_fp(kernel_value(q, r)), or of its conj(), elementwise over the
@@ -498,7 +489,8 @@ def compose(params: Params, op1: GaussOperator, op2: GaussOperator) -> GaussOper
             raise NonGaussianSum(f"composed guard {k} | {a}*q + {b}*r + {c} breaks the index wraparound")
     R = res.Q
     dd = res.M // N
-    coeff = op1.coeff * op2.coeff * res.coeff * GaussCoeff.phase_of(Fraction(R[3][3], 2 * N * dd), tag)
+    coeff = op1.coeff * op2.coeff * res.coeff
+    coeff = coeff.with_phase(coeff.phase + ratio_phase(R[3][3], 2 * N * dd, tag))
     return GaussOperator(
         coeff, R[0][0], R[0][2] // 2, R[2][2], dom_in, dom_out,
         kD=R[0][3] // 2, kE=R[2][3] // 2, den=dd, support=tuple(support),

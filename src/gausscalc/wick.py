@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import ArithError, Params, Phase
-from .coeffring import GaussCoeff, _normal, to_fp
+from .arith import ArithError, Params
+from .coeffring import GaussCoeff, to_fp
 from .hilbert import (
     GaussOperator,
     GaussState,
@@ -37,8 +37,7 @@ def wick_coeff(params: Params, x: GaussCoeff) -> GaussCoeff:
         return x
     if x.phase.domain == "V":
         raise WrongDomain("wick_coeff expects a U-scale (or phase-free) coefficient")
-    phase = Phase(x.phase.q * params.i, "V") if not x.phase.is_zero() else x.phase
-    return _normal(x.c, x.rho, x.a + 1, x.b, phase)
+    return x.with_phase(x.phase.scaled(params.i, "V"), x.a + 1)
 
 
 def wick_state(params: Params, s: GaussState) -> GaussState:

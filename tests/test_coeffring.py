@@ -341,3 +341,148 @@ def test_adding_the_zero_phase_returns_the_other_operand():
         assert zero + x is x
     with pytest.raises(DomainMismatch):
         Phase(Fraction(1, 3), "U") + Phase(Fraction(1, 3), "V")
+
+
+# -- the strict boundary ------------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GaussCoeff(0.1),
+    lambda: GaussCoeff("1/2"),
+    lambda: GaussCoeff(True),
+    lambda: GaussCoeff(1, 2.0),
+    lambda: GaussCoeff(1, True),
+    lambda: GaussCoeff(1, 1, 0.5),
+    lambda: GaussCoeff(1, 1, 0, 1.0),
+    lambda: GaussCoeff(1, 1, 0, False),
+    lambda: GaussCoeff(1, phase=0.25),
+    lambda: Phase(0.1, "V"),
+    lambda: Phase(True),
+    lambda: GaussCoeff.rational(0.5),
+    lambda: GaussCoeff.sqrt(2.0),
+    lambda: GaussCoeff.sqrt(True),
+    lambda: GaussCoeff.phase_of(0.25, "V"),
+    lambda: find_params(ParamSpec(2, 1)).char_e(0.25),
+], ids=["c-float", "c-str", "c-bool", "rho-float", "rho-bool", "a-float", "b-float", "b-bool",
+        "phase-float", "Phase-float", "Phase-bool", "rational-float", "sqrt-float", "sqrt-bool",
+        "phase_of-float", "char_e-float"])
+def test_constructors_refuse_inexact_and_non_integer_input(build):
+    with pytest.raises(ArithError, match="must be"):
+        build()
+
+
+def test_constructors_take_ints_and_fractions_and_store_exact_types():
+    x = GaussCoeff(Fraction(6, 4), 8, -1, 9, Fraction(13, 12))
+    assert (x.c, x.rho, x.a, x.b, x.phase) == (3, 2, -1, 1, Phase(Fraction(1, 12), "V"))
+    assert type(x.c) is Fraction and type(x.rho) is int and type(x.phase.q) is Fraction
+    assert str(x) == "3 * sqrt(2) * j^-1 * e8 * e(1/12@V)"
+    assert GaussCoeff.sqrt(Fraction(1, 2)) == GaussCoeff(Fraction(1, 2), 2)
+    assert GaussCoeff.phase_of(-1, "U") == GaussCoeff.one()
+
+
+# -- coefficients built outside the ring operations ---------------------------
+#
+# Each must be what the public constructor makes of its own parts: the same
+# fields, of the same types, and the same hash.
+
+
+def _rebuilt(x):
+    return GaussCoeff(x.c, x.rho, x.a, x.b, Phase(x.phase.q, x.phase.domain))
+
+
+def _assert_public_normal_form(x):
+    assert _outcome(lambda: x) == _outcome(_rebuilt, x)
+    assert type(x.a) is int and x == _rebuilt(x)
+    assert 0 <= x.phase.q < 1 and 0 <= x.b < 8
+
+
+def test_sqrt_with_scale_matches_public_constructor(params, small):
+    from gausscalc.gauss import sqrt_with_scale
+
+    for P in (params, small):
+        for value in list(range(1, 200)) + [P.N_u // a for a in (1, 2, 3, 4, 6, 9, 12) if P.N_u % a == 0]:
+            for c, e8 in ((1, 1), (2, -1), (-3, 1), (12, 0)):
+                for M, domain in ((P.N_u, "U"), (4 * P.N_u, "U"), (P.N_v, "V"), (P.N_u, "V")):
+                    x = sqrt_with_scale(value, M, domain, P, c, e8)
+                    _assert_public_normal_form(x)
+                    assert x.a == (1 if domain == "U" else 0)
+
+
+def test_window_sum_matches_public_constructor(params):
+    from gausscalc.gauss import NonGaussianSum, quadratic_window_sum
+
+    accepted = 0
+    for M, A, domain in itertools.product((144, 2304, 82944), (1, -2, 3, -4, 6, -9, 12), "UV"):
+        T = M // abs(A)
+        for B, C, window in ((0, 0, T), (A, -3, 2 * T), (2 * A + 1, 4, T * abs(A)), (A, 1, T // 2)):
+            try:
+                x = quadratic_window_sum(A, B, C, M, window, domain, params=params)
+            except NonGaussianSum:
+                continue
+            accepted += 1
+            _assert_public_normal_form(x)
+    assert accepted >= 100
+
+
+def test_kernel_values_and_coordinates_match_public_constructor(small):
+    from gausscalc.hilbert import GaussOperator, GaussState, domain_u, domain_v
+
+    rng = random.Random(2718)
+    for dom in (domain_u(small), domain_v(small)):
+        for _ in range(12):
+            coeff = rand_coeff(rng, dom.tag, max_den=8)
+            den = rng.choice((1, 2, 3))
+            op = GaussOperator(coeff, *(rng.randint(-4, 4) for _ in range(3)), dom, dom,
+                               kD=rng.randint(-3, 3), kE=rng.randint(-3, 3), den=den)
+            support = (rng.choice([k for k in (1, 2, 4) if dom.N % k == 0]), rng.randint(0, 3))
+            state = GaussState(coeff, *(rng.randint(-5, 5) for _ in range(3)), dom, den=den, support=support)
+            for q in dom.index_range():
+                _assert_public_normal_form(state.coordinate(q))
+                for r in dom.index_range():
+                    _assert_public_normal_form(op.kernel_value(q, r))
+
+
+def test_composed_coefficients_match_public_constructor(params, small):
+    from gausscalc.dynamics import free_propagator, sm_transfer
+    from gausscalc.hilbert import GaussOperator, QuadForm, compose, domain_v
+
+    ops = [free_propagator(params, t) for t in (1, 2, 3, 6, 9, 18)]
+    ops += [sm_transfer(params, QuadForm(A, B, C)) for A, C in ((-1, -1), (-2, -2), (0, -1), (-2, -4))
+            for B in (-1, 2)]
+    pairs = [(op, op) for op in ops] + list(zip(ops[:6], ops[1:6] + ops[:1]))
+    V = domain_v(small)
+    rng = random.Random(1618)
+    for _ in range(40):
+        coeffs_ = [rand_coeff(rng, "V", max_den=8) for _ in range(2)]
+        pairs.append(tuple(
+            GaussOperator(c, rng.randint(-2, 0), rng.randint(-2, 2), rng.randint(-2, 0), V, V,
+                          kD=rng.randint(-2, 2), kE=rng.randint(-2, 2), den=rng.choice((1, 2)))
+            for c in coeffs_))
+    composed = 0
+    for op1, op2 in pairs:
+        P = params if op1.domain_in.N != V.N else small
+        try:
+            out = compose(P, op1, op2)
+        except (ArithError, ArithmeticError):
+            continue
+        composed += not out.is_zero()
+        _assert_public_normal_form(out.coeff)
+    assert composed >= 20
+
+
+def test_repeated_closed_forms_never_factor_a_square(params, monkeypatch):
+    # the kernel's periods are split once each; the public constructor gets
+    # rho already squarefree and, for a small one, does not factor it
+    from gausscalc import gauss
+    from gausscalc.gauss import GaussSumSpec, gauss_closed
+
+    sweep = [GaussSumSpec(a, b, M, dom)
+             for M in (144, 2304, 82944) for a in (1, 2, 3, 4, 6, 9, 12, -1, -2, -3, -4, -6, -9, -12)
+             for b in (0, 3 * a, 1) for dom in "UV"]
+    first = [gauss_closed(spec, params=params) for spec in sweep]
+    calls = []
+    real = coeffring.squarefree_split
+    for module in (gauss, coeffring):
+        monkeypatch.setattr(module, "squarefree_split", lambda n: calls.append(n) or real(n))
+    assert [gauss_closed(spec, params=params) for spec in sweep] == first
+    assert [n for n in calls if real(n)[0] != 1] == []

@@ -1,0 +1,43 @@
+"""Checks on the source text of src/gausscalc.
+
+pyproject.toml declares Python >= 3.10, so every module must parse under
+the 3.10 grammar whatever interpreter runs the suite.  No module may touch
+the private attributes of fractions.Fraction: they differ between Python
+versions (3.12 dropped the `_normalize` argument of `Fraction.__new__` and
+added `Fraction._from_coprime_ints`), so the integer-pair coefficients and
+phases read `numerator`/`denominator` only.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "gausscalc"
+MODULES = sorted(SRC.glob("*.py"))
+FRACTION_INTERNALS = {"_numerator", "_denominator", "_from_coprime_ints", "_normalize"}
+
+
+def test_the_package_has_modules():
+    assert {p.name for p in MODULES} >= {"__init__.py", "arith.py", "coeffring.py", "gauss.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_parses_under_the_python_3_10_grammar(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_touches_no_fraction_internals(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)  # getattr(x, "_numerator")
+    assert not names & FRACTION_INTERNALS
