@@ -10,6 +10,8 @@ import json
 import sys
 from functools import lru_cache
 
+import numpy as np
+
 from .arith import ParamSpec, default_params, find_params, load_params, require_int
 from .coeffring import to_complex, to_fp
 from .climit import (
@@ -150,12 +152,15 @@ def cmd_sm_compose(args) -> int:
     T = sm_transfer(params, form)
     TT = compose(params, T, T)
     p = params.p
-    samples = [(0, 0), (1, 2), (-5, 17), (23, -8)]
+    qs, rs = np.array([0, 1, -5, 23]), np.array([0, 2, 17, -8])
     mm = domain_u(params).index_vector()
+    # sample i sums T(qs[i], m) T(m, rs[i]) over m: row i of each block
+    rows = T.kernel_block(params, qs[:, None], mm)
+    cols = T.kernel_block(params, mm[None, :], rs[:, None])
+    brute = (rows * cols % p).sum(axis=1) % p
     agree = True
     checked = []
-    for q, r in samples:
-        acc = int((T.kernel_block(params, q, mm) * T.kernel_block(params, mm, r) % p).sum()) % p
+    for q, r, acc in zip(qs.tolist(), rs.tolist(), brute.tolist()):
         sym = to_fp(params, TT.kernel_value(q, r))
         checked.append({"q": q, "r": r, "brute": acc, "closed": sym})
         agree = agree and acc == sym

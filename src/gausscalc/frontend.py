@@ -13,7 +13,11 @@ Grammar (whitespace insensitive):
     factors := ident ['^' power] ('*' ident ['^' power])*
 
 Phase polynomials have integer coefficients and total degree <= 2; a
-quantifier body extends maximally to the right.  'sum' is the domain
+quantifier body extends maximally to the right.  Parentheses and
+quantifiers nest at most MAX_DEPTH = 64 deep (one inside another, the
+parentheses of 'e(' and 'sqrt(' not counted); a deeper one is a
+ParseError at its own position, so no recursive pass over a parsed
+expression nests deeper than that.  'sum' is the domain
 summation quantifier; 'int' is the same summation weighted by the lattice
 measure 1/sqrt(N) (the x = r/sqrt(N) scaling).
 
@@ -241,10 +245,14 @@ def _tokenize(text: str) -> list[Token]:
     return out
 
 
+MAX_DEPTH = 64
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -264,6 +272,16 @@ class _Parser:
     def fail(self, message: str):
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
+
+    def parse_nested(self, at: Token) -> Expr:
+        """parse_expr for the body of the '(' or quantifier at `at`, one
+        level deeper."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", at.line, at.col)
+        self.depth += 1
+        body = self.parse_expr()
+        self.depth -= 1
+        return body
 
     # expr := product ('+' product)*
     def parse_expr(self) -> Expr:
@@ -293,7 +311,7 @@ class _Parser:
             return self.parse_rational()
         if tok.kind == "SYM" and tok.text == "(":
             self.next()
-            inner = self.parse_expr()
+            inner = self.parse_nested(tok)
             self.expect("SYM", ")")
             return inner
         if tok.kind == "IDENT":
@@ -339,7 +357,7 @@ class _Parser:
                 if var.text in _KEYWORDS:
                     raise ParseError(f"{var.text!r} is reserved", var.line, var.col)
                 self.expect("SYM", ".")
-                body = self.parse_expr()
+                body = self.parse_nested(tok)
                 return Quant(tok.text, var.text, body, pos=at)
         self.fail(f"unexpected token {tok.text!r}")
 

@@ -31,6 +31,7 @@ for the constant 1, x^T Q x = sum_{i <= j} Q[i][j] x_i x_j; a guard
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,18 +79,41 @@ def _brute_fp(params: Params, a: int, b: int, M: int, chunks: int = 1) -> int:
 
 
 def _brute_complex(a: int, b: int, M: int) -> complex:
-    """Same sum with zeta = e^{i pi / M}: the angles as one numpy vector,
-    the real and imaginary parts of the terms summed by math.fsum.  fsum
-    rounds each exact sum once, so the result does not depend on how the
-    window is split."""
+    """Same sum with zeta = e^{i pi / M}: its exact real and imaginary
+    parts, each rounded once by math.fsum, so the result does not depend on
+    how the window is split.  The exponents take at most 2M values, so cos
+    and sin run once per occupied residue, and each term count enters fsum
+    exactly (`_times_counts`): the value is that of fsum over all M terms."""
+    theta, counts = _residue_angles(a, b, M)
+    chain = itertools.chain.from_iterable
+    return complex(math.fsum(chain(_times_counts(np.cos(theta), counts))),
+                   math.fsum(chain(_times_counts(np.sin(theta), counts))))
+
+
+def _residue_angles(a: int, b: int, M: int):
+    """The angles pi k / M of the occupied residues k of a n^2 + 2 b n mod
+    2M over 0 < n <= M, in increasing k, and the number of n at each (a
+    call of its own, so that the index vector is freed before cos and sin
+    run)."""
     n = np.arange(1, M + 1)
-    theta = np.pi * poly_mod(2 * M, [(a, n, n), (2 * b, n)]) / M
-    return complex(math.fsum(np.cos(theta).tolist()), math.fsum(np.sin(theta).tolist()))
+    counts = np.bincount(poly_mod(2 * M, [(a, n, n), (2 * b, n)]))
+    return np.pi * np.flatnonzero(counts) / M, counts[counts != 0]
+
+
+def _times_counts(v: np.ndarray, counts: np.ndarray):
+    """The products counts * v as exact float parts, one list per binary
+    digit i of the counts: v * 2^i is exact, so fsum over the parts is
+    fsum over v[k] repeated counts[k] times.  No list is longer than v."""
+    for i in range(int(counts.max()).bit_length()):
+        on = counts & (1 << i) != 0
+        x = v if on.all() else v[on]
+        yield (np.ldexp(x, i) if i else x).tolist()
 
 
 def gauss_brute(params: Params, spec: GaussSumSpec, chunks: int = 1):
     """Literal evaluation of the full-window sum in the requested backend;
-    `chunks` splits the F_p sum (the complex sum is split-invariant)."""
+    `chunks` splits the F_p sum.  The complex sum is split-invariant: one
+    exact fsum over residue counts, equal to the fsum of all M terms."""
     if spec.backend == "Fp":
         return _brute_fp(params, spec.a, spec.b, spec.M, chunks)
     return _brute_complex(spec.a, spec.b, spec.M)

@@ -11,6 +11,10 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from gausscalc import cli
+from gausscalc.arith import ParamSpec, find_params
+from gausscalc.dynamics import sm_transfer
+from gausscalc.frontend import MAX_DEPTH, ParseError, format_expr, parse
+from gausscalc.hilbert import QuadForm, domain_u
 
 CLI = [sys.executable, "-m", "gausscalc.cli"]
 
@@ -199,6 +203,8 @@ BAD_INPUTS = {
     "missing required flag": (None, ["gauss-sum", "--a", "1"]),
     "bad choice": (None, ["inner", "--kind", "X", "--s1", '{"r": 0}', "--s2", '{"r": 0}']),
     "unknown subcommand": (None, ["frobnicate"]),
+    "400 nested parentheses": (None, ["qe", "--expr", "(" * 400 + "1" + ")" * 400]),
+    "400 nested quantifiers": (None, ["qe", "--expr", "".join(f"sum x{i} . " for i in range(400)) + "1"]),
 }
 
 
@@ -214,6 +220,46 @@ def test_bad_input_is_one_json_error(case, tmp_path):
         status, lines = main_lines(argv)
     assert status == 1 and len(lines) == 1 and not err.getvalue(), (lines, err.getvalue())
     assert set(strict_json(lines[0])) == {"error", "type"}
+
+
+def test_nesting_beyond_max_depth_is_a_parse_error_where_it_starts():
+    deep = MAX_DEPTH + 1
+    with pytest.raises(ParseError) as exc:
+        parse("(" * deep + "1" + ")" * deep)
+    assert (exc.value.line, exc.value.col) == (1, deep)
+    quants = [f"sum x{i} . " for i in range(400)]
+    with pytest.raises(ParseError) as exc:
+        parse("".join(quants) + "1")
+    assert (exc.value.line, exc.value.col) == (1, 1 + len("".join(quants[:MAX_DEPTH])))
+    # at the limit a literal parenthesised nest still evaluates through `qe`
+    at_limit = "(" * MAX_DEPTH + "1/2" + ")" * MAX_DEPTH
+    status, lines = main_lines(["qe", "--expr", at_limit])
+    doc = strict_json(lines[0])
+    assert status == 0 and doc["agree"] is True and doc["input"] == "1/2"
+    assert format_expr(parse("".join(quants[:MAX_DEPTH]) + "1")).count("sum") == MAX_DEPTH
+
+
+SMALL_SM_FORMS = ((-4, 0), (-3, -1), (-2, -2), (-2, 0), (-1, -3), (-1, -1), (-1, 0), (0, -4), (0, -2), (0, -1))
+
+
+def test_sm_compose_samples_equal_one_kernel_product_each(tmp_path):
+    """Every transfer form whose square closes on the (2, 1) tower: each
+    sample's brute value is its own row-by-column kernel product."""
+    f = tmp_path / "small.json"
+    f.write_text(json.dumps(SMALL))
+    P = find_params(ParamSpec(2, 1))
+    mm = domain_u(P).index_vector()
+    for A, C in SMALL_SM_FORMS:
+        for B in range(-2, 3):
+            status, lines = main_lines(["--params-file", str(f), "sm-compose",
+                                        "--A", str(A), "--B", str(B), "--C", str(C)])
+            doc = strict_json(lines[0])
+            T = sm_transfer(P, QuadForm(A, B, C))
+            assert status == 0 and doc["agree"] is True and len(doc["samples"]) == 4
+            for s in doc["samples"]:
+                q, r = s["q"], s["r"]
+                want = int((T.kernel_block(P, q, mm) * T.kernel_block(P, mm, r) % P.p).sum()) % P.p
+                assert s["brute"] == want == s["closed"], (A, B, C, q, r)
 
 
 def test_help_still_exits_zero():

@@ -539,3 +539,35 @@ def test_brute_complex_equals_one_exp_per_term(M):
         terms = [cmath.exp(1j * math.pi * ((a * n * n + 2 * b * n) % (2 * M)) / M) for n in range(1, M + 1)]
         want = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
         assert abs(_brute_complex(a, b, M) - want) < 1e-10, (a, b, M)
+
+
+def _brute_complex_every_term(a, b, M):
+    """The complex Gauss sum as _brute_complex defined it before summing by
+    residue: cos and sin of every one of the M angles, each list summed by
+    math.fsum."""
+    n = np.arange(1, M + 1)
+    theta = np.pi * poly_mod(2 * M, [(a, n, n), (2 * b, n)]) / M
+    return complex(math.fsum(np.cos(theta).tolist()), math.fsum(np.sin(theta).tolist()))
+
+
+def _brute_complex_cases(M):
+    """a = 0, negative a and b, a and b at or beyond 2M, the closed-form
+    coefficients with b a multiple of a or not, and arbitrary a and b."""
+    rng = random.Random(f"brute_complex/{M}")
+    cases = [(0, 0), (0, rng.randint(1, 4 * M)), (-rng.randint(1, M), -rng.randint(1, M)),
+             (2 * M + rng.randint(0, M), 2 * M + rng.randint(0, 3 * M)), (-2 * M - 1, 5 * M + 3)]
+    for _ in range(4):
+        a = rng.choice((1, 2, 3, 4, 6, 9, 12)) * rng.choice((-1, 1))
+        cases.append((a, a * rng.randint(-6, 6)))
+        cases.append((a, rng.randint(-40, 40)))
+    cases += [(rng.randint(-3 * M, 3 * M), rng.randint(-3 * M, 3 * M)) for _ in range(3)]
+    return cases
+
+
+@pytest.mark.parametrize("M", [16, 144, 2304, 82944])
+def test_brute_complex_is_the_fsum_of_every_term(M):
+    cases = _brute_complex_cases(M)
+    if M == 82944:
+        cases.append((12, 5))  # every residue mod 2M distinct: one count per term
+    for a, b in cases:
+        assert _brute_complex(a, b, M) == _brute_complex_every_term(a, b, M), (a, b, M)
