@@ -99,6 +99,19 @@ def test_quadrature_guards():
     g = ContinuumGaussian("Euclidean", 1.0, 1.0, 0.0)
     with pytest.raises(Exception):
         continuum_inner_quadrature(g, g, window=1.0, step=0.5)
+    for window, step in ((10.0, -1.0), (10.0, 0.0), (math.inf, 1e-3), (10.0, math.nan)):
+        with pytest.raises(ArithError, match="0 < step < window/100"):
+            continuum_inner_quadrature(g, g, window=window, step=step)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("c", math.nan), ("c", complex(1.0, math.inf)),
+    ("A", math.nan), ("A", math.inf), ("B", math.nan), ("B", -math.inf),
+])
+def test_continuum_gaussian_refuses_non_finite_values(field, value):
+    for kind in ("Euclidean", "Hermitian"):
+        with pytest.raises(ArithError, match="finite"):
+            ContinuumGaussian(kind, **{field: value})
 
 
 def test_convergence_euclidean(params):

@@ -8,7 +8,9 @@ exceptions where the elementwise path raises.  The DSL's literal
 evaluator, eval_expr, reads the same roots and is checked on the same
 two sides of the int64 boundary.  The two floating-point oracles, the
 chunked Simpson rule behind the continuum quadrature and the complex
-Gauss sum, are checked against whole-grid and one-term-at-a-time sums.
+Gauss sum, are checked against whole-grid and one-term-at-a-time sums,
+and the quadrature's angle-addition integrand against cos and sin of
+every grid point and against mpmath.
 """
 
 import cmath
@@ -33,7 +35,12 @@ from gausscalc.arith import (
     poly_mod,
     smallest_primitive_root,
 )
-from gausscalc.climit import _mollified_phase, _simpson
+from gausscalc.climit import (
+    ContinuumGaussian,
+    _hermitian_chunk,
+    _simpson,
+    continuum_inner_quadrature,
+)
 from gausscalc.coeffring import GaussCoeff, to_fp
 from gausscalc.dynamics import fourier_operator, free_propagator, sm_transfer, weyl_pair
 from gausscalc.frontend import (
@@ -504,12 +511,19 @@ def test_eval_expr_equals_the_pointwise_sum(tower, request):
 # -- the floating-point oracles ----------------------------------------------------
 
 
-@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("stacked", [False, True, "complex"])
 def test_chunked_simpson_equals_the_whole_grid_sum(stacked):
-    def f(x):
+    """One real row (False), real and imaginary parts stacked (True), or one
+    complex row."""
+    def integrand(x):
+        if stacked == "complex":
+            return np.exp((1 + 3j) * x)
         if stacked:
             return np.stack([np.cos(3 * x), np.sin(3 * x)]) * np.exp(x)
         return np.exp(x) * (2 + x)  # nonzero at both ends
+
+    def f(lo, h, start, stop):
+        return integrand(lo + np.arange(start, stop) * h)
 
     lo, hi, n = -1.0, 2.0, 3 * BLOCK + 101  # odd: Simpson takes n + 1 panels
     got = _simpson(f, lo, hi, n)
@@ -518,19 +532,93 @@ def test_chunked_simpson_equals_the_whole_grid_sum(stacked):
     w = np.full(n + 1, 2.0)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
-    want = f(x) @ w * ((hi - lo) / n) / 3.0
-    assert np.shape(got) == np.shape(want) == ((2,) if stacked else ())
+    want = integrand(x) @ w * ((hi - lo) / n) / 3.0
+    assert np.shape(got) == np.shape(want) == ((2,) if stacked is True else ())
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
+def _mollified_phase(x, A, B, eps):
+    """The Hermitian integrand e^{pi i (A x^2 + 2 B x) - eps x^2} as climit
+    evaluated it before angle addition: cos and sin of every point, as
+    stacked real and imaginary parts, with q = A x^2 + 2 B x reduced exactly
+    to q - 2 rint(q/2) first."""
+    q = A * x * x + 2 * B * x
+    q -= 2.0 * np.rint(0.5 * q)
+    q *= math.pi
+    out = np.empty((2, x.size))
+    np.cos(q, out=out[0])
+    np.sin(q, out=out[1])
+    out *= np.exp(-eps * x * x)
+    return out
+
+
+def _hermitian_grid(A, B, eps):
+    """lo, h and the panel count of continuum_inner_quadrature's Hermitian
+    grid at the default window and step."""
+    w = max(10.0, 6.0 / math.sqrt(eps))
+    n = int(2 * w / min(1e-3, 1.0 / (40.0 * (abs(A) * w + abs(B) + 1.0))))
+    n += n % 2
+    return -w, (w - -w) / n, n
+
+
 def test_reduced_angle_integrand_equals_the_complex_exponential():
-    x = np.linspace(-190.0, 190.0, 40001)
+    lo, h, n = -190.0, 0.0095, 40000  # the grid of np.linspace(-190, 190, 40001)
+    x = lo + np.arange(n + 1) * h
     for B in (0.0, 0.37, -1.5):
         for eps in (0.0, 1e-3, 1e-2):
-            got = _mollified_phase(x, 4.0, B, eps)
+            got = _hermitian_chunk(lo, h, 0, n + 1, 4.0, B, eps)
             want = np.exp(1j * np.pi * (4.0 * x * x + 2 * B * x) - eps * x * x)
-            assert np.abs(got[0] - want.real).max() < 1e-9, (B, eps)
-            assert np.abs(got[1] - want.imag).max() < 1e-9, (B, eps)
+            assert np.abs(got.real - want.real).max() < 1e-9, (B, eps)
+            assert np.abs(got.imag - want.imag).max() < 1e-9, (B, eps)
+
+
+@pytest.mark.parametrize("A, B, eps, start", [
+    (4.0, 0.37, 1e-3, 0),  # x from -189.7, angles up to 4 pi 190^2
+    (0.25, -0.3, 1e-3, BLOCK),  # verify's A, x from -172.8
+    (0.25, 0.1, 1e-2, BLOCK),  # the eps = 1e-2 grid, x across 0
+])
+def test_angle_addition_is_as_accurate_as_cos_and_sin_of_every_point(A, B, eps, start):
+    """At 300 seeded points of one BLOCK chunk of the quadrature's grid, both
+    integrands against the exact value at lo + i h (mpmath, 40 digits): the
+    anchor kernel's largest relative error is at most twice that of cos and
+    sin of every point (which sees the grid point rounded to a float)."""
+    mpmath = pytest.importorskip("mpmath")
+    lo, h, _ = _hermitian_grid(A, B, eps)
+    got = _hermitian_chunk(lo, h, start, start + BLOCK, A, B, eps)
+    ref = _mollified_phase(lo + np.arange(start, start + BLOCK) * h, A, B, eps)
+    errors_got, errors_ref = [], []
+    with mpmath.workdps(40):
+        for k in random.Random(f"angle_addition/{A}/{B}/{eps}").sample(range(BLOCK), 300):
+            x = mpmath.mpf(lo) + (start + k) * mpmath.mpf(h)
+            exact = mpmath.exp(mpmath.mpc(-eps * x * x, mpmath.pi * (A * x * x + 2 * B * x)))
+            errors_got.append(float(abs(exact - mpmath.mpc(got[k].real, got[k].imag)) / abs(exact)))
+            errors_ref.append(float(abs(exact - mpmath.mpc(ref[0, k], ref[1, k])) / abs(exact)))
+    assert max(errors_got) <= 2 * max(errors_ref) + 1e-15, (max(errors_got), max(errors_ref))
+
+
+def _quadrature_every_point(A, B):
+    """continuum_inner_quadrature's Hermitian value for <g(A, B) | g(0, 0)>,
+    its integrand taken from cos and sin of every grid point."""
+    values = []
+    for eps in (1e-2, 1e-3):
+        lo, h, n = _hermitian_grid(A, B, eps)
+
+        def f(lo, h, start, stop, eps=eps):
+            re, im = _mollified_phase(lo + np.arange(start, stop) * h, A, B, eps)
+            return re + 1j * im
+
+        values.append(complex(_simpson(f, lo, -lo, n)))
+    v1, v2 = values
+    return (1e-2 * v2 - 1e-3 * v1) / (1e-2 - 1e-3)
+
+
+def test_angle_addition_quadrature_equals_cos_and_sin_of_every_point():
+    """verify's quadratures: A = 0.25 and B across [-0.4, 0.4]."""
+    g0 = ContinuumGaussian("Hermitian", 1.0, 0.0, 0.0)
+    for B in np.linspace(-0.4, 0.4, 9):
+        want = _quadrature_every_point(0.25, B)
+        got = continuum_inner_quadrature(ContinuumGaussian("Hermitian", 1.0, 0.25, B), g0)
+        assert abs(got - want) <= 1e-11 * abs(want), (B, got, want)
 
 
 @pytest.mark.parametrize("M", [144, 2304])
