@@ -327,11 +327,6 @@ class Params:
             self._powers[two_m] = table
         return table
 
-    def xi_powers(self, two_m: int, exps) -> np.ndarray:
-        """xi_2M**exps mod p for an array of exponents already reduced to
-        [0, 2M): a gather from the power table."""
-        return self.power_table(two_m)[np.asarray(exps, dtype=np.intp)]
-
     def char_e(self, phase: Phase | Fraction) -> FpElem:
         """e(q) = exp_p((p-1) * q); multiplicative in q.  A bare q must be
         an int or a Fraction."""

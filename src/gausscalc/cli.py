@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from functools import lru_cache
 
@@ -31,6 +32,7 @@ from .hilbert import (
     domain_of,
     domain_u,
     domain_v,
+    gauss_ket,
     inner,
     state_from_descriptor,
 )
@@ -66,7 +68,7 @@ def cmd_gauss_sum(args) -> int:
     params = _load_params(args)
     spec = GaussSumSpec(args.a, args.b, args.M, args.domain, "Fp")
     doc: dict = {"inputs": {"a": args.a, "b": args.b, "M": args.M, "domain": args.domain}}
-    closed = gauss_closed(spec, args.mode, params)
+    closed = gauss_closed(spec, args.mode, params=params)
     brute_fp = gauss_brute(params, spec) if args.compute in ("brute", "both") else None
     if args.compute in ("closed", "both"):
         doc["coeff_normal_form"] = str(closed)
@@ -174,14 +176,10 @@ def cmd_sm_compose(args) -> int:
 
 
 def cmd_wick_check(args) -> int:
-    import random
-
     params = _load_params(args)
     U = domain_u(params)
     kind = "Euclidean" if args.kind == "E" else "Hermitian"
     rng = random.Random(args.seed)
-    from .hilbert import gauss_ket
-
     failures = 0
     nonzero = 0
     for _ in range(args.pairs):
@@ -215,7 +213,7 @@ def cmd_limit(args) -> int:
         mode=args.mode, b_cont=args.B,
     )
     doc = report.to_dict()
-    doc["tail_monotone"] = report.tail_monotone(slack=0.1 if kind == "Hermitian" else 0.0)
+    doc["tail_monotone"] = report.tail_monotone()
     _emit(doc)
     return 0 if (report.degenerate or doc["tail_monotone"]) else 2
 

@@ -267,8 +267,11 @@ class LimitReport:
     degenerate: bool = False
     note: str = ""
 
-    def tail_monotone(self, slack: float = 0.0) -> bool:
-        """Whether the last three errors fall, each within a factor 1 + slack."""
+    def tail_monotone(self) -> bool:
+        """Whether the last three errors fall, each within a factor 1 + slack
+        of the one before: slack 0.1 for the Hermitian kind, whose errors
+        carry the quadrature's, and 0 for the Euclidean one."""
+        slack = 0.1 if self.kind == "Hermitian" else 0.0
         tail = self.errors[-3:]
         return all(b <= a * (1 + slack) + 1e-15 for a, b in zip(tail, tail[1:]))
 

@@ -391,7 +391,7 @@ def to_fp_phases(params: Params, coeff: GaussCoeff, tag: str, m: int, num, on,
         if len(bad):
             scalar(bad[0])
             raise AssertionError("to_fp_phases disagrees with to_fp")
-    out[on] = unit * params.xi_powers(g, E[on] // h) % p
+    out[on] = unit * params.power_table(g)[np.asarray(E[on] // h, dtype=np.intp)] % p
     return out
 
 

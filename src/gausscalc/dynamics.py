@@ -26,12 +26,14 @@ from .arith import ArithError, Params
 from .coeffring import GaussCoeff, to_fp
 from .gauss import PreconditionViolation
 from .hilbert import (
+    DenseState,
     Domain,
     GaussOperator,
     GaussState,
     InadmissibleForm,
     PositionState,
     QuadForm,
+    apply_operator,
     domain_u,
     domain_v,
     gauss_ket,
@@ -83,8 +85,6 @@ class WeylPair:
 
     def commutation_defect(self, params: Params, r: int) -> dict:
         """F_p coordinates of (UV - qVU) u[r]; all zero iff the relation holds."""
-        from .hilbert import DenseState, apply_operator
-
         domain = self.U.domain_in
         uv = apply_operator(params, self.U, apply_operator(params, self.V, PositionState(r, domain)))
         vu = apply_operator(params, self.V, apply_operator(params, self.U, PositionState(r, domain)))

@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import BLOCK, ArithError, DomainMismatch, Params, poly_mod, ratio_phase
+from .arith import BLOCK, ArithError, DomainMismatch, Params, poly_mod, ratio_phase, require_int
 from .coeffring import GaussCoeff, to_fp, unit_normalization
 from .gauss import gauss_sum
 
@@ -543,7 +543,13 @@ def eval_expr(
     that does not fit loops over its values."""
     domains = _domains(e)
     run, _, _ = _compile(e, params, _scale(domains, e) or "V", domains)
-    return run(dict(assignment or {}))
+    return run(_int_assignment(assignment))
+
+
+def _int_assignment(assignment: dict | None) -> dict[str, int]:
+    """A copy of the evaluators' assignment; ArithError naming the first
+    variable whose value is not an integer."""
+    return {v: require_int(x, f"the value of {v!r}") for v, x in (assignment or {}).items()}
 
 
 def _compile(e: Expr, params: Params, dom: str, domains: dict):
@@ -663,7 +669,7 @@ def eval_normal_form(
     assignment: dict[str, int] | None = None,
 ) -> int:
     """The normal form's value in F_p: its terms whose guards hold."""
-    assignment = assignment or {}
+    assignment = _int_assignment(assignment)
     total = 0
     for t in nf.terms:
         if not all(g.holds(assignment) for g in t.guards):

@@ -119,10 +119,9 @@ def gauss_brute(params: Params, spec: GaussSumSpec, chunks: int = 1):
     return _brute_complex(spec.a, spec.b, spec.M)
 
 
-def sqrt_with_scale(value: int, M: int, domain: str, params: Params | None, c: int = 1,
-                    e8: int = 0) -> GaussCoeff:
+def sqrt_with_scale(value: int, M: int, domain: str, params: Params, c: int, e8: int) -> GaussCoeff:
     """c * sqrt(value) * e8^e8 as one GaussCoeff, for a sum of modulus M
-    and integers value >= 1 and c.
+    on the tower `params` and integers value >= 1 and c.
 
     The scale generator j = sqrt(i), i = N_u/N_v, comes out exactly when M
     carries the U domain size (N_u | M, as in every inner, apply, compose
@@ -131,7 +130,7 @@ def sqrt_with_scale(value: int, M: int, domain: str, params: Params | None, c: i
     sqrt(n/d) = sqrt(n d)/d.  Otherwise sqrt(value) stays numeric, even
     where value is a multiple of i by coincidence (M = 4i)."""
     a, d = 0, 1
-    if domain == "U" and params is not None and M % params.N_u == 0:
+    if domain == "U" and M % params.N_u == 0:
         g = math.gcd(value, params.i)
         a, d = 1, params.i // g
         value = value // g * d
@@ -150,12 +149,10 @@ def _squarefree(n: int) -> tuple[int, int]:
     return squarefree_split(n)
 
 
-def gauss_closed(
-    spec: GaussSumSpec, mode: str = "extended", params: Params | None = None
-) -> GaussCoeff:
-    """Closed form of the full-window sum as a normal-form coefficient: the
-    kernel's sum over M consecutive integers."""
-    return quadratic_window_sum(spec.a, spec.b, 0, spec.M, spec.M, spec.domain, mode, params)
+def gauss_closed(spec: GaussSumSpec, mode: str = "extended", *, params: Params) -> GaussCoeff:
+    """Closed form of the full-window sum on the tower `params` as a
+    normal-form coefficient: the kernel's sum over M consecutive integers."""
+    return quadratic_window_sum(spec.a, spec.b, 0, spec.M, spec.M, spec.domain, mode, params=params)
 
 
 # -- the statistical-mechanics one-period sum ---------------------------------
@@ -206,10 +203,10 @@ class GaussSum(NamedTuple):
     guards: tuple
 
 
-def gauss_sum(Q, y: int, guards, N: int, M: int, domain: str, mode: str = "extended",
-              params: Params | None = None) -> GaussSum:
+def gauss_sum(Q, y: int, guards, N: int, M: int, domain: str, mode: str, params: Params) -> GaussSum:
     """Sum e(x^T Q x / 2M) over N consecutive values of x_y where the guards
-    hold, in closed form.  Raises NonGaussianSum outside the fragment.
+    hold, in closed form on the tower `params`.  Raises NonGaussianSum
+    outside the fragment.
 
     1. Coset.  The guards on x_y merge into x_y = base . x + step * sigma
        by `merge_cosets`, whatever their moduli, leaving residual guards
@@ -413,13 +410,14 @@ def quadratic_window_sum(
     window: int,
     domain: str,
     mode: str = "extended",
-    params: Params | None = None,
+    *,
+    params: Params,
 ) -> GaussCoeff:
     """Exact closed form for sums of e((A x^2 + 2 B x + C)/2M) over any
-    `window` consecutive integers: the kernel's case with no free
-    variables.  Raises NonGaussianSum outside the fragment (a window that
-    is not a whole number of quasi-periods, or blocks that do not
-    telescope)."""
+    `window` consecutive integers on the tower `params`: the kernel's case
+    with no free variables.  Raises NonGaussianSum outside the fragment (a
+    window that is not a whole number of quasi-periods, or blocks that do
+    not telescope)."""
     res = gauss_sum([[A, 2 * B], [0, C]], 0, (), window, M, domain, mode, params)
     if res.coeff.is_zero():
         return res.coeff

@@ -49,7 +49,7 @@ from .arith import (
     ratio_phase,
     require_int,
 )
-from .coeffring import GaussCoeff, to_fp_phases
+from .coeffring import GaussCoeff, parse_coeff, to_fp_phases
 from .coeffring import unit_normalization as coeff_unit
 from .gauss import NonGaussianSum, _guard_coset, divides_on_guards, gauss_sum, merge_cosets, never_holds
 from .gauss import quadratic_window_sum
@@ -177,28 +177,17 @@ def zero_state(domain: Domain) -> GaussState:
     return GaussState(GaussCoeff.zero(), 0, 0, 0, domain)
 
 
-def gauss_ket(
-    params: Params,
-    domain: Domain,
-    form: QuadForm,
-    p_param: int = 0,
-    coeff: GaussCoeff | None = None,
-    den: int = 1,
-) -> GaussState:
-    """The ket with coordinates coeff * e(f(r, p)/2N), f = A r^2 + 2B r p + C p^2.
-
-    coeff defaults to the 1/sqrt(N) normalisation."""
+def gauss_ket(params: Params, domain: Domain, form: QuadForm, p_param: int = 0) -> GaussState:
+    """The normalised ket with coordinates (1/sqrt(N)) e(f(r, p)/2N),
+    f = A r^2 + 2B r p + C p^2."""
     if not form.admissible:
         raise InadmissibleForm(f"form {form} needs A <= 0 and C <= 0")
-    if coeff is None:
-        coeff = unit_normalization(params, domain)
     return GaussState(
-        coeff,
+        unit_normalization(params, domain),
         form.A,
         form.B * p_param,
         form.C * p_param * p_param,
         domain,
-        den=den,
     )
 
 
@@ -218,8 +207,6 @@ def state_from_descriptor(params: Params, d: dict) -> GaussState:
     writes: an object with a domain 'U' or 'V', a coefficient string, an
     integer form [A, L, C] and optional integer p_param, den and support
     [k, d]; ArithError for any other shape."""
-    from .coeffring import parse_coeff
-
     if not isinstance(d, dict):
         raise ArithError("a state descriptor must be an object")
     for key in ("domain", "coeff", "form"):
@@ -365,7 +352,7 @@ def inner(params: Params, s1, s2, kind: str = "Hermitian", mode: str = "extended
         window = math.lcm(M, A_s) // math.gcd(A_s, B_s)
     else:
         window = N // k if B_s % M == 0 else M // math.gcd(M, B_s)
-    value = quadratic_window_sum(A_s, B_s, C_s, M, window, s1.domain.tag, mode, params)
+    value = quadratic_window_sum(A_s, B_s, C_s, M, window, s1.domain.tag, mode, params=params)
     if value.is_zero():
         return value
     if window > N // k:
@@ -432,7 +419,7 @@ def apply_operator(params: Params, op: GaussOperator, s) -> GaussState:
     ]
     ks, ds = s.support
     guards = [(ks, (-1, 0, ds))] + [_summed_guard(k, (aq, ar, c), 0) for k, (aq, ar, c) in op.support]
-    res = gauss_sum(Q, 0, guards, N, N * den, s.domain.tag, params=params)
+    res = gauss_sum(Q, 0, guards, N, N * den, s.domain.tag, "extended", params)
     if res.coeff.is_zero():
         return zero_state(op.domain_out)
     # the guards on the output index (q is summed out) give its coset
@@ -472,7 +459,7 @@ def compose(params: Params, op1: GaussOperator, op2: GaussOperator) -> GaussOper
     ]
     guards = [_summed_guard(k, (0, aq, ar, c), 1) for k, (aq, ar, c) in op1.support]
     guards += [_summed_guard(k, (aq, ar, 0, c), 1) for k, (aq, ar, c) in op2.support]
-    res = gauss_sum(Q, 1, guards, N, N * den, tag, params=params)
+    res = gauss_sum(Q, 1, guards, N, N * den, tag, "extended", params)
     if res.coeff.is_zero():
         return zero
     lifted = []

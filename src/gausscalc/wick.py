@@ -14,7 +14,7 @@ is: multiply by j, rescale the phase numerator by i, retag U -> V.  The
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .arith import ArithError, Params
 from .coeffring import GaussCoeff, to_fp
@@ -24,6 +24,7 @@ from .hilbert import (
     apply_operator,
     domain_v,
     inner,
+    zero_state,
 )
 
 
@@ -48,21 +49,10 @@ def wick_state(params: Params, s: GaussState) -> GaussState:
         raise WrongDomain("wick_state expects a U-domain state")
     target = domain_v(params)
     if s.is_zero():
-        from .hilbert import zero_state
-
         return zero_state(target)
-    k, d = s.support
-    if target.N % k:
+    if target.N % s.support[0]:
         raise WrongDomain("support coset does not fit the V sublattice")
-    return GaussState(
-        wick_coeff(params, s.coeff),
-        s.qA,
-        s.qL,
-        s.qC,
-        target,
-        den=s.den,
-        support=s.support,
-    )
+    return replace(s, coeff=wick_coeff(params, s.coeff), domain=target)
 
 
 def wick_operator(params: Params, op: GaussOperator) -> GaussOperator:
@@ -73,18 +63,7 @@ def wick_operator(params: Params, op: GaussOperator) -> GaussOperator:
     target = domain_v(params)
     if any(target.N % k for k, _ in op.support):
         raise WrongDomain("kernel coset does not fit the V sublattice")
-    return GaussOperator(
-        wick_coeff(params, op.coeff),
-        op.kA,
-        op.kB,
-        op.kC,
-        target,
-        target,
-        kD=op.kD,
-        kE=op.kE,
-        den=op.den,
-        support=op.support,
-    )
+    return replace(op, coeff=wick_coeff(params, op.coeff), domain_in=target, domain_out=target)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,14 @@ def params():
     return find_params(ParamSpec())
 
 
+def test_hermitian_continuum_gaussian_is_a_fresnel_phase():
+    c, A, B = 0.5 - 2j, 0.75, -0.3
+    g = ContinuumGaussian("Hermitian", c, A, B)
+    for x in (-2.5, -1.0, 0.0, 0.4, 1.75, 3.0):
+        want = c * cmath.exp(-1j * math.pi * (A * x * x + 2 * B * x))
+        assert abs(g(x) - want) < 1e-14 * abs(want), x
+
+
 def test_lm_state_v_ket(params):
     s = gauss_ket(params, domain_v(params), QuadForm(-1, 0, 0))
     g = lm_state(params, s)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gausscalc import cli
-from gausscalc.arith import DomainMismatch, ParamSpec, find_params
+from gausscalc.arith import ArithError, DomainMismatch, ParamSpec, find_params
 from gausscalc.frontend import (
     DegreeError,
     ParseError,
@@ -156,6 +156,32 @@ def test_eval_basics(small):
     assert eval_expr(parse("j"), small) == small.j
     two = eval_expr(parse("sqrt(2) * sqrt(2)"), small)
     assert two == 2 % small.p
+
+
+def test_sqrt_atom_through_elimination(small):
+    e = parse("sqrt(2) * sum r . e((-r^2 + 2*r*x)/2N @V)")
+    nf = eliminate(e, small)
+    for x in range(-2, 2):
+        assert eval_normal_form(nf, small, {"x": x}) == eval_expr(e, small, {"x": x}), x
+
+
+def test_parse_error_reports_the_line_and_column_of_a_later_line():
+    with pytest.raises(ParseError) as exc:
+        parse("sum r .\n  e((r^2)/2N @V) $")
+    assert (exc.value.line, exc.value.col) == (2, 18)
+    assert str(exc.value).startswith("2:18: ")
+
+
+def test_evaluators_take_integer_values_only(small):
+    # a float was truncated (1.9 read as 1) and a string multiplied out
+    e = parse("sum r . e((-r^2 + 2*r*x)/2N @V)")
+    nf = eliminate(e, small)
+    for x, want in ((1, 2), (2, 8)):
+        assert eval_expr(e, small, {"x": x}) == eval_normal_form(nf, small, {"x": x}) == want
+    for bad in (1.9, "2", True, Fraction(2)):
+        for evaluate, arg in ((eval_expr, e), (eval_normal_form, nf)):
+            with pytest.raises(ArithError, match="'x' must be an integer"):
+                evaluate(arg, small, {"x": bad})
 
 
 @pytest.mark.parametrize("dom", ["V", "U"])

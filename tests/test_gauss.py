@@ -21,6 +21,7 @@ from gausscalc.gauss import (
     merge_cosets,
     quadratic_window_sum,
     sm_brute,
+    sqrt_with_scale,
 )
 
 
@@ -63,7 +64,7 @@ def test_closed_matches_brute_sample(params):
 
 
 def test_closed_zero_when_a_does_not_divide_b(params):
-    assert gauss_closed(GaussSumSpec(2, 1, 16)).is_zero()
+    assert gauss_closed(GaussSumSpec(2, 1, 16), params=params).is_zero()
     assert gauss_brute(params, GaussSumSpec(2, 1, 16)) == 0
 
 
@@ -129,11 +130,11 @@ def test_brute_partitioning_invariance(params):
         assert abs(gauss_brute(params, cspec, chunks=chunks) - cbase) < 1e-12 * abs(cbase)
 
 
-def test_strict_vs_extended_a0():
+def test_strict_vs_extended_a0(params):
     spec = GaussSumSpec(0, 16, 16)
-    assert gauss_closed(spec, mode="extended") == GaussCoeff.rational(16)
-    assert gauss_closed(spec, mode="strict").is_zero()
-    assert gauss_closed(GaussSumSpec(0, 3, 16)).is_zero()
+    assert gauss_closed(spec, mode="extended", params=params) == GaussCoeff.rational(16)
+    assert gauss_closed(spec, mode="strict", params=params).is_zero()
+    assert gauss_closed(GaussSumSpec(0, 3, 16), params=params).is_zero()
 
 
 def test_sm_closed_form(params):
@@ -217,6 +218,23 @@ def test_j_comes_from_the_u_domain_size_only(params):
     assert str(quadratic_window_sum(1, 0, 0, 2304, 2304, "U", params=params)) == "48 * e8"
     # N_u | M: 256 sqrt(N_u/256) = 256 sqrt(324/i) j = 192 j, with i = 24^2
     assert str(quadratic_window_sum(256, 0, 0, params.N_u, params.N_u, "U", params=params)) == "192 * j * e8"
+
+
+def test_the_kernel_always_takes_the_tower(params):
+    # N_u | M can only be seen on the tower: without it the same sum would
+    # render as a numeric square root that the limit map sends elsewhere
+    N = params.N_u
+    for call in (
+        lambda: quadratic_window_sum(256, 0, 0, N, N, "U"),
+        lambda: gauss_closed(GaussSumSpec(1, 0, N, "U")),
+        lambda: gauss_closed(GaussSumSpec(1, 0, N, "U"), "extended", params),
+        lambda: gauss_sum([[1, 0], [0, 0]], 0, (), N, N, "U", "extended"),
+        lambda: sqrt_with_scale(N, N, "U", params),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    assert str(quadratic_window_sum(256, 0, 0, N, N, "U", params=params)) == "192 * j * e8"
+    assert str(gauss_closed(GaussSumSpec(1, 0, N, "U"), params=params)) == "12 * j * e8"
 
 
 # -- the summation kernel, branch by branch, against literal summation ----------

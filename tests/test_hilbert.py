@@ -365,6 +365,21 @@ def test_permutation_unitary(params, V):
         permutation_unitary(params, lambda r: 0, u)
 
 
+def test_permutation_unitary_of_a_gaussian_ket_is_its_permuted_dense_state(params, V):
+    s = gauss_ket(params, V, QuadForm(-1, 1, 0), p_param=2)
+    coords = DenseState.from_state(params, s).coords
+    out = permutation_unitary(params, lambda r: 5 * r + 1, s)
+    assert isinstance(out, DenseState) and out.domain == V
+    assert dict(out.coords) == {r: coords[V.wrap(5 * r + 1)] for r in V.index_range()}
+
+
+def test_compose_with_a_zero_operator_is_the_zero_operator(params, V):
+    zero = GaussOperator(GaussCoeff.zero(), -1, 1, 0, V, V)
+    F = fourier_operator(params, V)
+    for op1, op2 in ((zero, F), (F, zero)):
+        assert compose(params, op1, op2) == GaussOperator(GaussCoeff.zero(), 0, 0, 0, V, V)
+
+
 def test_permutation_preserves_inner(params, V):
     rng = random.Random(99)
     s1 = gauss_ket(params, V, QuadForm(-1, 1, 0), p_param=2)

@@ -5,7 +5,8 @@ the 3.10 grammar whatever interpreter runs the suite.  No module may touch
 the private attributes of fractions.Fraction: they differ between Python
 versions (3.12 dropped the `_normalize` argument of `Fraction.__new__` and
 added `Fraction._from_coprime_ints`), so the integer-pair coefficients and
-phases read `numerator`/`denominator` only.
+phases read `numerator`/`denominator` only.  Imports sit at module level:
+none inside a function body.
 """
 
 import ast
@@ -41,3 +42,12 @@ def test_module_touches_no_fraction_internals(path):
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)  # getattr(x, "_numerator")
     assert not names & FRACTION_INTERNALS
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_nothing_inside_a_function(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    nested = sorted({node.lineno for fn in ast.walk(tree) if isinstance(fn, functions)
+                     for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))})
+    assert not nested
