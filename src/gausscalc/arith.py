@@ -14,8 +14,11 @@ which keeps all 1/sqrt(N) normalisations exact.
 Scalar residues are plain Python ints in [0, p); ``FpElem`` is an alias.
 The literal oracles work on numpy vectors of residues: int64 while the
 product of two residues fits (p < 2^31), Python ints in object arrays
-otherwise (``exact_dtype``); exponents of the roots xi_2M are reduced
-mod 2M the same way (``poly_mod``) and read from a cached power table.
+otherwise (``exact_dtype``).  Exponents of the roots xi_2M are read from
+a cached power table, and an exponent vector takes its modulus once
+wherever int64 holds it unreduced: ``poly_mod`` reduces its sum once
+when no element can reach 2^63, and ``power_sum`` each block's offset
+exponents, which stay below 2M BLOCK^2 < 2^63 for every 2M < 2^33.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ FpElem = int
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 BLOCK = 1 << 15  # elements per vectorised block of the literal oracles
+_OFFSETS = np.arange(BLOCK)  # the offsets k of a block's terms in power_sum
+_OFFSETS.setflags(write=False)
 
 
 class ArithError(ValueError):
@@ -123,27 +128,37 @@ def poly_mod(m: int, terms):
     """sum of c * x1 * x2 * ... mod m over `terms` (c, x1, x2, ...), exact.
 
     Each x is an int or an integer array (arrays broadcast, so the result
-    is elementwise); every factor is reduced below m and every product
-    reduced before the next, in the dtype ``exact_dtype(m)``, so that big
-    Python ints and int64 arrays mix without overflow.  An array that
-    recurs (the same object, within a term or across terms) is converted
-    and reduced once; the sum of the reduced terms is reduced once, at
-    the end."""
+    is elementwise, over the broadcast of every array factor).  The int
+    factors of a term are multiplied mod m into t; each array is converted
+    to ``exact_dtype(m)`` and reduced below m once, however often it
+    recurs (the same object, within a term or across terms).  The reduced
+    terms are then summed and the sum reduced once, at the end.  In int64
+    (m <= 2^31) the products and their sum take no intermediate reduction
+    when sum t * (m - 1)^deg < 2^63, deg counting a term's array factors,
+    so that no element can overflow; past that bound, and always for
+    object arrays, every product is reduced before the next."""
     dt = exact_dtype(m)
     reduced: dict[int, object] = {}
-    total = 0
+    split = []  # (t, array factors) of each term
+    bound = 0  # sum t * (m - 1)^deg: the largest sum of unreduced products
     for c, *xs in terms:
         t = c % m
+        arrays = []
         for x in xs:
             if isinstance(x, int):
-                x %= m
+                t = t * x % m
             else:
-                key = id(x)
-                r = reduced.get(key)
-                if r is None:
-                    r = reduced[key] = np.asarray(x, dtype=dt) % m
-                x = r
-            t = t * x % m
+                arrays.append(x)
+        split.append((t, arrays))
+        bound += t * (m - 1) ** len(arrays)
+    wide = dt is object or bound >> 63
+    total = 0
+    for t, xs in split:
+        for x in xs:
+            r = reduced.get(id(x))
+            if r is None:
+                r = reduced[id(x)] = np.asarray(x, dtype=dt) % m
+            t = t * r % m if wide else t * r
         total = total + t
     return total % m
 
@@ -375,21 +390,25 @@ class Params:
         return root
 
     def power_sum(self, two_m: int, a: int, b: int, lo: int, hi: int) -> FpElem:
-        """sum_{lo < n <= hi} xi_2M^(a n^2 + 2 b n) mod p, in blocks of
-        terms: the summand depends on n mod 2M only, so each block's n run
-        from its start mod 2M, and the exponents (a n mod 2M) n + 2b n mod 2M
-        (below 2 (2M)^2 + 2 (2M) BLOCK, so int64 for any table that fits in
-        memory) are gathered from the power table.  Raises if 2M does not
-        divide p - 1."""
+        """sum_{lo < n <= hi} xi_2M^(a n^2 + 2 b n) mod p, in blocks of at
+        most BLOCK terms.  A block starting at n0 writes n = n0 + k, so
+        that a n^2 + 2 b n = c0 + (a k + c1) k with c0 and c1 reduced mod 2M:
+        its exponents take one reduction mod 2M, are gathered from the power
+        table, and their sum is multiplied by xi_2M^c0.  With a, c1 < 2M and
+        k < BLOCK, (a k + c1) k < 2M BLOCK^2, which fits int64 for every
+        2M < 2^33; a larger 2M raises ArithError (before its power table
+        is built), and so does a 2M that does not divide p - 1."""
         self.xi(two_m)  # raises for an empty window too
+        if two_m >> 33:
+            raise ArithError(f"power_sum needs 2M < 2^33, got {two_m}")
         table = self.power_table(two_m)
         a %= two_m
-        b2 = 2 * b % two_m
         total = 0
         for start in range(lo + 1, hi + 1, BLOCK):
-            n0 = start % two_m
-            n = np.arange(n0, n0 + min(BLOCK, hi + 1 - start))
-            total += int(table[(a * n % two_m * n + b2 * n) % two_m].sum())
+            k = _OFFSETS[:hi + 1 - start]
+            c0 = (a * start + 2 * b) * start % two_m
+            c1 = 2 * (a * start + b) % two_m
+            total += int(table[c0]) * int(table[(a * k + c1) * k % two_m].sum())
         return total % self.p
 
     def sqrt_squarefree(self, r: int) -> FpElem:

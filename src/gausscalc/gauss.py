@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import ArithError, Params, poly_mod, ratio_phase, squarefree_split
+from .arith import ArithError, Params, poly_mod, ratio_phase, require_int, squarefree_split
 from .coeffring import GaussCoeff
 
 
@@ -61,6 +61,12 @@ class GaussSumSpec:
     backend: str = "Fp"
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "M"):
+            try:
+                value = require_int(getattr(self, name), f"GaussSumSpec field {name!r}")
+            except ArithError as exc:
+                raise PreconditionViolation(str(exc)) from None
+            object.__setattr__(self, name, value)
         if self.M < 1:
             raise PreconditionViolation("modulus M must be positive")
         if self.a and self.M % (4 * abs(self.a)):

@@ -45,6 +45,17 @@ def test_spec_validation():
         GaussSumSpec(a=1, b=0, M=16, domain="W")
 
 
+@pytest.mark.parametrize("a, b, M, field", [
+    (1.0, 0, 16, "a"),  # an integral float
+    (1, 0, 16.0, "M"),
+    (1, 0.5, 16, "b"),  # not a NonGaussianSum "odd linear coefficient"
+    (True, 0, 16, "a"),  # not a = 1
+])
+def test_spec_takes_integers_only(a, b, M, field):
+    with pytest.raises(PreconditionViolation, match=f"GaussSumSpec field '{field}' must be an integer"):
+        GaussSumSpec(a, b, M)
+
+
 def test_basic_form_complex(params):
     # sum_{0<n<=M} zeta^{n^2} = sqrt(M) e^{i pi/4}
     for M in (16, 64, 144):

@@ -4,7 +4,9 @@ DenseState.from_state, GaussOperator.kernel_block, apply_dense and
 Params.power_sum work on numpy vectors of F_p residues (int64 when
 p < 2^31, Python ints otherwise).  Each is checked here against the
 elementwise definition it replaces: the same residues, and the same
-exceptions where the elementwise path raises.  The DSL's literal
+exceptions where the elementwise path raises.  poly_mod, the exponent
+step behind them, is checked against Python-int sums on both sides of
+the bound below which it reduces once.  The DSL's literal
 evaluator, eval_expr, reads the same roots and is checked on the same
 two sides of the int64 boundary.  The two floating-point oracles, the
 chunked Simpson rule behind the continuum quadrature and the complex
@@ -24,12 +26,14 @@ import pytest
 
 from gausscalc.arith import (
     BLOCK,
+    ArithError,
     DomainMismatch,
     IncompatiblePhase,
     Params,
     ParamSpec,
     Phase,
     _p1_factorization,
+    exact_dtype,
     find_params,
     is_probable_prime,
     poly_mod,
@@ -312,6 +316,12 @@ def test_power_sum_fast_path_equals_one_pow_per_term(tower, request):
     for a, b in [(1, 0), (0, 3), (two_m, -5), (-two_m, 2), (-7, -11), (3 * two_m + 1, -two_m - 1)]:
         for lo, hi in windows:
             assert ps.power_sum(two_m, a, b, lo, hi) == literal(a, b, lo, hi), (a, b, lo, hi)
+    # BLOCK - 1, BLOCK and BLOCK + 1 terms, from just below a multiple of 2M
+    for first in (5 * two_m - 1, -3 * two_m - 2):
+        for terms in (BLOCK - 1, BLOCK, BLOCK + 1):
+            lo, hi = first - 1, first - 1 + terms
+            for a, b in [(-7, 2 * two_m + 3), (two_m + 1, -two_m - 5)]:
+                assert ps.power_sum(two_m, a, b, lo, hi) == literal(a, b, lo, hi), (a, b, lo, hi)
 
 
 def test_poly_mod_reduces_each_array_once_with_the_same_result():
@@ -337,6 +347,77 @@ def test_poly_mod_reduces_each_array_once_with_the_same_result():
     assert (hi % small_m == lo).all()  # small_m | wide_m: the two dtypes agree
     assert poly_mod(small_m, [(big, big), (3,)]) == (big * big + 3) % small_m  # ints stay ints
     assert x.dtype == np.int64 and x.min() < 0  # the inputs are not reduced in place
+
+
+# -- the int64 boundary of the exponent vectors -------------------------------------
+
+
+def _poly_literal(m, terms):
+    """poly_mod's sum in Python ints: every array as an object array."""
+    total = 0
+    for c, *xs in terms:
+        for x in xs:
+            c = c * (x if isinstance(x, int) else np.asarray(x).astype(object))
+        total = total + c
+    return total % m
+
+
+# (m - 1)^3 < 2^63 for m = 2^21 - 1, and (m - 1)^3 = 2^63 for m = 2^21 + 1;
+# int64 up to m = 2^31.  No m is a power of 2, whose residues would hide a
+# wrap past 2^63
+@pytest.mark.parametrize("m", [(1 << 21) - 1, (1 << 21) + 1, (1 << 31) - 1, (1 << 31) + 1, (1 << 40) + 7])
+def test_poly_mod_equals_the_python_int_sum_on_both_sides_of_int64(m):
+    x = np.array([0, 1, 2, m - 2, m - 1, -1, -2, -m, m], dtype=np.int64)
+    y = -x[::-1, None]  # negative, and another shape
+    big = (1 << 64) + 5  # an int factor past int64
+    cases = [
+        [(m - 1, x, x)],  # one term, the largest coefficient
+        [(m - 1, x, x), (-1, y, x)],  # for m = 2^21 - 1: each term below 2^63, their sum not
+        [(1, x, x), (2, x), (m - 1,)],  # below the bound for m = 2^21 + 1
+        [(big, x, y, x), (-big, big, y), (m, x, y), (0, y)],  # t = 0
+        [(3, x, 5, y, -7), (big, x), (2 * m + 1, y, y, y)],  # ints among the arrays
+    ]
+    for terms in cases:
+        got, want = poly_mod(m, terms), _poly_literal(m, terms)
+        assert got.dtype == exact_dtype(m)
+        assert got.shape == want.shape and (got == want).all(), (m, terms)
+    assert (x == [0, 1, 2, m - 2, m - 1, -1, -2, -m, m]).all()  # the inputs are not reduced in place
+
+
+def test_poly_mod_keeps_the_shape_of_every_array_factor(params):
+    m = 2 * 144
+    x, y = np.arange(-72, 72)[None, :], np.arange(-72, 72)[:, None]
+    for terms in ([(5, x), (0, y)], [(0, x, y), (m, y)], [(2, x, x), (0, x, y), (-m, y)]):
+        got = poly_mod(m, terms)
+        assert got.shape == (144, 144) and got.dtype == np.int64
+        assert (got == _poly_literal(m, terms)).all()
+        assert got.flags.writeable
+    assert poly_mod(m, [(0, 5), (m, 3, 4)]) == 0  # no array: an int
+    # kD = kE = 0 and kB = kC = 0: only q spans the kernel block, yet it
+    # covers every (r, q); apply_dense reads its rows
+    V = domain_v(params)
+    diag = GaussOperator(GaussCoeff.one(), 1, 0, 0, V, V)
+    q, r = V.index_vector(), V.index_vector()
+    K = diag.kernel_block(params, q[None, :], r[:, None])
+    assert K.shape == (144, 144)
+    assert (K == K[:1]).all()  # e(q^2 / 2N) does not depend on r
+    dense = DenseState.from_state(params, gauss_ket(params, V, QuadForm(-1, 2, 0)))
+    want = [sum(int(v) * int(K[i, j]) for j, v in enumerate(dense.vec)) % params.p for i in range(144)]
+    assert list(apply_dense(params, diag, dense).vec) == want
+
+
+def test_power_sum_refuses_a_modulus_past_int64_blocks():
+    # a tower whose p - 1 has the factor 2^34, so that xi_2M exists for 2M = 2^33, 2^34
+    c = 1
+    while not is_probable_prime((c << 34) + 1):
+        c += 1
+    p = (c << 34) + 1
+    ps = Params(2, 1, p, smallest_primitive_root(p, _p1_factorization(p, 8 * 16)))
+    for two_m in (1 << 33, 1 << 34):
+        assert ps.xi(two_m)
+        with pytest.raises(ArithError, match=r"2M < 2\^33"):
+            ps.power_sum(two_m, 1, 0, 0, 1)
+    assert not ps._powers  # no table was built
 
 
 def test_kernel_block_when_the_phase_free_part_raises(small):
