@@ -77,8 +77,9 @@ def cmd_gauss_sum(args) -> int:
         doc["value_fp_brute"] = brute_fp
         doc.setdefault("value_fp", brute_fp)
     if args.backend == "complex":
-        cval = gauss_brute(params, GaussSumSpec(args.a, args.b, args.M, args.domain, "Complex"))
-        doc["value_complex"] = _complex_pair(cval)
+        if brute_fp is not None:
+            cval = gauss_brute(params, GaussSumSpec(args.a, args.b, args.M, args.domain, "Complex"))
+            doc["value_complex"] = _complex_pair(cval)
         # the complex backend realises e(q) as e^{+2 pi i q}; the limit map
         # is its conjugate
         doc["closed_complex"] = _complex_pair(to_complex(params, closed).conjugate())

@@ -31,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from .arith import BLOCK, ArithError, ParamSpec, Params, find_params
-from .coeffring import GaussCoeff, to_complex
+from .coeffring import GaussCoeff, to_complex, unit_normalization
 from .hilbert import (
     GaussState,
     QuadForm,
@@ -83,13 +83,8 @@ def lm_state(params: Params, s: GaussState) -> ContinuumGaussian:
     B = -qL/(den*sqrt(N_v))."""
     if s.qA > 0:
         raise ArithError("limit needs an admissible (A <= 0) phase")
-    if s.domain.tag == "V":
-        kind = "Hermitian"
-        root_n = GaussCoeff.rational(params.m)
-    else:
-        kind = "Euclidean"
-        root_n = GaussCoeff.rational(params.m) * GaussCoeff.j_power(1)
-    c = to_complex(params, root_n * s.coeff)
+    kind = "Hermitian" if s.domain.tag == "V" else "Euclidean"
+    c = to_complex(params, unit_normalization(params.m, s.domain.tag).inverse() * s.coeff)
     A = Fraction(-s.qA, s.den)
     B = -s.qL / (s.den * params.m)
     return ContinuumGaussian(kind, c, float(A), float(B))

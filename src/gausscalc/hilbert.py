@@ -27,7 +27,12 @@ Every sum is evaluated by the one Gauss-summation kernel
 
 Denominators introduced by operator images (phases over 2tN and the like)
 are tracked in ``den``; support cosets fall out of the divisibility case
-of the Gauss summation formula.
+of the Gauss summation formula.  One route turns guards into a state's
+coset, ``_support_coset`` on ``gauss._guard_coset``: ``inner`` and
+``restrict`` pass both supports to it as guards (k, (-1, d)), and
+``apply_operator`` the guards left on the output index.  An operator acts
+on one domain (``domain_in == domain_out``), so the image shares the
+input's N.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .arith import (
 )
 from .coeffring import GaussCoeff, parse_coeff, to_fp_phases
 from .coeffring import unit_normalization as coeff_unit
-from .gauss import NonGaussianSum, _guard_coset, divides_on_guards, gauss_sum, merge_cosets, never_holds
+from .gauss import NonGaussianSum, _guard_coset, divides_on_guards, gauss_sum, never_holds
 from .gauss import quadratic_window_sum
 
 
@@ -116,11 +121,17 @@ class PositionState:
         object.__setattr__(self, "r", self.domain.wrap(self.r))
 
 
-def _intersect_cosets(k1: int, d1: int, k2: int, d2: int) -> tuple[int, int] | None:
-    """k1 Z + d1 intersected with k2 Z + d2 (None when they are disjoint):
-    `merge_cosets` without free variables."""
-    k, (d,), guard = merge_cosets(k1, [d1], k2, [d2])
-    return None if guard and (d1 - d2) % guard[0] else (k, d % k)
+def _support_coset(guards, y: int, N: int) -> tuple[int, int] | None:
+    """The coset k Z + d of x_y on which every guard (k, v) over
+    (x_0 .. x_y, 1) holds (`gauss._guard_coset`): the one route from guards
+    to a state's support.  None when some guard never holds;
+    NonGaussianSum when k does not divide the domain size N."""
+    step, base, kept = _guard_coset(guards, y, y + 2)
+    if never_holds(kept):
+        return None
+    if N % step:
+        raise NonGaussianSum("image coset incompatible with the domain")
+    return step, base[-1] % step
 
 
 @dataclass(frozen=True)
@@ -228,11 +239,11 @@ def state_from_descriptor(params: Params, d: dict) -> GaussState:
     )
 
 
-def _wraps(guard, domain_in: Domain, domain_out: Domain) -> bool:
+def _wraps(guard, domain: Domain) -> bool:
     """Whether the guard (k, (aq, ar, c)) is well-defined under index
-    wraparound mod N: k divides aq*N_in and ar*N_out."""
+    wraparound mod N: k divides aq*N and ar*N."""
     k, (aq, ar, _) = guard
-    return (aq * domain_in.N) % k == 0 and (ar * domain_out.N) % k == 0
+    return (aq * domain.N) % k == 0 and (ar * domain.N) % k == 0
 
 
 @dataclass(frozen=True)
@@ -241,6 +252,9 @@ class GaussOperator:
     guard (k, (aq, ar, c)) of the support holds, k | aq*q + ar*r + c, with
 
         alpha(q, r) = kA q^2 + 2 kB q r + kC r^2 + 2 kD q + 2 kE r.
+
+    An operator acts on one domain: domain_in and domain_out must be
+    equal (DomainMismatch otherwise), so q, r and the image share one N.
     """
 
     coeff: GaussCoeff
@@ -255,10 +269,12 @@ class GaussOperator:
     support: tuple = ()  # guards (k, (aq, ar, c))
 
     def __post_init__(self) -> None:
+        if self.domain_in != self.domain_out:
+            raise DomainMismatch(f"operator domains differ: {self.domain_in.tag}/{self.domain_out.tag}")
         for guard in self.support:
             if guard[0] < 1:
                 raise BadCoset("support modulus must be positive")
-            if not _wraps(guard, self.domain_in, self.domain_out):
+            if not _wraps(guard, self.domain_in):
                 raise BadCoset("support coset not compatible with the domain period")
 
     def is_zero(self) -> bool:
@@ -313,17 +329,15 @@ def inner(params: Params, s1, s2, kind: str = "Hermitian", mode: str = "extended
     """
     if kind not in ("Euclidean", "Hermitian"):
         raise ArithError("kind must be 'Euclidean' or 'Hermitian'")
+    if s1.domain != s2.domain:
+        raise DomainMismatch(f"states on different domains: {s1.domain.tag}/{s2.domain.tag}")
     if isinstance(s1, PositionState) and isinstance(s2, PositionState):
-        _check_domains(s1.domain, s2.domain)
         return GaussCoeff.one() if s1.r == s2.r else GaussCoeff.zero()
     if isinstance(s1, GaussState) and isinstance(s2, PositionState):
-        _check_domains(s1.domain, s2.domain)
         return s1.coordinate(s2.r)
     if isinstance(s1, PositionState) and isinstance(s2, GaussState):
-        _check_domains(s1.domain, s2.domain)
         val = s2.coordinate(s1.r)
         return val.conj() if kind == "Hermitian" else val
-    _check_domains(s1.domain, s2.domain)
     if s1.is_zero() or s2.is_zero():
         return GaussCoeff.zero()
 
@@ -334,11 +348,12 @@ def inner(params: Params, s1, s2, kind: str = "Hermitian", mode: str = "extended
     qL = s1.qL * f1 + sign * s2.qL * f2
     qC = s1.qC * f1 + sign * s2.qC * f2
 
-    coset = _intersect_cosets(*s1.support, *s2.support)
+    N = s1.domain.N
+    # a full support (k = 1) is no guard
+    coset = _support_coset([(k, (-1, d)) for k, d in (s1.support, s2.support) if k > 1], 0, N)
     if coset is None:
         return GaussCoeff.zero()
     k, d = coset
-    N = s1.domain.N
     M = N * den
     # substitute r = d + k*sigma
     A_s = qA * k * k
@@ -360,11 +375,6 @@ def inner(params: Params, s1, s2, kind: str = "Hermitian", mode: str = "extended
     return s1.coeff * (s2.coeff.conj() if kind == "Hermitian" else s2.coeff) * value
 
 
-def _check_domains(d1: Domain, d2: Domain) -> None:
-    if d1 != d2:
-        raise DomainMismatch(f"states on different domains: {d1.tag}/{d2.tag}")
-
-
 def norm_squared(params: Params, s) -> GaussCoeff:
     """Hermitian self-pairing in extended mode (the tame sum over the coset)."""
     return inner(params, s, s, "Hermitian", "extended")
@@ -384,55 +394,41 @@ def apply_operator(params: Params, op: GaussOperator, s) -> GaussState:
     """Sum the kernel against the state over the whole input domain;
     Gauss summation yields the image ket, its support coset solving the
     divisibility condition of the closed form."""
-    if isinstance(s, PositionState):
-        if s.domain != op.domain_in:
-            raise DomainMismatch("operator input domain mismatch")
-        step, base, kept = _guard_coset([(k, [ar, aq * s.r + c]) for k, (aq, ar, c) in op.support], 0, 2)
-        if never_holds(kept):
-            return zero_state(op.domain_out)
-        if op.domain_out.N % step:
-            raise NonGaussianSum("kernel coset incompatible with the domain")
-        return GaussState(
-            op.coeff,
-            op.kC,
-            op.kB * s.r + op.kE,
-            op.kA * s.r * s.r + 2 * op.kD * s.r,
-            op.domain_out,
-            den=op.den,
-            support=(step, base[1]),
-        )
-    if not isinstance(s, GaussState):
+    if not isinstance(s, (PositionState, GaussState)):
         raise ArithError(f"cannot apply operator to {type(s).__name__}")
     if s.domain != op.domain_in:
         raise DomainMismatch("operator input domain mismatch")
-    if s.is_zero() or op.is_zero():
-        return zero_state(op.domain_out)
-
     N = s.domain.N
-    den = math.lcm(s.den, op.den)
-    fs, fo = den // s.den, den // op.den
-    # phase over (q, r, 1), q summed
-    Q = [
-        [s.qA * fs + op.kA * fo, 2 * op.kB * fo, 2 * (s.qL * fs + op.kD * fo)],
-        [0, op.kC * fo, 2 * op.kE * fo],
-        [0, 0, s.qC * fs],
-    ]
-    ks, ds = s.support
-    guards = [(ks, (-1, 0, ds))] + [_summed_guard(k, (aq, ar, c), 0) for k, (aq, ar, c) in op.support]
-    res = gauss_sum(Q, 0, guards, N, N * den, s.domain.tag, "extended", params)
-    if res.coeff.is_zero():
-        return zero_state(op.domain_out)
-    # the guards on the output index (q is summed out) give its coset
-    step, base, kept = _guard_coset(res.guards, 1, 3)
-    if never_holds(kept):
-        return zero_state(op.domain_out)
-    if N % step:
-        raise NonGaussianSum("image coset incompatible with the domain")
-    R = res.Q
-    return GaussState(
-        s.coeff * op.coeff * res.coeff, R[1][1], R[1][2] // 2, R[2][2], op.domain_out,
-        den=res.M // N, support=(step, base[2]),
-    )
+    if isinstance(s, PositionState):
+        # the kernel row at q = s.r; its guards on r give the image coset
+        coeff, den = op.coeff, op.den
+        form = (op.kC, op.kB * s.r + op.kE, op.kA * s.r * s.r + 2 * op.kD * s.r)
+        guards, y = [(k, (ar, aq * s.r + c)) for k, (aq, ar, c) in op.support], 0
+    else:
+        if s.is_zero() or op.is_zero():
+            return zero_state(s.domain)
+        den = math.lcm(s.den, op.den)
+        fs, fo = den // s.den, den // op.den
+        # phase over (q, r, 1), q summed
+        Q = [
+            [s.qA * fs + op.kA * fo, 2 * op.kB * fo, 2 * (s.qL * fs + op.kD * fo)],
+            [0, op.kC * fo, 2 * op.kE * fo],
+            [0, 0, s.qC * fs],
+        ]
+        ks, ds = s.support
+        guards = [(ks, (-1, 0, ds))] + [_summed_guard(k, (aq, ar, c), 0) for k, (aq, ar, c) in op.support]
+        res = gauss_sum(Q, 0, guards, N, N * den, s.domain.tag, "extended", params)
+        # the guards on the output index (q is summed out) give its coset
+        R = res.Q
+        coeff, den = s.coeff * op.coeff * res.coeff, res.M // N
+        form = (R[1][1], R[1][2] // 2, R[2][2])
+        guards, y = res.guards, 1
+    if coeff.is_zero():
+        return zero_state(s.domain)
+    coset = _support_coset(guards, y, N)
+    if coset is None:
+        return zero_state(s.domain)
+    return GaussState(coeff, *form, s.domain, den=den, support=coset)
 
 
 def compose(params: Params, op1: GaussOperator, op2: GaussOperator) -> GaussOperator:
@@ -442,12 +438,12 @@ def compose(params: Params, op1: GaussOperator, op2: GaussOperator) -> GaussOper
     coefficients reduced mod its modulus, less those another one implies."""
     if op1.domain_in != op2.domain_out:
         raise DomainMismatch("compose: op1 input must match op2 output")
-    dom_in, dom_out = op2.domain_in, op1.domain_out
-    zero = GaussOperator(GaussCoeff.zero(), 0, 0, 0, dom_in, dom_out)
+    dom = op1.domain_in
+    zero = GaussOperator(GaussCoeff.zero(), 0, 0, 0, dom, dom)
     if op1.is_zero() or op2.is_zero():
         return zero
-    N = op1.domain_in.N
-    tag = op1.domain_in.tag
+    N = dom.N
+    tag = dom.tag
     den = math.lcm(op1.den, op2.den)
     f1, f2 = den // op1.den, den // op2.den
     # phase over (q, m, r, 1), m summed
@@ -472,14 +468,14 @@ def compose(params: Params, op1: GaussOperator, op2: GaussOperator) -> GaussOper
         if not any(divides_on_guards(k, v, [h]) for h in support + lifted[i + 1:]):
             support.append((k, v))
     for k, (a, b, c) in support:  # a kernel phase that is not N-periodic can lift such a guard
-        if not _wraps((k, (a, b, c)), dom_in, dom_out):
+        if not _wraps((k, (a, b, c)), dom):
             raise NonGaussianSum(f"composed guard {k} | {a}*q + {b}*r + {c} breaks the index wraparound")
     R = res.Q
     dd = res.M // N
     coeff = op1.coeff * op2.coeff * res.coeff
     coeff = coeff.with_phase(coeff.phase + ratio_phase(R[3][3], 2 * N * dd, tag))
     return GaussOperator(
-        coeff, R[0][0], R[0][2] // 2, R[2][2], dom_in, dom_out,
+        coeff, R[0][0], R[0][2] // 2, R[2][2], dom, dom,
         kD=R[0][3] // 2, kE=R[2][3] // 2, den=dd, support=tuple(support),
     )
 
@@ -526,7 +522,7 @@ def restrict(params: Params, s: GaussState, k: int, d: int = 0) -> GaussState:
         raise BadCoset(f"restriction step {k} must divide N={s.domain.N}")
     if k == 1:
         return s
-    coset = _intersect_cosets(*s.support, k, d % k)
+    coset = _support_coset([(k1, (-1, d1)) for k1, d1 in (s.support, (k, d)) if k1 > 1], 0, s.domain.N)
     if coset is None:
         return zero_state(s.domain)
     return replace(s, coeff=s.coeff * GaussCoeff.sqrt(k), support=coset)
@@ -616,6 +612,8 @@ class DenseState:
     def pair_full(self, params: Params, other: "DenseState") -> int:
         """sum_r phi(r) * psi(r); conjugate `other` at construction for the
         Hermitian pairing."""
+        if self.domain != other.domain:
+            raise DomainMismatch(f"states on different domains: {self.domain.tag}/{other.domain.tag}")
         p = params.p
         return int((self.vec * other.vec % p).sum()) % p
 
@@ -624,6 +622,8 @@ def apply_dense(params: Params, op: GaussOperator, dense: DenseState) -> DenseSt
     """Literal matrix action out[r] = sum_q dense[q] kernel(q, r) over the
     nonzero inputs, the kernel residues in blocks of output rows of at most
     BLOCK entries (r-major, the order of the elementwise sum)."""
+    if dense.domain != op.domain_in:
+        raise DomainMismatch("operator input domain mismatch")
     p = params.p
     nonzero = np.flatnonzero(dense.vec)
     q = dense.domain.index_vector()[nonzero]

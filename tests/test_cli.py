@@ -56,6 +56,19 @@ def test_gauss_sum_complex_backend():
     assert abs(complex(re, im) - 4 * complex(2**-0.5, 2**-0.5)) < 1e-9
 
 
+def test_closed_gauss_sum_sums_nothing_literally(monkeypatch):
+    def literal_sum(*args, **kwargs):
+        raise AssertionError("--compute closed ran a literal sum")
+
+    monkeypatch.setattr(cli, "gauss_brute", literal_sum)
+    argv = ["--backend", "complex", "gauss-sum", "--a", "1", "--b", "0", "--M", "82944", "--domain", "U",
+            "--compute", "closed"]
+    status, lines = main_lines(argv)
+    doc = strict_json(lines[0])
+    assert status == 0 and "value_complex" not in doc and "value_fp_brute" not in doc
+    assert doc["closed_complex"] == [12.0, 0.0]
+
+
 def test_inner_subcommand():
     s1 = json.dumps({"domain": "V", "coeff": "1/12", "form": [-1, 1, 0], "p_param": 1})
     s2 = json.dumps({"domain": "V", "coeff": "1/12", "form": [0, 0, 0], "p_param": 0})

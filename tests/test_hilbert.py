@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -182,6 +183,86 @@ def test_inner_domain_mismatch(params, V):
     t = gauss_ket(params, domain_u(params), QuadForm(-1, 0, 0))
     with pytest.raises(DomainMismatch):
         inner(params, s, t)
+
+
+def test_an_operator_acts_on_one_domain():
+    # a U -> V kernel used to be accepted, and apply_operator then read the
+    # image coset against one N and its phase against the other: on the
+    # (2, 1) tower it printed [15, 0, 17, 0] where apply_dense gave [30, 0, 17, 0]
+    small = find_params(ParamSpec(2, 1))
+    U, V = domain_u(small), domain_v(small)
+    for d_in, d_out in ((U, V), (V, U)):
+        with pytest.raises(DomainMismatch):
+            GaussOperator(GaussCoeff.one(), -1, 1, -1, d_in, d_out)
+
+
+def test_dense_oracles_refuse_mismatched_domains():
+    small = find_params(ParamSpec(2, 1))
+    U, V = domain_u(small), domain_v(small)
+    u = DenseState.from_state(small, gauss_ket(small, U, QuadForm(-1, 0, 0)))
+    v = DenseState.from_state(small, gauss_ket(small, V, QuadForm(-1, 0, 0)))
+    with pytest.raises(DomainMismatch):
+        apply_dense(small, fourier_operator(small, V), u)
+    with pytest.raises(DomainMismatch):
+        u.pair_full(small, v)
+
+
+def _literal_restricted_inner(params, s1, c1, s2, c2, kind):
+    """The restricted pairing by brute force: the coset shared by c1 and c2
+    read off the domain (None when they are disjoint), and the literal sum
+    of e((qA r^2 + 2 qL r + qC) / 2M) at r = d + k sigma over one period of
+    the summand, found by comparing exponents; over the whole coset when the
+    summand is constant (the extended convention)."""
+    N = s1.domain.N
+    shared = [r for r in range(N) if (r - c1[1]) % c1[0] == 0 and (r - c2[1]) % c2[0] == 0]
+    if not shared:
+        return None
+    k = shared[1] - shared[0] if len(shared) > 1 else N
+    d = shared[0]
+    p = params.p
+    den = math.lcm(s1.den, s2.den)
+    f1, f2 = den // s1.den, den // s2.den
+    sign = -1 if kind == "Hermitian" else 1
+    qA = s1.qA * f1 + sign * s2.qA * f2
+    qL = s1.qL * f1 + sign * s2.qL * f2
+    qC = s1.qC * f1 + sign * s2.qC * f2
+    M = N * den
+    e = [(qA * r * r + 2 * qL * r + qC) % (2 * M) for r in range(d, d + 4 * M * k, k)]
+    period = next(w for w in range(1, 2 * M + 1) if e[w:w + 2 * M] == e[:2 * M])
+    xi = params.xi(2 * M)
+    total = sum(pow(xi, x, p) for x in e[:N // k if period == 1 else period]) % p
+    cf = s1.coeff * (s2.coeff.conj() if kind == "Hermitian" else s2.coeff)
+    return to_fp(params, cf) * total % p
+
+
+# nested, coprime and non-coprime non-nested moduli (each pair kept where both divide N)
+RESTRICTED_MODULI = [(1, 4), (2, 4), (4, 4), (8, 2), (2, 3), (4, 9), (4, 6), (6, 9), (12, 9)]
+
+
+@pytest.mark.parametrize("spec", [(2, 1), (4, 2), (6, 1)])
+def test_inner_of_restricted_kets_vs_literal(spec):
+    tower = find_params(ParamSpec(*spec))
+    V = domain_v(tower)
+    forms = [QuadForm(-1, 0, 0), QuadForm(-1, 1, -1), QuadForm(0, -1, 0), QuadForm(-2, 1, -1)]
+    counts = {"value": 0, "zero": 0, "disjoint": 0, "refused": 0}
+    for f1, f2 in itertools.product(forms, forms):
+        for p1, p2 in ((1, 1), (1, 2)):
+            g1, g2 = gauss_ket(tower, V, f1, p1), gauss_ket(tower, V, f2, p2)
+            for k1, k2 in RESTRICTED_MODULI:
+                if V.N % k1 or V.N % k2:
+                    continue
+                for c1, c2 in itertools.product([(k1, d) for d in range(k1)], [(k2, d) for d in range(k2)]):
+                    s1, s2 = restrict(tower, g1, *c1), restrict(tower, g2, *c2)
+                    for kind in ("Euclidean", "Hermitian"):
+                        want = _literal_restricted_inner(tower, s1, c1, s2, c2, kind)
+                        try:
+                            got = to_fp(tower, inner(tower, s1, s2, kind))
+                        except NonGaussianSum:
+                            counts["refused"] += 1
+                            continue
+                        assert got == (want or 0), (f1, p1, c1, f2, p2, c2, kind)
+                        counts["disjoint" if want is None else "value" if got else "zero"] += 1
+    assert counts["value"] and counts["disjoint"] and counts["refused"], counts
 
 
 def test_identity_operator(params, V):
@@ -449,6 +530,14 @@ def test_zero_state(params, V):
     z = zero_state(V)
     assert z.is_zero()
     assert inner(params, z, gauss_ket(params, V, QuadForm(-1, 0, 0))).is_zero()
+
+
+def test_a_zero_operator_maps_either_kind_of_state_to_the_zero_state(params, V):
+    # a position state used to come back with a zero coefficient but the
+    # kernel row's form, unequal to the zero state a Gaussian ket gives
+    zero = GaussOperator(GaussCoeff.zero(), -1, 1, -1, V, V)
+    for s in (PositionState(3, V), gauss_ket(params, V, QuadForm(-1, 0, 0))):
+        assert apply_operator(params, zero, s) == zero_state(V)
 
 
 def test_apply_closed_vs_brute_at_Nu_thousand_samples(params):

@@ -6,7 +6,9 @@ the private attributes of fractions.Fraction: they differ between Python
 versions (3.12 dropped the `_normalize` argument of `Fraction.__new__` and
 added `Fraction._from_coprime_ints`), so the integer-pair coefficients and
 phases read `numerator`/`denominator` only.  Imports sit at module level:
-none inside a function body.
+none inside a function body.  `hilbert` turns guards into a state's coset
+by one route: one function calls `gauss._guard_coset`, and
+`gauss.merge_cosets` is not imported.
 """
 
 import ast
@@ -51,3 +53,13 @@ def test_module_imports_nothing_inside_a_function(path):
     nested = sorted({node.lineno for fn in ast.walk(tree) if isinstance(fn, functions)
                      for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))})
     assert not nested
+
+
+def test_hilbert_has_one_route_from_guards_to_a_coset():
+    tree = ast.parse((SRC / "hilbert.py").read_text(encoding="utf-8"))
+    callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "_guard_coset"}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(callers) == 1, callers
+    assert "merge_cosets" not in imported
