@@ -26,7 +26,6 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
@@ -78,13 +77,14 @@ class ContinuumGaussian:
 
 
 def lm_state(params: Params, s: GaussState) -> ContinuumGaussian:
-    """The displayed continuum limit of a normalised admissible ket:
-    coefficient to_complex(sqrt(N) * coeff), A = |qA|/den,
-    B = -qL/(den*sqrt(N_v))."""
+    """The displayed continuum limit of a normalised admissible ket on the
+    support kZ + d: coefficient to_complex(sqrt(N) * coeff) / k, A = |qA|/den,
+    B = -qL/(den*sqrt(N_v)).  The factor 1/k is the support's density: a
+    sum over the coset becomes 1/k of the integral over x = r/sqrt(N)."""
     if s.qA > 0:
         raise ArithError("limit needs an admissible (A <= 0) phase")
     kind = "Hermitian" if s.domain.tag == "V" else "Euclidean"
-    c = to_complex(params, unit_normalization(params.m, s.domain.tag).inverse() * s.coeff)
+    c = to_complex(params, unit_normalization(params.m, s.domain.tag).inverse() * s.coeff) / s.support[0]
     A = Fraction(-s.qA, s.den)
     B = -s.qL / (s.den * params.m)
     return ContinuumGaussian(kind, c, float(A), float(B))
@@ -134,24 +134,57 @@ def fresnel_quadratic(alpha: float, beta: float = 0.0, gamma: float = 0.0) -> co
 # -- quadrature -----------------------------------------------------------------
 
 
-# The Hermitian integrand is evaluated by angle addition from one anchor
-# every _ANCHOR grid points; the step factor's powers j = j0 + _ROOT j1
-# are the outer product of _ROOT low and _ROOT high powers.  Of the
-# spacings 64, 256, 1024 and 4096, 1024 gave the fastest quadrature.
-_ROOT = 32
-_ANCHOR = _ROOT * _ROOT
+# A quadrature grid holds at most _MAX_POINTS points.  The largest grid a
+# test asks for, the Hermitian A = 4, B = 2 at eps = 1e-3, has about 11.6 M.
+_MAX_POINTS = 1 << 24
+
+# The Hermitian sum takes one anchor every _SPAN = _ROOT^2 grid points and
+# walks the anchors _BATCH at a time.  Per anchor it takes 2 _ROOT complex
+# exps and one (_ROOT x _ROOT) matrix row product, and per grid one chirp
+# of _SPAN exps.  Best times of verify's quadrature (A = 1/4, 0.74 M
+# points) and of A = 4, B = 2 (11.6 M points) on a 2-CPU x86 host with
+# numpy 2 and OpenBLAS: _ROOT = 32, 1.15 ms and 13.6 ms; 64, 0.78 ms and
+# 7.4 ms; 128, 0.96 ms and 4.9 ms, where each grid's chirp takes 16,384
+# exps against about 2,000 for the anchors of verify's 0.12 M-point
+# eps = 1e-2 grid.  A batch of 128 anchors keeps each (_BATCH, _ROOT)
+# temporary at 8,192 complex entries, a quarter of one BLOCK chunk of
+# _simpson; batches of 32 and 64 were slower at both sizes.
+_ROOT = 64
+_SPAN = _ROOT * _ROOT
+_BATCH = 128
+_EPS = (1e-2, 1e-3)  # the Hermitian mollifiers, extrapolated linearly to 0
 
 
-def _simpson(f, lo: float, hi: float, n: int):
-    """Composite Simpson with an even number of panels, in chunks of BLOCK
-    grid points: f[0] + f[n] + 4 * (sum over odd i) + 2 * (sum over even
-    0 < i < n), the parity taken from the global index i.  `f(lo, h,
-    start, stop)` returns the integrand at the grid points lo + i h,
-    start <= i < stop, along the last axis (real or complex, one row or
-    several stacked); the result has f's leading shape."""
-    if n % 2:
-        n += 1
-    h = (hi - lo) / n
+def _grid(kind: str, A: float, B: float, eps: float, window: float, step: float):
+    """The Simpson grid lo + i h, 0 <= i <= n, n even, of one quadrature,
+    as (lo, h, n).  Euclidean: [-window, window] at the given step.
+    Hermitian, mollified by e^{-eps x^2}: the window widened to
+    w = 6/sqrt(eps), where the mollifier is e^{-36}, and the step cut so
+    that the oscillation at the edge has >= 40 points per local wavelength
+    1/(|A| w + |B|).  Raises ArithError, before anything is allocated,
+    for a grid of more than _MAX_POINTS = 2^24 points."""
+    if kind == "Euclidean":
+        w, h = window, step
+    else:
+        w = max(window, 6.0 / math.sqrt(eps))
+        h = min(step, 1.0 / (40.0 * (abs(A) * w + abs(B) + 1.0)))
+    n = 2 * w / h if h > 0 else math.inf
+    if not n < _MAX_POINTS - 1:
+        raise ArithError(
+            f"a quadrature grid of {n + 1:.4g} points exceeds the bound of 2^24 = {_MAX_POINTS}"
+        )
+    n = int(n)
+    n += n % 2
+    return -w, (w - -w) / n, n
+
+
+def _simpson(f, lo: float, h: float, n: int):
+    """Composite Simpson on the grid (lo, h, n) of _grid, in chunks of
+    BLOCK grid points: f[0] + f[n] + 4 * (sum over odd i) + 2 * (sum over
+    even 0 < i < n), times h/3, the parity taken from the global index i.
+    `f(lo, h, start, stop)` returns the integrand at the grid points
+    lo + i h, start <= i < stop, along the last axis (real or complex, one
+    row or several stacked); the result has f's leading shape."""
     odd = even = ends = 0.0
     for start in range(0, n + 1, BLOCK):  # BLOCK is even: chunks start at even i
         stop = min(start + BLOCK, n + 1)
@@ -165,36 +198,78 @@ def _simpson(f, lo: float, hi: float, n: int):
     return (4.0 * odd + 2.0 * even - ends) * h / 3.0
 
 
+def _reduce(q):
+    """q - 2 rint(q/2), in [-1, 1]: the same angle pi q, reduced exactly."""
+    return q - 2.0 * np.rint(0.5 * q)
+
+
 def _cis(q, log_mag):
-    """e^{log_mag + pi i q}, with q reduced exactly to q - 2 rint(q/2) in
-    [-1, 1] first, so the angle handed to exp lies in [-pi, pi]."""
-    q = q - 2.0 * np.rint(0.5 * q)
-    return np.exp(log_mag + 1j * math.pi * q)
+    """e^{log_mag + pi i q}, with q reduced to [-1, 1] first, so the angle
+    handed to exp lies in [-pi, pi]."""
+    return np.exp(log_mag + 1j * math.pi * _reduce(q))
 
 
-def _hermitian_chunk(lo, h, start, stop, A: float, B: float, eps: float):
-    """e^{(pi i A - eps) x^2 + 2 pi i B x} at the grid points lo + i h,
-    start <= i < stop, by angle addition.  From each anchor x_a = lo + a h
-    (a = start, start + _ANCHOR, ...) the point x_a + j h, j < _ANCHOR, is
+def _hermitian_chirp(h: float, A: float, eps: float):
+    """chirp[j1, j0] = e^{(pi i A - eps) h^2 j^2}, j = j0 + _ROOT j1 < _SPAN:
+    the factor that every anchor shares."""
+    hj2 = h * h * np.arange(_SPAN, dtype=float) ** 2
+    return _cis(A * hj2, -eps * hj2).reshape(_ROOT, _ROOT)
 
-        e^{(pi i A - eps) x_a^2 + 2 pi i B x_a} * e^{g_a h j} * e^{(pi i A - eps) h^2 j^2},
 
-    g_a = 2 (pi i A - eps) x_a + 2 pi i B.  The step factor e^{g_a h j} is
-    e^{g_a h j0} e^{g_a h _ROOT j1} for j = j0 + _ROOT j1; every anchor value,
-    power and chirp entry is one _cis of its own reduced angle, none a
-    running product, so rounding does not grow along the chunk."""
-    xa = lo + np.arange(start, stop, _ANCHOR) * h
+def _hermitian_factors(lo: float, h: float, anchors, A: float, B: float, eps: float):
+    """high[a, j1] and low[a, j0] of the anchors x_a = lo + i_a h, i_a in
+    `anchors`, such that the integrand e^{(pi i A - eps) x^2 + 2 pi i B x}
+    at the grid point x_a + j h, j = j0 + _ROOT j1, is
+
+        high[a, j1] * low[a, j0] * chirp[j1, j0]
+
+    (chirp from _hermitian_chirp).  With g_a = 2 (pi i A - eps) x_a + 2 pi i B,
+    low[a, j0] = e^{g_a h j0}, and high[a, j1] is the anchor's value
+    e^{(pi i A - eps) x_a^2 + 2 pi i B x_a} times e^{g_a h _ROOT j1}, formed
+    as one exp: the anchor's magnitude e^{-eps x_a^2} is folded into the
+    exponent, so high never overflows where the integrand is finite, and
+    the anchor's angle and the step's are each reduced before they are
+    added.  Every entry is one exp of its own reduced angle, none a running
+    product, so rounding does not grow along an anchor's points."""
+    xa = lo + anchors * h
     turn = 2.0 * h * (A * xa + B)  # g_a h = pi i turn + damp
     damp = -2.0 * eps * h * xa
     j0 = np.arange(_ROOT, dtype=float)
-    j1 = _ROOT * j0
-    high = _cis(np.multiply.outer(turn, j1), np.multiply.outer(damp, j1))
-    high *= _cis(A * xa * xa + 2.0 * B * xa, -eps * xa * xa)[:, None]
     low = _cis(np.multiply.outer(turn, j0), np.multiply.outer(damp, j0))
-    hj2 = h * h * np.arange(_ANCHOR, dtype=float) ** 2
-    y = np.multiply(high[:, :, None], low[:, None, :]).reshape(-1, _ANCHOR)
-    y *= _cis(A * hj2, -eps * hj2)
-    return y.reshape(-1)[: stop - start]
+    j1 = _ROOT * j0
+    angle = _reduce(A * xa * xa + 2.0 * B * xa)[:, None] + _reduce(np.multiply.outer(turn, j1))
+    high = _cis(angle, (-eps * xa * xa)[:, None] + np.multiply.outer(damp, j1))
+    return high, low
+
+
+def _hermitian_simpson(lo: float, h: float, n: int, A: float, B: float, eps: float) -> complex:
+    """Composite Simpson of e^{(pi i A - eps) x^2 + 2 pi i B x} on the grid
+    (lo, h, n), with no grid value formed.  Anchor a sits at grid index
+    a _SPAN, which is even, so the weight of the point j = j0 + _ROOT j1
+    past it depends on the parity of j0 alone: w[j0] = 2 or 4.  The
+    anchors whose points all lie below n sum as
+
+        sum_a sum_j1 high[a, j1] * ((low * w) @ chirp.T)[a, j1],
+
+    one matrix product per batch of _BATCH anchors.  The last anchor takes
+    a masked _ROOT x _ROOT weight matrix (1 at i = n, 0 past it), and y_0 is
+    subtracted once so that i = 0 weighs 1.  The grid, its points and its
+    weights are those of _simpson."""
+    chirp = _hermitian_chirp(h, A, eps)
+    w = np.where(np.arange(_ROOT) % 2, 4.0, 2.0)
+    wchirp = (chirp * w).T  # [j0, j1]
+    last = n // _SPAN
+    total = 0j
+    for start in range(0, last, _BATCH):
+        anchors = np.arange(start, min(start + _BATCH, last)) * _SPAN
+        high, low = _hermitian_factors(lo, h, anchors, A, B, eps)
+        total += (high * (low @ wchirp)).sum()
+    high, low = _hermitian_factors(lo, h, np.array([last * _SPAN]), A, B, eps)
+    i = last * _SPAN + np.arange(_SPAN).reshape(_ROOT, _ROOT)
+    weight = np.where(i < n, w, np.where(i == n, 1.0, 0.0))
+    total += high[0] @ ((weight * chirp) @ low[0])
+    total -= complex(_cis(A * lo * lo + 2.0 * B * lo, -eps * lo * lo))
+    return complex(total * h / 3.0)
 
 
 def continuum_inner_quadrature(
@@ -203,17 +278,18 @@ def continuum_inner_quadrature(
     window: float = 10.0,
     step: float = 1e-3,
 ) -> complex:
-    """Numerical oracle for continuum_inner_closed.
+    """Numerical oracle for continuum_inner_closed: composite Simpson on
+    the grids of _grid, each of at most 2^24 points (ArithError past that,
+    before any grid is summed).
 
     Euclidean: composite Simpson of e^{-pi((A1 + A2) x^2 + 2 (B1 + B2) x)}
     over [-window, window], times c1 c2.
     Hermitian: the integrand only oscillates, so it is damped by e^{-eps x^2}
     for eps in {1e-2, 1e-3} and Richardson-extrapolated linearly in eps
-    (the m -> infinity truncation limit, realised stably); the damped
-    integrand comes from _hermitian_chunk by angle addition, about 0.1
-    complex exp per grid point.  Raises NonConvergent when the two
-    mollified values disagree wildly.  window and step must be finite,
-    with 0 < step < window/100."""
+    (the m -> infinity truncation limit, realised stably); each damped sum
+    is _hermitian_simpson's, one matrix product per batch of anchors.
+    Raises NonConvergent when the two mollified values disagree wildly.
+    window and step must be finite, with 0 < step < window/100."""
     if g1.kind != g2.kind:
         raise ArithError("mixed pairing kinds")
     if not (math.isfinite(window) and math.isfinite(step) and 0 < step < window / 100):
@@ -226,26 +302,17 @@ def continuum_inner_quadrature(
             x = lo + np.arange(start, stop) * h
             return np.exp(-math.pi * (A * x * x + 2 * B * x))
 
-        n = int(2 * window / step)
-        return complex(g1.c * g2.c * _simpson(f, -window, window, n))
+        grid = _grid("Euclidean", A, B, 0.0, window, step)
+        return complex(g1.c * g2.c * _simpson(f, *grid))
 
     A = g1.A - g2.A
     B = g1.B - g2.B
     cpair = g1.c.conjugate() * g2.c
-    values = []
-    for eps in (1e-2, 1e-3):
-        w = max(window, 6.0 / math.sqrt(eps))
-        # resolve the oscillation at the mollifier edge: >= 40 points per
-        # local wavelength 1/(|A| x + |B|)
-        rate = abs(A) * w + abs(B) + 1.0
-        h = min(step, 1.0 / (40.0 * rate))
-        n = int(2 * w / h)
-        integrand = partial(_hermitian_chunk, A=A, B=B, eps=eps)
-        values.append(cpair * complex(_simpson(integrand, -w, w, n)))
-    v1, v2 = values
+    grids = [_grid("Hermitian", A, B, eps, window, step) for eps in _EPS]
+    v1, v2 = (cpair * _hermitian_simpson(*grid, A, B, eps) for grid, eps in zip(grids, _EPS))
     if abs(v1 - v2) > 0.2 * max(1.0, abs(v2)):
         raise NonConvergent(f"mollified values diverge: {v1} vs {v2}")
-    eps1, eps2 = 1e-2, 1e-3
+    eps1, eps2 = _EPS
     return (eps1 * v2 - eps2 * v1) / (eps1 - eps2)
 
 

@@ -106,16 +106,22 @@ def weyl_pair(params: Params, domain: Domain | None = None) -> WeylPair:
 def free_propagator(params: Params, t: int, domain: Domain | None = None) -> GaussOperator:
     """exp(i P^2 t / 2): kernel sqrt(t/N) e(1/8) e(-(q-r)^2 / 2tN) on t | q - r.
 
-    Needs 4t | N so the momentum Gauss sum closes (the classical 4a | M
-    hypothesis); other times raise."""
+    The momentum phase e(p^2 t / 2N) has period 2N in t, so t is reduced
+    into (-N, N].  Needs 4t | N for the reduced t > 0, so the momentum Gauss
+    sum closes (the classical 4a | M hypothesis); other times, negative
+    ones included, raise with the t that was passed."""
     if domain is None:
         domain = domain_v(params)
     N = domain.N
-    t = t % N
-    if t == 0:
-        raise PreconditionViolation("t = 0 mod N is the identity; use identity_operator")
-    if N % (4 * t):
-        raise PreconditionViolation(f"need 4t | N (t={t}, N={N})")
+    reduced = (t + N - 1) % (2 * N) - N + 1
+    if reduced <= 0 or N % (4 * reduced):
+        if reduced == 0:
+            raise PreconditionViolation(f"t = {t} = 0 mod 2N is the identity; use identity_operator")
+        shown = f"t={t}" if t == reduced else f"t={t} = {reduced} mod 2N"
+        if reduced < 0:
+            raise PreconditionViolation(f"negative times are not supported ({shown}, N={N})")
+        raise PreconditionViolation(f"need 4t | N ({shown}, N={N})")
+    t = reduced
     coeff = (
         unit_normalization(params, domain)
         * GaussCoeff.sqrt(t)

@@ -83,6 +83,16 @@ def test_evolve_position():
     assert doc["state"]["support"] == [2, 0]
 
 
+def test_evolve_refuses_a_time_of_period_2N():
+    """t = 145 = 1 + N is -143 mod 2N on the default tower, not the time 1."""
+    proc = run_cli("evolve", "--t", "145", "--r", "3", check=False)
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["type"] == "PreconditionViolation" and "t=145" in doc["error"]
+
+
 def test_weyl_check():
     out = run_cli("weyl-check").stdout
     doc = json.loads(out)

@@ -17,7 +17,9 @@ from gausscalc.climit import (
     lm_state,
     position_pairing,
 )
-from gausscalc.hilbert import QuadForm, domain_u, domain_v, gauss_ket
+from gausscalc.coeffring import GaussCoeff, to_complex
+from gausscalc.dynamics import free_propagator
+from gausscalc.hilbert import QuadForm, apply_operator, domain_u, domain_v, gauss_ket, inner
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +48,21 @@ def test_lm_state_u_ket(params):
     g = lm_state(params, s)
     assert g.kind == "Euclidean"
     assert g.A == 1.0 and abs(g.c - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("m", [12, 24])
+def test_lm_state_weighs_a_restricted_support_by_its_density(m):
+    """P(1) sends gauss_ket(V, (-1, 0, 0)) to a ket on the support 2Z: its
+    limit pairs with each full-support ket as m times the finite pairing."""
+    P = find_params(ParamSpec(m_base=m, k_mult=1))
+    V = domain_v(P)
+    image = apply_operator(P, free_propagator(P, 1), gauss_ket(P, V, QuadForm(-1, 0, 0)))
+    assert image.support == (2, 0)
+    for A2 in (0, -1, -2, -5):
+        test = gauss_ket(P, V, QuadForm(A2, 0, 0))
+        limit = continuum_inner_closed(lm_state(P, test), lm_state(P, image))
+        finite = to_complex(P, GaussCoeff.rational(P.m) * inner(P, test, image, "Hermitian"))
+        assert abs(limit - finite) < 1e-12, (m, A2, limit, finite)
 
 
 def test_position_pairing_is_pointwise(params):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gausscalc.arith import ParamSpec, find_params
@@ -138,6 +139,20 @@ def test_free_propagator_bad_time(params):
         free_propagator(params, 5)  # 20 does not divide 144
     with pytest.raises(PreconditionViolation):
         free_propagator(params, 0)
+
+
+def test_free_propagator_has_period_2N(params, V):
+    """The momentum phase e(p^2 t / 2N) has period 2N in t: P(1 + 2N) is P(1)
+    at every entry, and 1 + N (= 1 - N mod 2N) is refused under the t passed."""
+    N = V.N
+    idx = np.array(list(V.index_range()))
+    got = free_propagator(params, 1 + 2 * N).kernel_block(params, idx[:, None], idx[None, :])
+    want = [[free_propagator_brute(params, 1 + 2 * N, V, int(r), int(s)) for s in idx] for r in idx]
+    assert np.array_equal(got, np.array(want, dtype=got.dtype))
+    with pytest.raises(PreconditionViolation, match=f"t={1 + N} = {1 - N} mod 2N"):
+        free_propagator(params, 1 + N)
+    with pytest.raises(PreconditionViolation, match=r"negative times.*\(t=-1, N=144\)"):
+        free_propagator(params, -1)
 
 
 def test_free_propagator_on_position_state(params, V):

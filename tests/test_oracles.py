@@ -10,20 +10,23 @@ the bound below which it reduces once.  The DSL's literal
 evaluator, eval_expr, reads the same roots and is checked on the same
 two sides of the int64 boundary.  The two floating-point oracles, the
 chunked Simpson rule behind the continuum quadrature and the complex
-Gauss sum, are checked against whole-grid and one-term-at-a-time sums,
-and the quadrature's angle-addition integrand against cos and sin of
-every grid point and against mpmath.
+Gauss sum, are checked against whole-grid and one-term-at-a-time sums.
+The Hermitian quadrature's matrix-product sum is checked against
+Simpson of cos and sin of every grid point, and its anchor factors
+against the complex exponential and mpmath.
 """
 
 import cmath
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gausscalc import climit
 from gausscalc.arith import (
     BLOCK,
     ArithError,
@@ -40,8 +43,13 @@ from gausscalc.arith import (
     smallest_primitive_root,
 )
 from gausscalc.climit import (
+    _BATCH,
+    _SPAN,
     ContinuumGaussian,
-    _hermitian_chunk,
+    _grid,
+    _hermitian_chirp,
+    _hermitian_factors,
+    _hermitian_simpson,
     _simpson,
     continuum_inner_quadrature,
 )
@@ -606,9 +614,8 @@ def test_chunked_simpson_equals_the_whole_grid_sum(stacked):
     def f(lo, h, start, stop):
         return integrand(lo + np.arange(start, stop) * h)
 
-    lo, hi, n = -1.0, 2.0, 3 * BLOCK + 101  # odd: Simpson takes n + 1 panels
-    got = _simpson(f, lo, hi, n)
-    n += 1
+    lo, hi, n = -1.0, 2.0, 3 * BLOCK + 102  # more than three chunks, the last one short
+    got = _simpson(f, lo, (hi - lo) / n, n)
     x = lo + np.arange(n + 1) * ((hi - lo) / n)
     w = np.full(n + 1, 2.0)
     w[1::2] = 4.0
@@ -616,6 +623,36 @@ def test_chunked_simpson_equals_the_whole_grid_sum(stacked):
     want = integrand(x) @ w * ((hi - lo) / n) / 3.0
     assert np.shape(got) == np.shape(want) == ((2,) if stacked is True else ())
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_quadrature_grids_are_even_and_bounded():
+    """_grid rounds the panel count up to even, gives verify's grid
+    (A = 1/4, about 0.74 M points) and the largest grid of the suite
+    (A = 4, B = 2 at eps = 1e-3, about 11.6 M points), and refuses a grid
+    past 2^24 points."""
+    assert _grid("Euclidean", 0.0, 0.0, 0.0, 10.0, 0.35) == (-10.0, 20.0 / 58, 58)  # 57.1 rounds up to 58
+    assert _grid("Hermitian", 0.25, 0.3, 1e-3, 10.0, 1e-3)[2] == 739_732
+    assert _grid("Hermitian", 4.0, 2.0, 1e-3, 10.0, 1e-3)[2] == 11_565_536
+    with pytest.raises(ArithError, match=r"1\.84\de\+08 points exceeds the bound of 2\^24 = 16777216"):
+        _grid("Hermitian", 64.0, 0.0, 1e-3, 10.0, 1e-3)
+
+
+def test_quadrature_refuses_a_large_grid_before_summing(monkeypatch):
+    """At A = 6 the eps = 1e-2 grid fits and the eps = 1e-3 grid does not:
+    both are sized before either is summed.  A = 64 and a wide Euclidean
+    window raise at once."""
+    def no_sum(*args):
+        raise AssertionError("summed a grid before sizing both")
+
+    monkeypatch.setattr(climit, "_hermitian_simpson", no_sum)
+    monkeypatch.setattr(climit, "_simpson", no_sum)
+    g0 = ContinuumGaussian("Hermitian", 1.0, 0.0, 0.0)
+    for A in (6.0, 64.0):
+        with pytest.raises(ArithError, match="2\\^24"):
+            continuum_inner_quadrature(ContinuumGaussian("Hermitian", 1.0, A, 0.0), g0)
+    g = ContinuumGaussian("Euclidean", 1.0, 1.0, 0.0)
+    with pytest.raises(ArithError, match="2\\^24"):
+        continuum_inner_quadrature(g, g, window=1e4, step=1e-4)
 
 
 def _mollified_phase(x, A, B, eps):
@@ -633,13 +670,22 @@ def _mollified_phase(x, A, B, eps):
     return out
 
 
-def _hermitian_grid(A, B, eps):
-    """lo, h and the panel count of continuum_inner_quadrature's Hermitian
-    grid at the default window and step."""
-    w = max(10.0, 6.0 / math.sqrt(eps))
-    n = int(2 * w / min(1e-3, 1.0 / (40.0 * (abs(A) * w + abs(B) + 1.0))))
-    n += n % 2
-    return -w, (w - -w) / n, n
+def _every_point_simpson(lo, h, n, A, B, eps):
+    """_simpson of _mollified_phase on the grid (lo, h, n)."""
+    def f(lo, h, start, stop):
+        re, im = _mollified_phase(lo + np.arange(start, stop) * h, A, B, eps)
+        return re + 1j * im
+
+    return complex(_simpson(f, lo, h, n))
+
+
+def _anchor_points(lo, h, start, count, A, B, eps):
+    """The integrand at the grid points lo + i h, start <= i < start + count
+    (start a multiple of _SPAN), as the products high[a, j1] low[a, j0]
+    chirp[j1, j0] of the factors that _hermitian_simpson sums."""
+    high, low = _hermitian_factors(lo, h, np.arange(start, start + count, _SPAN), A, B, eps)
+    chirp = _hermitian_chirp(h, A, eps)
+    return (high[:, :, None] * chirp * low[:, None, :]).reshape(-1)[:count]
 
 
 def test_reduced_angle_integrand_equals_the_complex_exponential():
@@ -647,7 +693,7 @@ def test_reduced_angle_integrand_equals_the_complex_exponential():
     x = lo + np.arange(n + 1) * h
     for B in (0.0, 0.37, -1.5):
         for eps in (0.0, 1e-3, 1e-2):
-            got = _hermitian_chunk(lo, h, 0, n + 1, 4.0, B, eps)
+            got = _anchor_points(lo, h, 0, n + 1, 4.0, B, eps)
             want = np.exp(1j * np.pi * (4.0 * x * x + 2 * B * x) - eps * x * x)
             assert np.abs(got.real - want.real).max() < 1e-9, (B, eps)
             assert np.abs(got.imag - want.imag).max() < 1e-9, (B, eps)
@@ -659,13 +705,14 @@ def test_reduced_angle_integrand_equals_the_complex_exponential():
     (0.25, 0.1, 1e-2, BLOCK),  # the eps = 1e-2 grid, x across 0
 ])
 def test_angle_addition_is_as_accurate_as_cos_and_sin_of_every_point(A, B, eps, start):
-    """At 300 seeded points of one BLOCK chunk of the quadrature's grid, both
-    integrands against the exact value at lo + i h (mpmath, 40 digits): the
-    anchor kernel's largest relative error is at most twice that of cos and
-    sin of every point (which sees the grid point rounded to a float)."""
+    """At 300 seeded points among BLOCK points of the quadrature's grid,
+    both integrands against the exact value at lo + i h (mpmath, 40
+    digits): the largest relative error of the anchor factors' product is
+    at most twice that of cos and sin of every point (which sees the grid
+    point rounded to a float)."""
     mpmath = pytest.importorskip("mpmath")
-    lo, h, _ = _hermitian_grid(A, B, eps)
-    got = _hermitian_chunk(lo, h, start, start + BLOCK, A, B, eps)
+    lo, h, _ = _grid("Hermitian", A, B, eps, 10.0, 1e-3)
+    got = _anchor_points(lo, h, start, BLOCK, A, B, eps)
     ref = _mollified_phase(lo + np.arange(start, start + BLOCK) * h, A, B, eps)
     errors_got, errors_ref = [], []
     with mpmath.workdps(40):
@@ -677,19 +724,28 @@ def test_angle_addition_is_as_accurate_as_cos_and_sin_of_every_point(A, B, eps, 
     assert max(errors_got) <= 2 * max(errors_ref) + 1e-15, (max(errors_got), max(errors_ref))
 
 
-def _quadrature_every_point(A, B):
+@pytest.mark.parametrize("n", [
+    1000,  # below one anchor's R^2 points
+    _SPAN - 2, _SPAN, _SPAN + 2,
+    5 * _SPAN, 5 * _SPAN + 2,
+    2 * _BATCH * _SPAN + 3 * _SPAN + 2,  # three batches, the last one short
+])
+def test_matrix_product_sum_equals_the_every_point_simpson(n):
+    """_hermitian_simpson against _simpson of cos and sin of every point,
+    on grids of step 1e-3 centred on 0: the masked last anchor and the
+    batch walk weigh every point as Simpson does."""
+    A, B, eps, h = 0.25, 0.3, 1e-2, 1e-3
+    lo = -(n // 2) * h
+    want = _every_point_simpson(lo, h, n, A, B, eps)
+    got = _hermitian_simpson(lo, h, n, A, B, eps)
+    assert abs(got - want) <= 1e-11 * abs(want), (n, got, want)
+
+
+def _quadrature_every_point(A, B, window=10.0, step=1e-3):
     """continuum_inner_quadrature's Hermitian value for <g(A, B) | g(0, 0)>,
     its integrand taken from cos and sin of every grid point."""
-    values = []
-    for eps in (1e-2, 1e-3):
-        lo, h, n = _hermitian_grid(A, B, eps)
-
-        def f(lo, h, start, stop, eps=eps):
-            re, im = _mollified_phase(lo + np.arange(start, stop) * h, A, B, eps)
-            return re + 1j * im
-
-        values.append(complex(_simpson(f, lo, -lo, n)))
-    v1, v2 = values
+    v1, v2 = (_every_point_simpson(*_grid("Hermitian", A, B, eps, window, step), A, B, eps)
+              for eps in (1e-2, 1e-3))
     return (1e-2 * v2 - 1e-3 * v1) / (1e-2 - 1e-3)
 
 
@@ -700,6 +756,52 @@ def test_angle_addition_quadrature_equals_cos_and_sin_of_every_point():
         want = _quadrature_every_point(0.25, B)
         got = continuum_inner_quadrature(ContinuumGaussian("Hermitian", 1.0, 0.25, B), g0)
         assert abs(got - want) <= 1e-11 * abs(want), (B, got, want)
+
+
+@pytest.mark.parametrize("A", [1.0, 4.0])
+def test_matrix_product_quadrature_equals_the_every_point_quadrature(A):
+    """A = 0.25 is the test above; A = 4 is the largest grid the suite sums."""
+    g0 = ContinuumGaussian("Hermitian", 1.0, 0.0, 0.0)
+    want = _quadrature_every_point(A, 0.5)
+    got = continuum_inner_quadrature(ContinuumGaussian("Hermitian", 1.0, A, 0.5), g0)
+    assert abs(got - want) <= 1e-11 * abs(want), (A, got, want)
+
+
+@pytest.mark.parametrize("window", [1000.0, 2000.0])
+def test_wide_window_quadrature_stays_finite(window):
+    """At window 2000 the anchors' magnitude e^{-eps x_a^2} reaches e^{-40000}
+    while their step factors grow like e^{2 eps |x_a| h j}: folded into one
+    exponent, the product stays finite and equal to the every-point sum."""
+    g = ContinuumGaussian("Hermitian", 1.0, 0.01, 0.0)
+    got = continuum_inner_quadrature(g, ContinuumGaussian("Hermitian", 1.0, 0.0, 0.0), window, 1.0)
+    want = _quadrature_every_point(0.01, 0.0, window, 1.0)
+    assert cmath.isfinite(got) and abs(got - want) <= 1e-11, (window, got, want)
+
+
+def test_folded_anchor_magnitude_keeps_the_mollified_sum_finite():
+    """At A = 0.001, eps = 1e-2 on the window 2000 (h = 1/120), the first
+    anchors' step factor e^{2 eps |x_a| h _ROOT j1} reaches e^{1344}, past
+    the float range, while their magnitude e^{-eps x_a^2} is e^{-40000}:
+    folded into one exponent, each high entry stays finite, and so does
+    the sum."""
+    grid = _grid("Hermitian", 0.001, 0.0, 1e-2, 2000.0, 1.0)
+    want = _every_point_simpson(*grid, 0.001, 0.0, 1e-2)
+    got = _hermitian_simpson(*grid, 0.001, 0.0, 1e-2)
+    assert cmath.isfinite(got) and abs(got - want) <= 1e-11 * abs(want), (got, want)
+
+
+def test_quadrature_temporaries_stay_small():
+    """One Hermitian quadrature at A = 4, B = 2 (11.6 M points) allocates at
+    most 2 MiB at a time: the anchors are walked in batches."""
+    g1 = ContinuumGaussian("Hermitian", 1.0, 4.0, 2.0)
+    g0 = ContinuumGaussian("Hermitian", 1.0, 0.0, 0.0)
+    tracemalloc.start()
+    try:
+        continuum_inner_quadrature(g1, g0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20, peak
 
 
 @pytest.mark.parametrize("M", [144, 2304])
