@@ -83,14 +83,14 @@ def cmd_gauss_sum(args) -> int:
         # the complex backend realises e(q) as e^{+2 pi i q}; the limit map
         # is its conjugate
         doc["closed_complex"] = _complex_pair(to_complex(params, closed).conjugate())
-    agree = True
+    agree = True  # "agree" is printed only when both sides were computed
     if args.compute == "both":
         agree = to_fp(params, closed) == brute_fp
         if args.backend == "complex":
             agree = agree and abs(
                 complex(*doc["value_complex"]) - complex(*doc["closed_complex"])
             ) < 1e-8 * max(1.0, abs(complex(*doc["value_complex"])))
-    doc["agree"] = agree
+        doc["agree"] = agree
     _emit(doc)
     return 0 if agree else 2
 

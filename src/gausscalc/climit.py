@@ -153,6 +153,21 @@ _ROOT = 64
 _SPAN = _ROOT * _ROOT
 _BATCH = 128
 _EPS = (1e-2, 1e-3)  # the Hermitian mollifiers, extrapolated linearly to 0
+# the largest estimated relative error of that extrapolation a Hermitian
+# quadrature accepts: past it |A| is too small against eps (CHANGES.md has
+# the table of estimate against measured error it was chosen from)
+_EXTRAPOLATION_BOUND = 2e-4
+
+
+def _extrapolation_error(A: float, B: float) -> float:
+    """The relative error |c2| eps1 eps2 / (pi A)^2 that the linear fit in
+    eps leaves in the Hermitian pairing of combined data A, B: the
+    second-order term of its expansion in eps / (pi |A|), with
+    c2 = -3/8 + u^2/2 + (3/2) i u, u = pi B^2 / |A|; inf at A = 0."""
+    if A == 0:
+        return math.inf
+    u = math.pi * B * B / abs(A)
+    return abs(complex(u * u / 2 - 3 / 8, 1.5 * u)) * _EPS[0] * _EPS[1] / (math.pi * A) ** 2
 
 
 def _grid(kind: str, A: float, B: float, eps: float, window: float, step: float):
@@ -288,8 +303,11 @@ def continuum_inner_quadrature(
     for eps in {1e-2, 1e-3} and Richardson-extrapolated linearly in eps
     (the m -> infinity truncation limit, realised stably); each damped sum
     is _hermitian_simpson's, one matrix product per batch of anchors.
-    Raises NonConvergent when the two mollified values disagree wildly.
-    window and step must be finite, with 0 < step < window/100."""
+    Raises NonConvergent, before any grid is summed, when the fit's
+    estimated relative error (_extrapolation_error) exceeds 2e-4, which
+    refuses A = A1 - A2 = 0 and small |A| (|A| < 0.0436 at B = 0,
+    |A| < 0.1723 at |B| = 0.4); and when the two mollified values disagree
+    wildly.  window and step must be finite, with 0 < step < window/100."""
     if g1.kind != g2.kind:
         raise ArithError("mixed pairing kinds")
     if not (math.isfinite(window) and math.isfinite(step) and 0 < step < window / 100):
@@ -307,6 +325,12 @@ def continuum_inner_quadrature(
 
     A = g1.A - g2.A
     B = g1.B - g2.B
+    err = _extrapolation_error(A, B)
+    if err > _EXTRAPOLATION_BOUND:
+        raise NonConvergent(
+            f"the eps extrapolation is off by about {err:.2g} (relative) at A={A}, B={B};"
+            f" the bound is {_EXTRAPOLATION_BOUND}"
+        )
     cpair = g1.c.conjugate() * g2.c
     grids = [_grid("Hermitian", A, B, eps, window, step) for eps in _EPS]
     v1, v2 = (cpair * _hermitian_simpson(*grid, A, B, eps) for grid, eps in zip(grids, _EPS))

@@ -107,29 +107,30 @@ def free_propagator(params: Params, t: int, domain: Domain | None = None) -> Gau
     """exp(i P^2 t / 2): kernel sqrt(t/N) e(1/8) e(-(q-r)^2 / 2tN) on t | q - r.
 
     The momentum phase e(p^2 t / 2N) has period 2N in t, so t is reduced
-    into (-N, N].  Needs 4t | N for the reduced t > 0, so the momentum Gauss
-    sum closes (the classical 4a | M hypothesis); other times, negative
-    ones included, raise with the t that was passed."""
+    into (-N, N].  Needs 4|t| | N for the reduced t, so the momentum Gauss
+    sum closes (the classical 4a | M hypothesis); other times raise with
+    the t that was passed.  A negative reduced t gives the adjoint of
+    P(|t|): the coefficient conjugated (e8 becomes e8^7) and the form
+    negated, on the same support and denominator |t|."""
     if domain is None:
         domain = domain_v(params)
     N = domain.N
     reduced = (t + N - 1) % (2 * N) - N + 1
-    if reduced <= 0 or N % (4 * reduced):
-        if reduced == 0:
-            raise PreconditionViolation(f"t = {t} = 0 mod 2N is the identity; use identity_operator")
+    if reduced == 0:
+        raise PreconditionViolation(f"t = {t} = 0 mod 2N is the identity; use identity_operator")
+    s = abs(reduced)
+    if N % (4 * s):
         shown = f"t={t}" if t == reduced else f"t={t} = {reduced} mod 2N"
-        if reduced < 0:
-            raise PreconditionViolation(f"negative times are not supported ({shown}, N={N})")
         raise PreconditionViolation(f"need 4t | N ({shown}, N={N})")
-    t = reduced
     coeff = (
         unit_normalization(params, domain)
-        * GaussCoeff.sqrt(t)
+        * GaussCoeff.sqrt(s)
         * GaussCoeff.e8_power(1)
     )
+    sign = 1 if reduced > 0 else -1
     return GaussOperator(
-        coeff, -1, 1, -1, domain, domain, den=t,
-        support=((t, (1, -1, 0)),),
+        coeff if sign > 0 else coeff.conj(), -sign, sign, -sign, domain, domain, den=s,
+        support=((s, (1, -1, 0)),),
     )
 
 

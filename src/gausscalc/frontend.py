@@ -12,6 +12,16 @@ Grammar (whitespace insensitive):
     pterm := integer ['*' factors] | factors
     factors := ident ['^' power] ('*' ident ['^' power])*
 
+Tokens are numbers (ASCII digits), names (an ASCII letter or '_', then
+letters, digits and '_') and the one-character symbols + - * / ^ @ ( ) .;
+whitespace is any character for which str.isspace() holds.  The lexer
+finds the first other character with one search, which is then the
+ParseError raised, and splits the text with one compiled pattern into two
+flat lists, the token texts and their offsets; the parser walks them by
+index.  A (line, col) is computed from an offset only where a node's pos
+or a ParseError needs it: only '\\n' starts a line, and every other
+character is one column.
+
 Phase polynomials have integer coefficients and total degree <= 2; a
 quantifier body extends maximally to the right.  Parentheses and
 quantifiers nest at most MAX_DEPTH = 64 deep (one inside another, the
@@ -48,9 +58,10 @@ from __future__ import annotations
 
 import functools
 import math
-import string
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -90,7 +101,8 @@ class Poly:
 
     @classmethod
     def from_dict(cls, d: dict[Monomial, int]) -> "Poly":
-        return cls(tuple(sorted((m, c) for m, c in d.items() if c)))
+        items = sorted(d.items())
+        return cls(tuple(items) if 0 not in d.values() else tuple(item for item in items if item[1]))
 
     def as_dict(self) -> dict[Monomial, int]:
         return dict(self.coeffs)
@@ -117,18 +129,9 @@ class Poly:
             return "0"
         parts = []
         for m, c in self.coeffs:
-            names: list[str] = []
-            seen: dict[str, int] = {}
-            for v in m:
-                seen[v] = seen.get(v, 0) + 1
-            for v in sorted(seen):
-                names.append(v if seen[v] == 1 else f"{v}^{seen[v]}")
-            if not names:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(names)
-            else:
-                body = "*".join([str(abs(c))] + names)
+            # m is sorted and of degree <= 2: a square is one name twice
+            names = f"{m[0]}^2" if len(m) == 2 and m[0] == m[1] else "*".join(m)
+            body = str(abs(c)) if not m else names if abs(c) == 1 else f"{abs(c)}*{names}"
             parts.append(("- " if c < 0 else "+ ") + body)
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
@@ -190,94 +193,62 @@ _KEYWORDS = {"sum", "int", "j", "e8", "sqrt", "e", "N", "U", "V"}
 
 # -- lexer ------------------------------------------------------------------------
 
-
-@dataclass(slots=True)
-class Token:
-    kind: str  # NUM IDENT SYM EOF
-    text: str
-    line: int
-    col: int
+# tokens: NUM [0-9]+, IDENT an ASCII letter or '_' then letters, digits and
+# '_', SYM one of + - * / ^ @ ( ) .; between them only whitespace
+_TOKEN = re.compile(r"([0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^@().])")
+_BAD = re.compile(r"[^0-9A-Za-z_+\-*/^@().\s]")
 
 
-# identifiers are ASCII: a letter or '_', then letters, digits and '_'
-_IDENT_START = frozenset(string.ascii_letters + "_")
-_IDENT_CHARS = frozenset(string.ascii_letters + string.digits + "_")
+def _where(text: str, offset: int) -> tuple[int, int]:
+    """(line, col) of `offset` in `text`, both from 1; only '\\n' starts a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list[Token]:
-    out = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            out.append(Token("NUM", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _IDENT_START:
-            j = i
-            while j < len(text) and text[j] in _IDENT_CHARS:
-                j += 1
-            out.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^@().":
-            out.append(Token("SYM", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    out.append(Token("EOF", "", line, col))
-    return out
+def _scan(text: str) -> tuple[list[str], list[int]]:
+    """The token texts of `text` and their offsets, with '' at len(text)
+    for the end; ParseError at the first character no token takes."""
+    bad = _BAD.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", *_where(text, bad.start()))
+    parts = _TOKEN.split(text)  # whitespace, token, whitespace, ..., whitespace
+    return parts[1::2] + [""], list(accumulate(map(len, parts)))[::2]
 
 
 MAX_DEPTH = 64
 
 
 class _Parser:
+    """Recursive descent over `_scan`'s lists by index.  A token's kind is
+    its first character's (a digit: NUM, a letter or '_': IDENT, none: the
+    end), so a symbol is tested by its text alone."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.text = text
+        self.toks, self.offs = _scan(text)
+        self.i = 0
         self.depth = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def pos(self, i: int) -> tuple[int, int]:
+        return _where(self.text, self.offs[i])
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+    def error(self, message: str, i: int, cls=ParseError) -> ParseError:
+        return cls(message, *self.pos(i))
+
+    def expect(self, want: str) -> str:
+        """The next token's text, which must be the symbol `want`, or any
+        number or name for want 'NUM' or 'IDENT'."""
+        tok = self.toks[self.i]
+        ok = tok == want if len(want) == 1 else tok.isdigit() if want == "NUM" else tok.isidentifier()
+        if not ok:
+            raise self.error(f"expected {want!r}, found {tok!r}", self.i)
+        self.i += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.next()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise ParseError(f"expected {want!r}, found {tok.text!r}", tok.line, tok.col)
-        return tok
-
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
-
-    def parse_nested(self, at: Token) -> Expr:
-        """parse_expr for the body of the '(' or quantifier at `at`, one
-        level deeper."""
+    def parse_nested(self, at: int) -> Expr:
+        """parse_expr for the body of the '(' or quantifier at token `at`,
+        one level deeper."""
         if self.depth == MAX_DEPTH:
-            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", at.line, at.col)
+            raise self.error(f"nesting deeper than {MAX_DEPTH} levels", at)
         self.depth += 1
         body = self.parse_expr()
         self.depth -= 1
@@ -285,163 +256,139 @@ class _Parser:
 
     # expr := product ('+' product)*
     def parse_expr(self) -> Expr:
-        first = self.parse_product()
-        terms = [first]
-        while self.peek().kind == "SYM" and self.peek().text == "+":
-            self.next()
+        terms = [self.parse_product()]
+        while self.toks[self.i] == "+":
+            self.i += 1
             terms.append(self.parse_product())
-        if len(terms) == 1:
-            return first
-        return Plus(tuple(terms), pos=(terms[0].pos or (0, 0)))
+        return terms[0] if len(terms) == 1 else Plus(tuple(terms), pos=terms[0].pos)
 
     def parse_product(self) -> Expr:
-        first = self.parse_atom()
-        factors = [first]
-        while self.peek().kind == "SYM" and self.peek().text == "*":
-            self.next()
+        factors = [self.parse_atom()]
+        while self.toks[self.i] == "*":
+            self.i += 1
             factors.append(self.parse_atom())
-        if len(factors) == 1:
-            return first
-        return Prod(tuple(factors), pos=(factors[0].pos or (0, 0)))
+        return factors[0] if len(factors) == 1 else Prod(tuple(factors), pos=factors[0].pos)
 
     def parse_atom(self) -> Expr:
-        tok = self.peek()
-        at = (tok.line, tok.col)
-        if tok.kind == "NUM" or (tok.kind == "SYM" and tok.text == "-"):
-            return self.parse_rational()
-        if tok.kind == "SYM" and tok.text == "(":
-            self.next()
-            inner = self.parse_nested(tok)
-            self.expect("SYM", ")")
+        i = self.i
+        tok = self.toks[i]
+        if tok == "-" or tok.isdigit():
+            value = self.parse_rational_value()
+            return Rat(value, pos=self.pos(i))
+        self.i = i + 1
+        if tok == "(":
+            inner = self.parse_nested(i)
+            self.expect(")")
             return inner
-        if tok.kind == "IDENT":
-            if tok.text == "j":
-                self.next()
-                return JAtom(pos=at)
-            if tok.text == "e8":
-                self.next()
-                return E8Atom(pos=at)
-            if tok.text == "sqrt":
-                self.next()
-                self.expect("SYM", "(")
-                value = self.parse_rational_value()
-                self.expect("SYM", ")")
-                if value <= 0:
-                    raise ParseError("sqrt argument must be positive", *at)
-                return SqrtAtom(value, pos=at)
-            if tok.text == "e":
-                self.next()
-                self.expect("SYM", "(")
-                wrapped = self.peek().kind == "SYM" and self.peek().text == "("
-                if wrapped:
-                    self.next()
-                poly = self.parse_poly()
-                if wrapped:
-                    self.expect("SYM", ")")
-                self.expect("SYM", "/")
-                two = self.expect("NUM")
-                if two.text != "2":
-                    raise ParseError("phase denominator must be 2N", two.line, two.col)
-                nn = self.expect("IDENT")
-                if nn.text != "N":
-                    raise ParseError("phase denominator must be 2N", nn.line, nn.col)
-                self.expect("SYM", "@")
-                dom = self.expect("IDENT")
-                if dom.text not in ("U", "V"):
-                    raise ParseError("domain must be U or V", dom.line, dom.col)
-                self.expect("SYM", ")")
-                return PhaseAtom(poly, dom.text, pos=at)
-            if tok.text in ("sum", "int"):
-                self.next()
-                var = self.expect("IDENT")
-                if var.text in _KEYWORDS:
-                    raise ParseError(f"{var.text!r} is reserved", var.line, var.col)
-                self.expect("SYM", ".")
-                body = self.parse_nested(tok)
-                return Quant(tok.text, var.text, body, pos=at)
-        self.fail(f"unexpected token {tok.text!r}")
-
-    def parse_rational(self) -> Rat:
-        tok = self.peek()
-        at = (tok.line, tok.col)
-        return Rat(self.parse_rational_value(), pos=at)
+        if tok == "j":
+            return JAtom(pos=self.pos(i))
+        if tok == "e8":
+            return E8Atom(pos=self.pos(i))
+        if tok == "sqrt":
+            self.expect("(")
+            value = self.parse_rational_value()
+            self.expect(")")
+            if value <= 0:
+                raise self.error("sqrt argument must be positive", i)
+            return SqrtAtom(value, pos=self.pos(i))
+        if tok == "e":
+            self.expect("(")
+            wrapped = self.toks[self.i] == "("
+            self.i += wrapped
+            poly = self.parse_poly()
+            if wrapped:
+                self.expect(")")
+            self.expect("/")
+            if self.expect("NUM") != "2" or self.expect("IDENT") != "N":
+                raise self.error("phase denominator must be 2N", self.i - 1)
+            self.expect("@")
+            dom = self.expect("IDENT")
+            if dom != "U" and dom != "V":
+                raise self.error("domain must be U or V", self.i - 1)
+            self.expect(")")
+            return PhaseAtom(poly, dom, pos=self.pos(i))
+        if tok == "sum" or tok == "int":
+            var = self.expect("IDENT")
+            if var in _KEYWORDS:
+                raise self.error(f"{var!r} is reserved", self.i - 1)
+            self.expect(".")
+            body = self.parse_nested(i)
+            return Quant(tok, var, body, pos=self.pos(i))
+        raise self.error(f"unexpected token {tok!r}", i)
 
     def parse_rational_value(self) -> Fraction:
         sign = 1
-        if self.peek().kind == "SYM" and self.peek().text == "-":
-            self.next()
+        if self.toks[self.i] == "-":
+            self.i += 1
             sign = -1
-        num = int(self.expect("NUM").text)
-        if self.peek().kind == "SYM" and self.peek().text == "/":
-            save = self.pos
-            self.next()
-            if self.peek().kind == "NUM":
-                den = int(self.next().text)
-                if den == 0:
-                    self.fail("zero denominator")
-                return Fraction(sign * num, den)
-            self.pos = save
+        num = int(self.expect("NUM"))
+        toks, i = self.toks, self.i
+        if toks[i] == "/" and toks[i + 1].isdigit():
+            den = int(toks[i + 1])
+            self.i = i + 2
+            if den == 0:
+                raise self.error("zero denominator", i + 2)
+            return Fraction(sign * num, den)
         return Fraction(sign * num)
 
     # poly := ['-'] pterm (('+'|'-') pterm)*; the leading sign is the first term's
     def parse_poly(self) -> Poly:
         d: dict[Monomial, int] = {}
         sign = 1
-        if self.peek().kind == "SYM" and self.peek().text == "-":
-            self.next()
+        if self.toks[self.i] == "-":
+            self.i += 1
             sign = -1
         while True:
             m, c = self.parse_pterm()
             d[m] = d.get(m, 0) + sign * c
-            tok = self.peek()
-            if tok.kind != "SYM" or tok.text not in "+-":
+            tok = self.toks[self.i]
+            if tok != "+" and tok != "-":
                 return Poly.from_dict(d)
-            self.next()
-            sign = 1 if tok.text == "+" else -1
+            self.i += 1
+            sign = 1 if tok == "+" else -1
 
     def parse_pterm(self) -> tuple[Monomial, int]:
         """One term as (sorted monomial, coefficient)."""
+        toks, i = self.toks, self.i
         coeff = 1
-        if self.peek().kind == "NUM":
-            coeff = int(self.next().text)
-            if not (self.peek().kind == "SYM" and self.peek().text == "*"):
+        if toks[i].isdigit():
+            coeff = int(toks[i])
+            if toks[i + 1] != "*":
+                self.i = i + 1
                 return (), coeff
-            self.next()
+            i += 2
         names: list[str] = []
         while True:
-            ident = self.expect("IDENT")
-            if ident.text in _KEYWORDS:
-                raise ParseError(
-                    f"{ident.text!r} is reserved and cannot name a variable",
-                    ident.line,
-                    ident.col,
-                )
-            power = 1
-            if self.peek().kind == "SYM" and self.peek().text == "^":
-                self.next()
-                power = int(self.expect("NUM").text)
+            ident = toks[i]
+            if not ident.isidentifier():
+                raise self.error(f"expected 'IDENT', found {ident!r}", i)
+            if ident in _KEYWORDS:
+                raise self.error(f"{ident!r} is reserved and cannot name a variable", i)
+            at, power = i, 1
+            if toks[i + 1] == "^":
+                self.i = i + 2
+                power = int(self.expect("NUM"))
                 if power > 2:
-                    raise DegreeError("power exceeds 2", ident.line, ident.col)
+                    raise self.error("power exceeds 2", at, DegreeError)
                 if power < 1:
-                    raise ParseError("power must be 1 or 2", ident.line, ident.col)
+                    raise self.error("power must be 1 or 2", at)
+                i += 2
             if len(names) + power > 2:
-                raise DegreeError("phase polynomial exceeds degree 2", ident.line, ident.col)
-            names += [ident.text] * power
-            if self.peek().kind == "SYM" and self.peek().text == "*":
-                save = self.pos
-                self.next()
-                if self.peek().kind == "IDENT" and self.peek().text not in _KEYWORDS:
-                    continue
-                self.pos = save
+                raise self.error("phase polynomial exceeds degree 2", at, DegreeError)
+            names += [ident] * power
+            if toks[i + 1] == "*" and toks[i + 2].isidentifier() and toks[i + 2] not in _KEYWORDS:
+                i += 2
+                continue
+            self.i = i + 1
             return tuple(sorted(names)), coeff
 
 
 def parse(text: str) -> Expr:
     parser = _Parser(text)
     expr = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    tok = parser.toks[parser.i]
+    if tok:
+        raise parser.error(f"trailing input {tok!r}", parser.i)
     _domains(expr)  # rejects rebinding a bound variable
     return expr
 
@@ -489,13 +436,14 @@ def _domains(e: Expr) -> dict[int, str | None]:
     out: dict[int, str | None] = {}
 
     def walk(node: Expr, bound: frozenset[str]) -> str | None:
-        if isinstance(node, PhaseAtom):
+        kind = type(node)
+        if kind is PhaseAtom:
             return node.domain
-        if isinstance(node, Prod):
+        if kind is Prod:
             children = node.factors
-        elif isinstance(node, Plus):
+        elif kind is Plus:
             children = node.terms
-        elif isinstance(node, Quant):
+        elif kind is Quant:
             if node.var in bound:
                 raise ParseError(f"variable {node.var!r} bound twice", *(node.pos or (0, 0)))
             children = (node.body,)
@@ -507,7 +455,7 @@ def _domains(e: Expr) -> dict[int, str | None]:
             d = walk(child, bound)
             if d is not None and d != dom:
                 dom = d if dom is None else _MIXED
-        if isinstance(node, Quant):
+        if kind is Quant:
             out[id(node)] = dom
         return dom
 
@@ -672,7 +620,7 @@ def eval_normal_form(
     assignment = _int_assignment(assignment)
     total = 0
     for t in nf.terms:
-        if not all(g.holds(assignment) for g in t.guards):
+        if t.guards and not all(g.holds(assignment) for g in t.guards):
             continue
         n = t.poly.eval(assignment)
         N = _domain_size(params, t.domain)
@@ -691,6 +639,16 @@ class _Term(NamedTuple):
     domain: str
     den: int = 1
     guards: tuple = ()
+
+
+_ONE = GaussCoeff.one()
+# the phase-free atoms' coefficients, shared (coefficients are immutable)
+_ATOM_COEFF = {JAtom: GaussCoeff.j_power(1), E8Atom: GaussCoeff.e8_power(1)}
+
+
+def _times(a: GaussCoeff, b: GaussCoeff) -> GaussCoeff:
+    """a * b, passing one factor through when the other is the shared one."""
+    return b if a is _ONE else a if b is _ONE else a * b
 
 
 def _mul_terms(a: _Term, b: _Term) -> _Term:
@@ -713,42 +671,38 @@ def _mul_terms(a: _Term, b: _Term) -> _Term:
                 phase[m] = c
             else:
                 del phase[m]
-    return _Term(a.coeff * b.coeff, phase, domain, den, a.guards + b.guards)
+    return _Term(_times(a.coeff, b.coeff), phase, domain, den, a.guards + b.guards)
 
 
 def _expand(e: Expr, params: Params, mode: str, dom: str, domains: dict) -> list[_Term]:
-    if isinstance(e, Rat):
-        return [_Term(GaussCoeff.rational(e.value), {}, dom)]
-    if isinstance(e, JAtom):
-        return [_Term(GaussCoeff.j_power(1), {}, dom)]
-    if isinstance(e, E8Atom):
-        return [_Term(GaussCoeff.e8_power(1), {}, dom)]
-    if isinstance(e, SqrtAtom):
-        return [_Term(GaussCoeff.sqrt(e.value), {}, dom)]
-    if isinstance(e, PhaseAtom):
-        return [_Term(GaussCoeff.one(), e.poly.as_dict(), e.domain)]
-    if isinstance(e, Plus):
-        out: list[_Term] = []
-        for t in e.terms:
-            out.extend(_expand(t, params, mode, dom, domains))
-        return out
-    if isinstance(e, Prod):
-        terms = [_Term(GaussCoeff.one(), {}, dom)]
-        for f in e.factors:
+    kind = type(e)
+    if kind is PhaseAtom:
+        return [_Term(_ONE, e.poly.as_dict(), e.domain)]
+    if kind is Prod:
+        terms = _expand(e.factors[0], params, mode, dom, domains) if e.factors else [_Term(_ONE, {}, dom)]
+        for f in e.factors[1:]:
             expanded = _expand(f, params, mode, dom, domains)
             terms = [_mul_terms(t, u) for t in terms for u in expanded]
         return terms
-    if isinstance(e, Quant):
+    if kind is Quant:
         sub_dom = _scale(domains, e) or dom
         out = []
         for term in _expand(e.body, params, mode, sub_dom, domains):
             result = _eliminate_var(term, e.var, params, mode)
             if result is not None:
                 if e.kind == "int":
-                    result = result._replace(coeff=result.coeff * unit_normalization(params.m, result.domain))
+                    result = _Term(_times(result.coeff, unit_normalization(params.m, result.domain)), *result[1:])
                 out.append(result)
         return out
-    raise ArithError(f"cannot eliminate {type(e).__name__}")
+    if kind is Plus:
+        return [t for term in e.terms for t in _expand(term, params, mode, dom, domains)]
+    if kind in _ATOM_COEFF:
+        return [_Term(_ATOM_COEFF[kind], {}, dom)]
+    if kind is Rat:
+        return [_Term(GaussCoeff.rational(e.value), {}, dom)]
+    if kind is SqrtAtom:
+        return [_Term(GaussCoeff.sqrt(e.value), {}, dom)]
+    raise ArithError(f"cannot eliminate {kind.__name__}")
 
 
 def _eliminate_var(term: _Term, y: str, params: Params, mode: str) -> _Term | None:
@@ -757,28 +711,37 @@ def _eliminate_var(term: _Term, y: str, params: Params, mode: str) -> _Term | No
     order, the constant last) for the summation kernel `gauss_sum`, and its
     result is read back into dicts.  Returns None for a structurally-zero
     result (a declared zero, or a sum that telescopes to zero)."""
-    names = sorted({y}.union(*term.phase, *(m for _, g in term.guards for m in g)))
+    used = {y}.union(*term.phase)
+    for _, g in term.guards:
+        used.update(*g)
+    names = sorted(used)
     n = len(names)
-    pos = {v: i for i, v in enumerate(names)}
-    keys = [(v,) for v in names] + [()]
+    pos = dict(zip(names, range(n)))
+    keys = [*zip(names), ()]  # the monomial of each position
     Q = [[0] * (n + 1) for _ in range(n + 1)]
-    for m, c in term.phase.items():
-        i, j = (*(pos[v] for v in m), n, n)[:2]
-        Q[i][j] += c
+    for m, c in term.phase.items():  # monomials are sorted: Q is upper triangular
+        if len(m) == 2:
+            Q[pos[m[0]]][pos[m[1]]] = c
+        else:
+            Q[pos[m[0]] if m else n][n] = c
     guards = [(k, [g.get(key, 0) for key in keys]) for k, g in term.guards]
     N = _domain_size(params, term.domain)
     res = gauss_sum(Q, pos[y], guards, N, N * term.den, term.domain, mode, params)
     if res.coeff.is_zero():
         return None
     new_guards = tuple((k, {keys[i]: c for i, c in enumerate(v) if c}) for k, v in res.guards)
-    phase = {keys[i] + keys[j]: c for i, row in enumerate(res.Q) for j, c in enumerate(row) if c}
+    phase = {}
+    for i, row in enumerate(res.Q):  # upper triangular too
+        for j in range(i, n + 1):
+            if row[j]:
+                phase[keys[i] + keys[j]] = row[j]
     den = res.M // N
     if Q[pos[y]][pos[y]]:
         # residual phase (R - L^2/A)/2M, held over the boosted denominator
         g = math.gcd(*phase.values(), den)
         if g > 1:
             phase, den = {m: c // g for m, c in phase.items()}, den // g
-    return _Term(term.coeff * res.coeff, phase, term.domain, den, new_guards)
+    return _Term(_times(term.coeff, res.coeff), phase, term.domain, den, new_guards)
 
 
 def eliminate(e: Expr, params: Params, mode: str = "extended") -> NormalForm:

@@ -69,6 +69,17 @@ def test_closed_gauss_sum_sums_nothing_literally(monkeypatch):
     assert doc["closed_complex"] == [12.0, 0.0]
 
 
+@pytest.mark.parametrize("backend", ["fp", "complex"])
+@pytest.mark.parametrize("compute", ["closed", "brute", "both"])
+def test_gauss_sum_prints_agree_only_when_it_compared(backend, compute):
+    argv = ["--backend", backend, "gauss-sum", "--a", "2", "--b", "2", "--M", "32", "--compute", compute]
+    status, lines = main_lines(argv)
+    doc = strict_json(lines[0])
+    assert status == 0 and len(lines) == 1
+    assert ("agree" in doc) == (compute == "both")
+    assert doc.get("agree", True) is True
+
+
 def test_inner_subcommand():
     s1 = json.dumps({"domain": "V", "coeff": "1/12", "form": [-1, 1, 0], "p_param": 1})
     s2 = json.dumps({"domain": "V", "coeff": "1/12", "form": [0, 0, 0], "p_param": 0})
@@ -91,6 +102,12 @@ def test_evolve_refuses_a_time_of_period_2N():
     assert len(lines) == 1
     doc = json.loads(lines[0])
     assert doc["type"] == "PreconditionViolation" and "t=145" in doc["error"]
+
+
+def test_evolve_accepts_a_negative_time():
+    """t = -1 is the adjoint of P(1), whose support t | q - r is every q."""
+    doc = json.loads(run_cli("evolve", "--t", "-1", "--r", "3").stdout)
+    assert doc["state"]["support"] == [1, 0]
 
 
 def test_weyl_check():

@@ -3,10 +3,12 @@ import math
 
 import pytest
 
+from gausscalc import climit
 from gausscalc.arith import ArithError, ParamSpec, find_params
 from gausscalc.climit import (
     CausticError,
     ContinuumGaussian,
+    NonConvergent,
     continuum_inner_closed,
     continuum_inner_quadrature,
     convergence_check,
@@ -109,6 +111,29 @@ def test_closed_vs_quadrature_hermitian_grid():
             closed = continuum_inner_closed(g1, g2)
             quad = continuum_inner_quadrature(g1, g2)
             assert abs(closed - quad) < 1e-3, (A, B, closed, quad)
+
+
+@pytest.mark.parametrize("A, B", [(0.01, 0.0), (0.02, 0.0), (0.1, 0.4), (0.0, 0.0), (-0.02, 0.4)])
+def test_quadrature_refuses_where_its_extrapolation_is_wrong(monkeypatch, A, B):
+    """Paired with g(0, 0), the linear fit in eps is off by 3.7e-2 at A = 0.01,
+    6.7e-3 at A = 0.02 and 4.3e-3 at A = 0.1, B = 0.4, above verify's 1e-3:
+    refused before any grid is summed."""
+    def no_sum(*args):
+        raise AssertionError("summed a grid of a refused quadrature")
+
+    monkeypatch.setattr(climit, "_hermitian_simpson", no_sum)
+    g0 = ContinuumGaussian("Hermitian", 1.0, 0.0, 0.0)
+    g = ContinuumGaussian("Hermitian", 1.0, abs(A), B)
+    with pytest.raises(NonConvergent, match="eps extrapolation"):
+        continuum_inner_quadrature(*((g0, g) if A < 0 else (g, g0)))
+
+
+@pytest.mark.parametrize("A, B", [(0.0436, 0.0), (0.1723, 0.4), (0.25, 0.4), (1.0, 2.0)])
+def test_quadrature_accepts_where_its_extrapolation_holds(A, B):
+    """The smallest accepted |A| at B = 0 and at B = 0.4, verify's draw and the
+    largest estimate of the suite: within verify's 1e-3 of the closed form."""
+    g1, g0 = ContinuumGaussian("Hermitian", 1.0, A, B), ContinuumGaussian("Hermitian", 1.0, 0.0, 0.0)
+    assert abs(continuum_inner_quadrature(g1, g0) - continuum_inner_closed(g1, g0)) < 1e-3
 
 
 def test_quadrature_disjoint_supports():

@@ -151,8 +151,24 @@ def test_free_propagator_has_period_2N(params, V):
     assert np.array_equal(got, np.array(want, dtype=got.dtype))
     with pytest.raises(PreconditionViolation, match=f"t={1 + N} = {1 - N} mod 2N"):
         free_propagator(params, 1 + N)
-    with pytest.raises(PreconditionViolation, match=r"negative times.*\(t=-1, N=144\)"):
-        free_propagator(params, -1)
+
+
+@pytest.mark.parametrize("tower, t", [
+    ((12, 2), -1), ((12, 2), -2), ((12, 2), -3), ((12, 2), -36),
+    ((6, 1), -1), ((6, 1), -3), ((6, 1), -9),
+])
+def test_negative_time_is_the_adjoint(tower, t):
+    """P(-t) is P(t) with its coefficient conjugated and its form negated:
+    the momentum-side brute sum at every entry of the V domain."""
+    P = find_params(ParamSpec(*tower))
+    V = domain_v(P)
+    op = free_propagator(P, t)
+    assert (op.kA, op.kB, op.kC, op.den) == (1, -1, 1, -t)
+    assert op.coeff == free_propagator(P, -t).coeff.conj()
+    idx = V.index_vector()
+    got = op.kernel_block(P, idx[:, None], idx[None, :])
+    want = [[free_propagator_brute(P, t, V, int(r), int(s)) for s in idx] for r in idx]
+    assert np.array_equal(got, np.array(want, dtype=got.dtype))
 
 
 def test_free_propagator_on_position_state(params, V):

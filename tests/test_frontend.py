@@ -172,6 +172,56 @@ def test_parse_error_reports_the_line_and_column_of_a_later_line():
     assert str(exc.value).startswith("2:18: ")
 
 
+@pytest.mark.parametrize("ws, where", [
+    *((ws, "1:9") for ws in ("\t", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u00a0", "\u2028", "\u3000")),
+    ("\n", "3:1"), ("\r\n", "3:1"),
+])
+def test_only_newline_starts_a_line(ws, where):
+    # whitespace is str.isspace(); each character but '\n' is one column
+    with pytest.raises(ParseError) as exc:
+        parse(f"j *{ws} e8{ws}$")
+    assert str(exc.value) == f"{where}: unexpected character '$'"
+    assert f"{exc.value.line}:{exc.value.col}" == where
+
+
+@pytest.mark.parametrize("text, message", [
+    ("sum r .\n  e((r^2)/2N @V) ) + 1", "2:18: trailing input ')'"),
+    ("e((r^2)/2N @V) j", "1:16: trailing input 'j'"),
+    ("sum r . (e((r^2)/2N @V)\n * j", "2:5: expected ')', found ''"),
+    ("2 *\n 3/0 * j", "2:6: zero denominator"),  # at the token after the 0
+    ("3/0", "1:4: zero denominator"),
+    ("j * e((r^2)/4N @V)", "1:13: phase denominator must be 2N"),
+    ("j *\n e((r^2)/2M @V)", "2:11: phase denominator must be 2N"),
+    ("e((r^2)/2N\n @W)", "2:3: domain must be U or V"),
+    ("sum x . int N . 1", "1:13: 'N' is reserved"),
+    ("e((x*r^3)/2N @V)", "1:6: power exceeds 2"),
+    ("e((x +\n  r^3)/2N @V)", "2:3: power exceeds 2"),
+    ("e((r*x^2)/2N @V)", "1:6: phase polynomial exceeds degree 2"),
+    ("e((r^0)/2N @V)", "1:4: power must be 1 or 2"),
+    ("sqrt(-2/3)", "1:1: sqrt argument must be positive"),
+])
+def test_parse_error_messages_and_positions(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+    assert f"{exc.value.line}:{exc.value.col}: " == message[:message.index(" ") + 1]
+
+
+def _node_positions(e):
+    children = getattr(e, "factors", ()) + getattr(e, "terms", ()) + ((e.body,) if isinstance(e, Quant) else ())
+    return [(type(e).__name__, e.pos)] + [p for c in children for p in _node_positions(c)]
+
+
+def test_every_node_carries_its_position():
+    # a Plus or Prod sits at its first child, a parenthesised expression at its first atom
+    e = parse("(sum r . j * e((r^2 + 2*r*x)/2N @V) + 3/2)\n  * int s . sqrt(2) * e8 * e((-s^2)/2N @V) + -1")
+    assert _node_positions(e) == [
+        ("Prod", (1, 2)), ("Quant", (1, 2)), ("Plus", (1, 10)), ("Prod", (1, 10)), ("JAtom", (1, 10)),
+        ("PhaseAtom", (1, 14)), ("Rat", (1, 39)), ("Quant", (2, 5)), ("Plus", (2, 13)), ("Prod", (2, 13)),
+        ("SqrtAtom", (2, 13)), ("E8Atom", (2, 23)), ("PhaseAtom", (2, 28)), ("Rat", (2, 46)),
+    ]
+
+
 def test_evaluators_take_integer_values_only(small):
     # a float was truncated (1.9 read as 1) and a string multiplied out
     e = parse("sum r . e((-r^2 + 2*r*x)/2N @V)")
@@ -323,6 +373,13 @@ def test_scales_are_found_once_per_call(small, monkeypatch):
 # the acceptance suite)
 
 from tests_support_qe import random_expression
+
+
+def test_random_expressions_round_trip_through_the_printer():
+    rng = random.Random(0x7E57)
+    for i in range(300):
+        e = random_expression(rng, 1 + i % 3, "UV"[i % 2])
+        assert parse(format_expr(e)) == e, format_expr(e)
 
 
 @pytest.mark.parametrize("domain", ["V", "U"])

@@ -771,11 +771,14 @@ def test_matrix_product_quadrature_equals_the_every_point_quadrature(A):
 def test_wide_window_quadrature_stays_finite(window):
     """At window 2000 the anchors' magnitude e^{-eps x_a^2} reaches e^{-40000}
     while their step factors grow like e^{2 eps |x_a| h j}: folded into one
-    exponent, the product stays finite and equal to the every-point sum."""
-    g = ContinuumGaussian("Hermitian", 1.0, 0.01, 0.0)
-    got = continuum_inner_quadrature(g, ContinuumGaussian("Hermitian", 1.0, 0.0, 0.0), window, 1.0)
-    want = _quadrature_every_point(0.01, 0.0, window, 1.0)
-    assert cmath.isfinite(got) and abs(got - want) <= 1e-11, (window, got, want)
+    exponent, the product stays finite and equal to the every-point sum.
+    A = 0.01 is refused by continuum_inner_quadrature, so the damped sums
+    are taken directly, at both mollifiers."""
+    for eps in (1e-2, 1e-3):
+        grid = _grid("Hermitian", 0.01, 0.0, eps, window, 1.0)
+        got = _hermitian_simpson(*grid, 0.01, 0.0, eps)
+        want = _every_point_simpson(*grid, 0.01, 0.0, eps)
+        assert cmath.isfinite(got) and abs(got - want) <= 1e-11, (window, eps, got, want)
 
 
 def test_folded_anchor_magnitude_keeps_the_mollified_sum_finite():
