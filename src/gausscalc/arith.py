@@ -182,7 +182,7 @@ class ParamSpec:
 
 @dataclass(frozen=True, init=False, repr=False)
 class Phase:
-    """A rational phase q (mod 1) naming the root of unity e(q) = exp_p((p-1)q).
+    """A rational phase q (mod 1) naming the root of unity e(q) = epsilon^((p-1)q).
 
     ``domain`` tags which scale the phase lives on: 'V' (quantum/Hermitian),
     'U' (statistical/Euclidean) or None for scale-free roots of unity.
@@ -205,12 +205,6 @@ class Phase:
     @property
     def q(self) -> Fraction:
         return Fraction(self._num, self._den)
-
-    @property
-    def balanced(self) -> Fraction:
-        """Representative in [-1/2, 1/2) -- used by the real (U-scale) limit."""
-        n, d = self._num, self._den
-        return Fraction(n - d if 2 * n >= d else n, d)
 
     def __add__(self, other: "Phase") -> "Phase":
         # the zero phase (and only it) carries no domain: adding it is free
@@ -312,10 +306,6 @@ class Params:
 
     # -- characters ---------------------------------------------------------
 
-    def exp_p(self, eta: int) -> FpElem:
-        """epsilon**eta mod p; kernel exactly (p-1)Z."""
-        return pow(self.epsilon, eta % (self.p - 1), self.p)
-
     def xi(self, two_m: int) -> FpElem:
         """The canonical 2M-th root of unity, epsilon**((p-1)/2M)."""
         if two_m <= 0 or (self.p - 1) % two_m:
@@ -343,7 +333,7 @@ class Params:
         return table
 
     def char_e(self, phase: Phase | Fraction) -> FpElem:
-        """e(q) = exp_p((p-1) * q); multiplicative in q.  A bare q must be
+        """e(q) = epsilon^((p-1) q); multiplicative in q.  A bare q must be
         an int or a Fraction."""
         if isinstance(phase, Phase):
             n, d = phase._num, phase._den
@@ -354,21 +344,7 @@ class Params:
             raise IncompatiblePhase(f"phase denominator {d} incompatible with p - 1")
         return pow(self.xi(d), n, self.p) if n else 1
 
-    # -- orders and square roots -------------------------------------------
-
-    def p1_factorization(self) -> dict[int, int]:
-        return self._p1_factors
-
-    def element_order(self, x: FpElem) -> int:
-        """Least d >= 1 with x**d = 1, via the factorisation of p - 1."""
-        x %= self.p
-        if x == 0:
-            raise ArithError("zero element has no multiplicative order")
-        order = self.p - 1
-        for q in self.p1_factorization():
-            while order % q == 0 and pow(x, order // q, self.p) == 1:
-                order //= q
-        return order
+    # -- square roots -------------------------------------------------------
 
     def sqrt_canonical(self, M: int) -> FpElem:
         """Canonical square root of M mod p: e(-1/8) * sum_{0<n<=M} xi_2M^(n*n).
@@ -418,37 +394,6 @@ class Params:
             return 1
         return self.sqrt_canonical(4 * r) * ((self.p + 1) // 2) % self.p
 
-    def tonelli_shanks(self, n: int) -> FpElem | None:
-        """Any square root of n mod p (branch not canonical); cross-check only."""
-        p = self.p
-        n %= p
-        if n == 0:
-            return 0
-        if pow(n, (p - 1) // 2, p) != 1:
-            return None
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        c = pow(z, q, p)
-        x = pow(n, (q + 1) // 2, p)
-        t = pow(n, q, p)
-        m = s
-        while t != 1:
-            t2, k = t * t % p, 1
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                k += 1
-            b = pow(c, 1 << (m - k - 1), p)
-            x = x * b % p
-            c = b * b % p
-            t = t * c % p
-            m = k
-        return x
-
     # -- serialisation ------------------------------------------------------
 
     def to_dict(self) -> dict[str, int]:
@@ -478,9 +423,6 @@ class Params:
             if key in d and require_int(d[key], f"Params field {key!r}") != getattr(params, key):
                 raise ArithError(f"inconsistent field {key!r} in serialized Params")
         return params
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def to_toml(self) -> str:
         return "".join(f"{k} = {v}\n" for k, v in sorted(self.to_dict().items()))

@@ -22,7 +22,7 @@ from .climit import (
     ho_propagator,
 )
 from .dynamics import free_propagator, sm_transfer, weyl_pair
-from .frontend import eliminate, eval_expr, eval_normal_form, format_expr, parse
+from .frontend import PointBudgetExceeded, eliminate, eval_expr, eval_normal_form, format_expr, parse
 from .gauss import GaussSumSpec, gauss_brute, gauss_closed
 from .hilbert import (
     PositionState,
@@ -124,13 +124,12 @@ def cmd_inner(args) -> int:
 
 def cmd_evolve(args) -> int:
     params = _load_params(args)
-    op = free_propagator(params, args.t)
     state = (
         PositionState(args.r, domain_v(params))
         if args.state is None
         else _parse_state(params, args.state)
     )
-    out = apply_operator(params, op, state)
+    out = apply_operator(params, free_propagator(params, args.t, state.domain), state)
     _emit({"t": args.t, "state": out.to_descriptor()})
     return 0
 
@@ -253,11 +252,16 @@ def cmd_qe(args) -> int:
         "quantifier_free": True,
     }
     if set() == nf.free_variables() - set(assignment):
-        lhs = eval_expr(expr, params, assignment)
-        rhs = eval_normal_form(nf, params, assignment)
-        doc["eval_fp"] = lhs
-        doc["eval_normal_form_fp"] = rhs
-        doc["agree"] = lhs == rhs
+        try:
+            lhs = eval_expr(expr, params, assignment)
+        except PointBudgetExceeded as exc:
+            doc["checked"] = False
+            doc["reason"] = str(exc)
+        else:
+            rhs = eval_normal_form(nf, params, assignment)
+            doc["eval_fp"] = lhs
+            doc["eval_normal_form_fp"] = rhs
+            doc["agree"] = lhs == rhs
     _emit(doc)
     return 0 if doc.get("agree", True) else 2
 

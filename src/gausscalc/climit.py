@@ -90,11 +90,6 @@ def lm_state(params: Params, s: GaussState) -> ContinuumGaussian:
     return ContinuumGaussian(kind, c, float(A), float(B))
 
 
-def position_pairing(g: ContinuumGaussian, x: float) -> complex:
-    """<g | u[x]> at the limit level is the pointwise value g(x)."""
-    return complex(g(x))
-
-
 # -- closed forms ---------------------------------------------------------------
 
 

@@ -179,26 +179,6 @@ class GaussCoeff:
             self.phase + other.phase,  # raises DomainMismatch-compatible error
         )
 
-    def __pow__(self, n: int) -> "GaussCoeff":
-        if n < 0:
-            return self.inverse() ** (-n)
-        if n == 0:
-            return _ONE
-        if not self._num:
-            return _ZERO
-        # sqrt(rho)^n = rho^(n // 2) * sqrt(rho)^(n % 2)
-        num, den = self._num ** n * self.rho ** (n // 2), self._den ** n
-        g = math.gcd(num, den)
-        phase = self.phase
-        return _normal(
-            num // g,
-            den // g,
-            self.rho if n % 2 else 1,
-            self.a * n,
-            self.b * n % 8,
-            phase if phase.domain is None else phase.scaled(n),
-        )
-
     def inverse(self) -> "GaussCoeff":
         if not self._num:
             raise ZeroDivisionError("zero Gaussian coefficient")

@@ -14,13 +14,14 @@ Grammar (whitespace insensitive):
 
 Tokens are numbers (ASCII digits), names (an ASCII letter or '_', then
 letters, digits and '_') and the one-character symbols + - * / ^ @ ( ) .;
-whitespace is any character for which str.isspace() holds.  The lexer
-finds the first other character with one search, which is then the
-ParseError raised, and splits the text with one compiled pattern into two
-flat lists, the token texts and their offsets; the parser walks them by
-index.  A (line, col) is computed from an offset only where a node's pos
-or a ParseError needs it: only '\\n' starts a line, and every other
-character is one column.
+whitespace is any character for which str.isspace() holds.  A number
+with more digits than Python converts to an int is a ParseError at its
+token.  The lexer finds the first other character with one search, which
+is then the ParseError raised, and splits the text with one compiled
+pattern into two flat lists, the token texts and their offsets; the
+parser walks them by index.  A (line, col) is computed from an offset
+only where a node's pos or a ParseError needs it: only '\\n' starts a
+line, and every other character is one column.
 
 Phase polynomials have integer coefficients and total degree <= 2; a
 quantifier body extends maximally to the right.  Parentheses and
@@ -51,7 +52,8 @@ laid out positionally for the kernel at each summation step, and
 ``eval_expr``, the literal oracle elimination is checked against, sums
 each quantifier nest's body over the numpy index grid of its bound
 variables, up to ``arith.BLOCK`` elements; outer quantifiers beyond that
-cap loop over their values.
+cap loop over their values.  It refuses, before any summation, an
+expression whose nests visit more than MAX_EVAL_POINTS index points.
 """
 
 from __future__ import annotations
@@ -244,6 +246,15 @@ class _Parser:
         self.i += 1
         return tok
 
+    def integer(self, i: int) -> int:
+        """The NUM token at index i as an int; ParseError at that token
+        when it has more digits than Python converts."""
+        tok = self.toks[i]
+        try:
+            return int(tok)
+        except ValueError:
+            raise self.error(f"integer literal of {len(tok)} digits is too long", i) from None
+
     def parse_nested(self, at: int) -> Expr:
         """parse_expr for the body of the '(' or quantifier at token `at`,
         one level deeper."""
@@ -321,10 +332,11 @@ class _Parser:
         if self.toks[self.i] == "-":
             self.i += 1
             sign = -1
-        num = int(self.expect("NUM"))
+        self.expect("NUM")
+        num = self.integer(self.i - 1)
         toks, i = self.toks, self.i
         if toks[i] == "/" and toks[i + 1].isdigit():
-            den = int(toks[i + 1])
+            den = self.integer(i + 1)
             self.i = i + 2
             if den == 0:
                 raise self.error("zero denominator", i + 2)
@@ -352,7 +364,7 @@ class _Parser:
         toks, i = self.toks, self.i
         coeff = 1
         if toks[i].isdigit():
-            coeff = int(toks[i])
+            coeff = self.integer(i)
             if toks[i + 1] != "*":
                 self.i = i + 1
                 return (), coeff
@@ -367,7 +379,8 @@ class _Parser:
             at, power = i, 1
             if toks[i + 1] == "^":
                 self.i = i + 2
-                power = int(self.expect("NUM"))
+                self.expect("NUM")
+                power = self.integer(i + 2)
                 if power > 2:
                     raise self.error("power exceeds 2", at, DegreeError)
                 if power < 1:
@@ -476,6 +489,13 @@ def _domain_size(params: Params, domain: str) -> int:
     return params.N_v if domain == "V" else params.N_u
 
 
+MAX_EVAL_POINTS = 1 << 26  # index points one eval_expr call may visit
+
+
+class PointBudgetExceeded(ArithError):
+    """A literal evaluation would visit more than MAX_EVAL_POINTS index points."""
+
+
 def eval_expr(
     e: Expr,
     params: Params,
@@ -488,9 +508,15 @@ def eval_expr(
     index grid of its bound variables, one axis each, joined from the
     innermost quantifier outward while the grid stays within
     ``arith.BLOCK`` elements (the innermost always joins); a quantifier
-    that does not fit loops over its values."""
+    that does not fit loops over its values.  PointBudgetExceeded, before
+    any summation, where the evaluation would visit more than
+    MAX_EVAL_POINTS index points."""
     domains = _domains(e)
-    run, _, _ = _compile(e, params, _scale(domains, e) or "V", domains)
+    run, _, _, points = _compile(e, params, _scale(domains, e) or "V", domains)
+    if points > MAX_EVAL_POINTS:
+        raise PointBudgetExceeded(
+            f"literal evaluation would visit {points} index points, more than the bound {MAX_EVAL_POINTS}"
+        )
     return run(_int_assignment(assignment))
 
 
@@ -502,8 +528,10 @@ def _int_assignment(assignment: dict | None) -> dict[str, int]:
 
 def _compile(e: Expr, params: Params, dom: str, domains: dict):
     """`e` as a function from its variables' values (ints, or index arrays
-    on grid axes) to residues, with the number of grid axes its arrays span
-    and its largest grid's size (inf once a quantifier in it loops)."""
+    on grid axes) to residues, with the number of grid axes its arrays span,
+    its largest grid's size (inf once a quantifier in it loops) and the
+    index points its quantifiers visit: the product of N along each nest,
+    summed over the nests."""
     p = params.p
     if isinstance(e, (Rat, JAtom, E8Atom, SqrtAtom)):
         if isinstance(e, Rat):
@@ -512,7 +540,7 @@ def _compile(e: Expr, params: Params, dom: str, domains: dict):
             c = to_fp(params, GaussCoeff.sqrt(e.value))
         else:
             c = params.j % p if isinstance(e, JAtom) else params.xi(8)
-        return (lambda env: c), 0, 1
+        return (lambda env: c), 0, 1, 0
     if isinstance(e, PhaseAtom):
         two_n = 2 * _domain_size(params, e.domain)
         table = params.power_table(two_n)
@@ -524,19 +552,21 @@ def _compile(e: Expr, params: Params, dom: str, domains: dict):
                 raise UnboundVariable(f"unbound variable {exc.args[0]!r}") from None
             return table[k] if isinstance(k, np.ndarray) else int(table[k])
 
-        return phase, 0, 1
+        return phase, 0, 1, 0
     if isinstance(e, (Prod, Plus)):
         parts = [_compile(c, params, dom, domains) for c in (e.factors if isinstance(e, Prod) else e.terms)]
-        fns = [f for f, _, _ in parts]
-        axes = max((a for _, a, _ in parts), default=0)
-        size = max((s for _, _, s in parts), default=1)
+        fns = [f for f, _, _, _ in parts]
+        axes = max((a for _, a, _, _ in parts), default=0)
+        size = max((s for _, _, s, _ in parts), default=1)
+        points = sum(n for _, _, _, n in parts)
         if isinstance(e, Plus):
-            return (lambda env: sum(f(env) for f in fns) % p), axes, size
-        return (lambda env: functools.reduce(lambda out, f: out * f(env) % p, fns, 1)), axes, size
+            return (lambda env: sum(f(env) for f in fns) % p), axes, size, points
+        return (lambda env: functools.reduce(lambda out, f: out * f(env) % p, fns, 1)), axes, size, points
     if isinstance(e, Quant):
         sub_dom = _scale(domains, e) or dom
         N = _domain_size(params, sub_dom)
-        body, axes, size = _compile(e.body, params, sub_dom, domains)
+        body, axes, size, points = _compile(e.body, params, sub_dom, domains)
+        points = N * (points or 1)
         unit = to_fp(params, unit_normalization(params.m, sub_dom)) if e.kind == "int" else 1
         if size == 1 or N * size <= BLOCK:
             index = np.arange(-N // 2, N // 2).reshape((N,) + (1,) * axes)
@@ -547,13 +577,13 @@ def _compile(e: Expr, params: Params, dom: str, domains: dict):
                 x = (x.sum(axis=-1 - axes, keepdims=True) if on_axis else x * N) % p * unit % p
                 return x.item() if isinstance(x, np.ndarray) and x.size == 1 else x
 
-            return grid_sum, axes + 1, N * size
+            return grid_sum, axes + 1, N * size, points
 
         def loop_sum(env):
             total = sum(body({**env, e.var: r}) for r in range(-N // 2, N // 2))
             return total % p * unit % p
 
-        return loop_sum, 0, math.inf
+        return loop_sum, 0, math.inf, points
     raise ArithError(f"cannot evaluate {type(e).__name__}")
 
 

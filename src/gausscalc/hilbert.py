@@ -154,7 +154,7 @@ class GaussState:
         if self.den < 1:
             raise ArithError("den must be positive")
         g = math.gcd(math.gcd(self.qA, self.qL), math.gcd(self.qC, self.den))
-        if g > 1 and self.den % g == 0:
+        if g > 1:
             object.__setattr__(self, "qA", self.qA // g)
             object.__setattr__(self, "qL", self.qL // g)
             object.__setattr__(self, "qC", self.qC // g)

@@ -75,21 +75,6 @@ def test_spec_validation():
         ParamSpec(k_mult=0)
 
 
-def test_exp_p_homomorphism(params):
-    p = params.p
-    assert params.exp_p(0) == 1
-    assert params.exp_p(p - 1) == 1
-    assert params.exp_p((p - 1) // 2) == p - 1
-    for e1, e2 in [(3, 17), (100, 10**9), (-5, 12)]:
-        assert params.exp_p(e1 + e2) == params.exp_p(e1) * params.exp_p(e2) % p
-
-
-def test_exp_p_kernel(params):
-    # epsilon^eta = 1 iff (p-1) | eta
-    assert params.exp_p(7 * (params.p - 1)) == 1
-    assert params.exp_p(1) != 1
-
-
 def test_char_e_values(params):
     p = params.p
     assert params.char_e(Fraction(0)) == 1
@@ -111,27 +96,7 @@ def test_char_e_incompatible(params):
         params.char_e(Fraction(1, 7))  # 7 does not divide p - 1
 
 
-def test_element_order(params):
-    assert params.element_order(1) == 1
-    assert params.element_order(params.p - 1) == 2
-    assert params.element_order(params.epsilon) == params.p - 1
-    with pytest.raises(ArithError):
-        params.element_order(0)
-
-
-def test_element_order_against_oracle(params):
-    # brute-force oracle on a tiny tower where p-1 is enumerable
-    small = find_params(ParamSpec(2, 1))
-    for x in (2, 3, 5, 100, 256):
-        d = 1
-        acc = x % small.p
-        while acc != 1:
-            acc = acc * x % small.p
-            d += 1
-        assert small.element_order(x) == d
-
-
-@pytest.mark.parametrize("M", [4, 8, 16, 144, 576, 82944])
+@pytest.mark.parametrize("M", [4, 8, 16, 48, 144, 576, 82944])
 def test_sqrt_canonical_squares(params, M):
     s = params.sqrt_canonical(M)
     assert s * s % params.p == M % params.p
@@ -185,20 +150,9 @@ def test_sqrt_multiplicative(params):
     assert params.sqrt_squarefree(2) * params.sqrt_squarefree(3) % p == params.sqrt_squarefree(6)
 
 
-def test_tonelli_cross_check(params):
-    p = params.p
-    for M in (4, 16, 48, 144):
-        canon = params.sqrt_canonical(M)
-        ts = params.tonelli_shanks(M)
-        assert ts is not None and ts * ts % p == M % p
-        assert canon in (ts, p - ts)
-
-
 def test_phase_reduction_and_balanced():
     ph = Phase(Fraction(9, 8), "V")
     assert ph.q == Fraction(1, 8)
-    assert Phase(Fraction(7, 8)).balanced == Fraction(-1, 8)
-    assert Phase(Fraction(1, 4)).balanced == Fraction(1, 4)
 
 
 def test_phase_domain_mismatch():
@@ -216,9 +170,9 @@ def test_phase_canonical_tags():
 
 
 def test_params_roundtrip_json_toml(params):
-    assert load_params(params.to_json()) == params
+    assert load_params(json.dumps(params.to_dict())) == params
     assert load_params(params.to_toml()) == params
-    tampered = dict(json.loads(params.to_json()))
+    tampered = params.to_dict()
     tampered["l"] += 1
     with pytest.raises(ArithError):
         Params.from_dict(tampered)
@@ -233,7 +187,6 @@ def test_params_reject_composite_p_and_non_primitive_epsilon():
         Params(12, 2, DEFAULT_P, 25)
     with pytest.raises(ArithError, match="primitive root"):
         load_params("epsilon = 2\nk_mult = 1\nm = 2\np = 257\n")
-    assert Params(2, 1, SMALL_P, 3).p1_factorization() == {2: 8}
 
 
 def test_squarefree_split():

@@ -11,10 +11,10 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from gausscalc import cli
-from gausscalc.arith import ParamSpec, find_params
-from gausscalc.dynamics import sm_transfer
-from gausscalc.frontend import MAX_DEPTH, ParseError, format_expr, parse
-from gausscalc.hilbert import QuadForm, domain_u
+from gausscalc.arith import ParamSpec, default_params, find_params
+from gausscalc.dynamics import free_propagator, sm_transfer
+from gausscalc.frontend import MAX_DEPTH, MAX_EVAL_POINTS, ParseError, format_expr, parse
+from gausscalc.hilbert import QuadForm, apply_operator, domain_u, state_from_descriptor
 
 CLI = [sys.executable, "-m", "gausscalc.cli"]
 
@@ -110,6 +110,15 @@ def test_evolve_accepts_a_negative_time():
     assert doc["state"]["support"] == [1, 0]
 
 
+def test_evolve_a_u_state_on_u():
+    desc = {"domain": "U", "coeff": "1/12 * j^-1", "form": [-1, 0, 0]}
+    status, lines = main_lines(["evolve", "--t", "1", "--state", json.dumps(desc)])
+    params = default_params()
+    U = domain_u(params)
+    want = apply_operator(params, free_propagator(params, 1, U), state_from_descriptor(params, desc))
+    assert status == 0 and json.loads(lines[0]) == {"t": 1, "state": want.to_descriptor()}
+
+
 def test_weyl_check():
     out = run_cli("weyl-check").stdout
     doc = json.loads(out)
@@ -150,6 +159,23 @@ def test_qe_subcommand():
     out2 = run_cli("qe", "--expr", "sum r . e((-r^2 + 2*r*x)/2N @V)", "--assign", "x=3")
     doc = json.loads(out2.stdout)
     assert doc["agree"] is True and "sum" not in doc["normal_form"]
+
+
+def test_qe_past_the_point_budget_prints_its_normal_form_unchecked():
+    text = "sum a . sum b . sum c . sum d . e((-a^2 + 2*a*b - b^2 + 2*c*d)/2N @V)"
+    status, lines = main_lines(["qe", "--expr", text])
+    doc = strict_json(lines[0])
+    assert status == 0 and len(lines) == 1
+    assert doc["checked"] is False and "agree" not in doc and "eval_fp" not in doc
+    assert doc["normal_form"] == "248832 * e8^7"
+    assert doc["reason"] == (f"literal evaluation would visit {144 ** 4} index points, "
+                             f"more than the bound {MAX_EVAL_POINTS}")
+
+
+def test_a_long_integer_literal_is_a_parse_error():
+    status, lines = main_lines(["qe", "--expr", "9" * 5000])
+    assert status == 1 and len(lines) == 1
+    assert strict_json(lines[0]) == {"error": "1:1: integer literal of 5000 digits is too long", "type": "ParseError"}
 
 
 def test_cli_determinism():

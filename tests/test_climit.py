@@ -17,7 +17,6 @@ from gausscalc.climit import (
     ho_compose_closed,
     ho_propagator,
     lm_state,
-    position_pairing,
 )
 from gausscalc.coeffring import GaussCoeff, to_complex
 from gausscalc.dynamics import free_propagator
@@ -65,12 +64,6 @@ def test_lm_state_weighs_a_restricted_support_by_its_density(m):
         limit = continuum_inner_closed(lm_state(P, test), lm_state(P, image))
         finite = to_complex(P, GaussCoeff.rational(P.m) * inner(P, test, image, "Hermitian"))
         assert abs(limit - finite) < 1e-12, (m, A2, limit, finite)
-
-
-def test_position_pairing_is_pointwise(params):
-    g = ContinuumGaussian("Euclidean", 1.0, 2.0, 0.5)
-    for x in (0.0, 0.3, -1.7):
-        assert position_pairing(g, x) == complex(g(x))
 
 
 def test_euclidean_closed_values():

@@ -7,9 +7,11 @@ import pytest
 from gausscalc import cli
 from gausscalc.arith import ArithError, DomainMismatch, ParamSpec, find_params
 from gausscalc.frontend import (
+    MAX_EVAL_POINTS,
     DegreeError,
     ParseError,
     PhaseAtom,
+    PointBudgetExceeded,
     Plus,
     Poly,
     Prod,
@@ -205,6 +207,21 @@ def test_parse_error_messages_and_positions(text, message):
         parse(text)
     assert str(exc.value) == message
     assert f"{exc.value.line}:{exc.value.col}: " == message[:message.index(" ") + 1]
+
+
+_LONG = "9" * 5000  # past Python's 4,300-digit integer string conversion limit
+
+
+@pytest.mark.parametrize("text, col", [
+    (f"{_LONG} * j", 1),  # a coefficient
+    (f"j * 1/{_LONG}", 7),  # a denominator
+    (f"sum r . e(({_LONG}*r^2)/2N @V)", 12),  # a phase coefficient
+])
+def test_long_integer_literals_are_parse_errors_at_their_token(text, col):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (1, col)
+    assert "5000 digits" in str(exc.value)
 
 
 def _node_positions(e):
@@ -458,6 +475,22 @@ def test_eval_expr_loops_the_quantifiers_outside_the_grid_cap(tower, text, point
         assert eval_expr(e, params, {"x": x, "y": y}) == want, (x, y)
         values.add(want)
     assert len(values) == len(points)  # nonzero at the guarded points, and distinct
+
+
+def test_eval_expr_refuses_past_its_point_budget(small, monkeypatch):
+    # one nest of x over two nests (y, z): 4 * (4 + 4) index points on V
+    e = parse("sum x . (sum y . e((-y^2)/2N @V)) * (sum z . e((-z^2 + 2*x*z)/2N @V))")
+    want = eval_normal_form(eliminate(e, small), small)
+    monkeypatch.setattr("gausscalc.frontend.MAX_EVAL_POINTS", 32)
+    assert eval_expr(e, small) == want
+    monkeypatch.setattr("gausscalc.frontend.MAX_EVAL_POINTS", 31)
+    with pytest.raises(PointBudgetExceeded, match=r"visit 32 index points, more than the bound 31"):
+        eval_expr(e, small)
+    monkeypatch.undo()
+    # four V quantifiers on the default tower: 144^4 points
+    deep = parse("sum a . sum b . sum c . sum d . e((-a^2 + 2*a*b - b^2 + 2*c*d)/2N @V)")
+    with pytest.raises(PointBudgetExceeded, match=rf"visit {144 ** 4} index points, more than the bound {MAX_EVAL_POINTS}"):
+        eval_expr(deep, find_params(ParamSpec()))
 
 
 def test_rebinding_is_rejected_by_parse_eliminate_and_eval_expr(small):

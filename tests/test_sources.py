@@ -8,16 +8,22 @@ added `Fraction._from_coprime_ints`), so the integer-pair coefficients and
 phases read `numerator`/`denominator` only.  Imports sit at module level:
 none inside a function body.  `hilbert` turns guards into a state's coset
 by one route: one function calls `gauss._guard_coset`, and
-`gauss.merge_cosets` is not imported.
+`gauss.merge_cosets` is not imported.  Every backticked `<module>.<name>`
+in README.md and in the modules (with or without a `gausscalc.` prefix)
+names an attribute the module has, so a deleted name leaves no stale
+reference behind.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gausscalc"
 MODULES = sorted(SRC.glob("*.py"))
+README = SRC.parent.parent / "README.md"
 FRACTION_INTERNALS = {"_numerator", "_denominator", "_from_coprime_ints", "_normalize"}
 
 
@@ -63,3 +69,11 @@ def test_hilbert_has_one_route_from_guards_to_a_coset():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert len(callers) == 1, callers
     assert "merge_cosets" not in imported
+
+
+def test_backticked_module_names_resolve():
+    names = "|".join(p.stem for p in MODULES if p.stem != "__init__")
+    ref = re.compile(rf"`+(?:gausscalc\.)?({names})\.(\w+)")
+    refs = [(path.name, *m.groups()) for path in [README, *MODULES] for m in ref.finditer(path.read_text(encoding="utf-8"))]
+    stale = [r for r in refs if not hasattr(importlib.import_module(f"gausscalc.{r[1]}"), r[2])]
+    assert refs and not stale, stale
