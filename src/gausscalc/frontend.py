@@ -71,6 +71,7 @@ import numpy as np
 from .arith import BLOCK, ArithError, DomainMismatch, Params, poly_mod, ratio_phase, require_int
 from .coeffring import GaussCoeff, to_fp, unit_normalization
 from .gauss import gauss_sum
+from .hilbert import Domain, domain_of
 
 
 class ParseError(ArithError):
@@ -438,55 +439,36 @@ def _fmt_child(e: Expr) -> str:
 # -- direct evaluation (the oracle) -------------------------------------------------
 
 
-_MIXED = "mixed"  # a subtree with both U and V phases
+def _domains(e: Expr) -> set[str]:
+    """The domain tags ('U', 'V') of the phases in `e`, in one pass that
+    also rejects rebinding a bound variable (the scoping rule `parse`
+    applies)."""
+    tags: set[str] = set()
 
-
-def _domains(e: Expr) -> dict[int, str | None]:
-    """The scale of `e` and of every quantifier body in it -- 'U', 'V',
-    None for no phase, or _MIXED -- keyed by the id of `e` and of each
-    Quant node, in one bottom-up pass that also rejects rebinding a bound
-    variable (the scoping rule `parse` applies)."""
-    out: dict[int, str | None] = {}
-
-    def walk(node: Expr, bound: frozenset[str]) -> str | None:
+    def walk(node: Expr, bound: frozenset[str]) -> None:
         kind = type(node)
         if kind is PhaseAtom:
-            return node.domain
-        if kind is Prod:
-            children = node.factors
-        elif kind is Plus:
-            children = node.terms
+            tags.add(node.domain)
+        elif kind is Prod or kind is Plus:
+            for child in node.factors if kind is Prod else node.terms:
+                walk(child, bound)
         elif kind is Quant:
             if node.var in bound:
                 raise ParseError(f"variable {node.var!r} bound twice", *(node.pos or (0, 0)))
-            children = (node.body,)
-            bound = bound | {node.var}
-        else:
-            return None
-        dom = None
-        for child in children:
-            d = walk(child, bound)
-            if d is not None and d != dom:
-                dom = d if dom is None else _MIXED
-        if kind is Quant:
-            out[id(node)] = dom
-        return dom
+            walk(node.body, bound | {node.var})
 
-    out[id(e)] = walk(e, frozenset())
-    return out
+    walk(e, frozenset())
+    return tags
 
 
-def _scale(domains: dict[int, str | None], e: Expr) -> str | None:
-    """The scale of `e` (the whole expression or a quantifier) from
-    `_domains`; raises DomainMismatch where it mixes U and V phases."""
-    dom = domains[id(e)]
-    if dom == _MIXED:
+def _scale(e: Expr) -> str:
+    """The one scale of `e` -- its phases' domain tag, 'V' where it has
+    none; DomainMismatch where it mixes U and V phases.  Every quantifier
+    body in `e` then has this scale or no phase."""
+    tags = _domains(e)
+    if len(tags) > 1:
         raise DomainMismatch("expression mixes U and V phases")
-    return dom
-
-
-def _domain_size(params: Params, domain: str) -> int:
-    return params.N_v if domain == "V" else params.N_u
+    return tags.pop() if tags else "V"
 
 
 MAX_EVAL_POINTS = 1 << 26  # index points one eval_expr call may visit
@@ -511,8 +493,7 @@ def eval_expr(
     that does not fit loops over its values.  PointBudgetExceeded, before
     any summation, where the evaluation would visit more than
     MAX_EVAL_POINTS index points."""
-    domains = _domains(e)
-    run, _, _, points = _compile(e, params, _scale(domains, e) or "V", domains)
+    run, _, _, points = _compile(e, params, domain_of(params, _scale(e)))
     if points > MAX_EVAL_POINTS:
         raise PointBudgetExceeded(
             f"literal evaluation would visit {points} index points, more than the bound {MAX_EVAL_POINTS}"
@@ -526,12 +507,12 @@ def _int_assignment(assignment: dict | None) -> dict[str, int]:
     return {v: require_int(x, f"the value of {v!r}") for v, x in (assignment or {}).items()}
 
 
-def _compile(e: Expr, params: Params, dom: str, domains: dict):
-    """`e` as a function from its variables' values (ints, or index arrays
-    on grid axes) to residues, with the number of grid axes its arrays span,
-    its largest grid's size (inf once a quantifier in it loops) and the
-    index points its quantifiers visit: the product of N along each nest,
-    summed over the nests."""
+def _compile(e: Expr, params: Params, dom: Domain):
+    """`e` on the domain `dom` as a function from its variables' values
+    (ints, or index arrays on grid axes) to residues, with the number of
+    grid axes its arrays span, its largest grid's size (inf once a
+    quantifier in it loops) and the index points its quantifiers visit:
+    the product of N along each nest, summed over the nests."""
     p = params.p
     if isinstance(e, (Rat, JAtom, E8Atom, SqrtAtom)):
         if isinstance(e, Rat):
@@ -542,7 +523,7 @@ def _compile(e: Expr, params: Params, dom: str, domains: dict):
             c = params.j % p if isinstance(e, JAtom) else params.xi(8)
         return (lambda env: c), 0, 1, 0
     if isinstance(e, PhaseAtom):
-        two_n = 2 * _domain_size(params, e.domain)
+        two_n = 2 * dom.N
         table = params.power_table(two_n)
 
         def phase(env):
@@ -554,7 +535,7 @@ def _compile(e: Expr, params: Params, dom: str, domains: dict):
 
         return phase, 0, 1, 0
     if isinstance(e, (Prod, Plus)):
-        parts = [_compile(c, params, dom, domains) for c in (e.factors if isinstance(e, Prod) else e.terms)]
+        parts = [_compile(c, params, dom) for c in (e.factors if isinstance(e, Prod) else e.terms)]
         fns = [f for f, _, _, _ in parts]
         axes = max((a for _, a, _, _ in parts), default=0)
         size = max((s for _, _, s, _ in parts), default=1)
@@ -563,13 +544,12 @@ def _compile(e: Expr, params: Params, dom: str, domains: dict):
             return (lambda env: sum(f(env) for f in fns) % p), axes, size, points
         return (lambda env: functools.reduce(lambda out, f: out * f(env) % p, fns, 1)), axes, size, points
     if isinstance(e, Quant):
-        sub_dom = _scale(domains, e) or dom
-        N = _domain_size(params, sub_dom)
-        body, axes, size, points = _compile(e.body, params, sub_dom, domains)
+        N = dom.N
+        body, axes, size, points = _compile(e.body, params, dom)
         points = N * (points or 1)
-        unit = to_fp(params, unit_normalization(params.m, sub_dom)) if e.kind == "int" else 1
+        unit = to_fp(params, unit_normalization(params.m, dom.tag)) if e.kind == "int" else 1
         if size == 1 or N * size <= BLOCK:
-            index = np.arange(-N // 2, N // 2).reshape((N,) + (1,) * axes)
+            index = dom.index_vector().reshape((N,) + (1,) * axes)
 
             def grid_sum(env):
                 x = body({**env, e.var: index})
@@ -580,7 +560,7 @@ def _compile(e: Expr, params: Params, dom: str, domains: dict):
             return grid_sum, axes + 1, N * size, points
 
         def loop_sum(env):
-            total = sum(body({**env, e.var: r}) for r in range(-N // 2, N // 2))
+            total = sum(body({**env, e.var: r}) for r in dom.index_range())
             return total % p * unit % p
 
         return loop_sum, 0, math.inf, points
@@ -653,7 +633,7 @@ def eval_normal_form(
         if t.guards and not all(g.holds(assignment) for g in t.guards):
             continue
         n = t.poly.eval(assignment)
-        N = _domain_size(params, t.domain)
+        N = domain_of(params, t.domain).N
         val = to_fp(params, t.coeff) * params.char_e(ratio_phase(n, 2 * N * t.den))
         total = (total + val) % params.p
     return total
@@ -666,7 +646,6 @@ class _Term(NamedTuple):
 
     coeff: GaussCoeff
     phase: dict
-    domain: str
     den: int = 1
     guards: tuple = ()
 
@@ -682,14 +661,6 @@ def _times(a: GaussCoeff, b: GaussCoeff) -> GaussCoeff:
 
 
 def _mul_terms(a: _Term, b: _Term) -> _Term:
-    if not a.phase:
-        domain = b.domain
-    elif not b.phase:
-        domain = a.domain
-    elif a.domain != b.domain:
-        raise DomainMismatch("cannot multiply U-scale and V-scale phases")
-    else:
-        domain = a.domain
     den = math.lcm(a.den, b.den)
     ka, kb = den // a.den, den // b.den
     phase = a.phase if ka == 1 else {m: c * ka for m, c in a.phase.items()}
@@ -701,42 +672,41 @@ def _mul_terms(a: _Term, b: _Term) -> _Term:
                 phase[m] = c
             else:
                 del phase[m]
-    return _Term(_times(a.coeff, b.coeff), phase, domain, den, a.guards + b.guards)
+    return _Term(_times(a.coeff, b.coeff), phase, den, a.guards + b.guards)
 
 
-def _expand(e: Expr, params: Params, mode: str, dom: str, domains: dict) -> list[_Term]:
+def _expand(e: Expr, params: Params, mode: str, dom: Domain) -> list[_Term]:
     kind = type(e)
     if kind is PhaseAtom:
-        return [_Term(_ONE, e.poly.as_dict(), e.domain)]
+        return [_Term(_ONE, e.poly.as_dict())]
     if kind is Prod:
-        terms = _expand(e.factors[0], params, mode, dom, domains) if e.factors else [_Term(_ONE, {}, dom)]
+        terms = _expand(e.factors[0], params, mode, dom) if e.factors else [_Term(_ONE, {})]
         for f in e.factors[1:]:
-            expanded = _expand(f, params, mode, dom, domains)
+            expanded = _expand(f, params, mode, dom)
             terms = [_mul_terms(t, u) for t in terms for u in expanded]
         return terms
     if kind is Quant:
-        sub_dom = _scale(domains, e) or dom
         out = []
-        for term in _expand(e.body, params, mode, sub_dom, domains):
-            result = _eliminate_var(term, e.var, params, mode)
+        for term in _expand(e.body, params, mode, dom):
+            result = _eliminate_var(term, e.var, params, mode, dom)
             if result is not None:
                 if e.kind == "int":
-                    result = _Term(_times(result.coeff, unit_normalization(params.m, result.domain)), *result[1:])
+                    result = result._replace(coeff=_times(result.coeff, unit_normalization(params.m, dom.tag)))
                 out.append(result)
         return out
     if kind is Plus:
-        return [t for term in e.terms for t in _expand(term, params, mode, dom, domains)]
+        return [t for term in e.terms for t in _expand(term, params, mode, dom)]
     if kind in _ATOM_COEFF:
-        return [_Term(_ATOM_COEFF[kind], {}, dom)]
+        return [_Term(_ATOM_COEFF[kind], {})]
     if kind is Rat:
-        return [_Term(GaussCoeff.rational(e.value), {}, dom)]
+        return [_Term(GaussCoeff.rational(e.value), {})]
     if kind is SqrtAtom:
-        return [_Term(GaussCoeff.sqrt(e.value), {}, dom)]
+        return [_Term(GaussCoeff.sqrt(e.value), {})]
     raise ArithError(f"cannot eliminate {kind.__name__}")
 
 
-def _eliminate_var(term: _Term, y: str, params: Params, mode: str) -> _Term | None:
-    """One Gauss-summation step over y in the full domain window: the
+def _eliminate_var(term: _Term, y: str, params: Params, mode: str, dom: Domain) -> _Term | None:
+    """One Gauss-summation step over y in the window of `dom`: the
     term's phase and guards are laid out positionally (variables in name
     order, the constant last) for the summation kernel `gauss_sum`, and its
     result is read back into dicts.  Returns None for a structurally-zero
@@ -755,8 +725,8 @@ def _eliminate_var(term: _Term, y: str, params: Params, mode: str) -> _Term | No
         else:
             Q[pos[m[0]] if m else n][n] = c
     guards = [(k, [g.get(key, 0) for key in keys]) for k, g in term.guards]
-    N = _domain_size(params, term.domain)
-    res = gauss_sum(Q, pos[y], guards, N, N * term.den, term.domain, mode, params)
+    N = dom.N
+    res = gauss_sum(Q, pos[y], guards, N, N * term.den, dom.tag, mode, params)
     if res.coeff.is_zero():
         return None
     new_guards = tuple((k, {keys[i]: c for i, c in enumerate(v) if c}) for k, v in res.guards)
@@ -771,16 +741,15 @@ def _eliminate_var(term: _Term, y: str, params: Params, mode: str) -> _Term | No
         g = math.gcd(*phase.values(), den)
         if g > 1:
             phase, den = {m: c // g for m, c in phase.items()}, den // g
-    return _Term(_times(term.coeff, res.coeff), phase, term.domain, den, new_guards)
+    return _Term(_times(term.coeff, res.coeff), phase, den, new_guards)
 
 
 def eliminate(e: Expr, params: Params, mode: str = "extended") -> NormalForm:
     """Innermost-first quantifier elimination to a guarded, quantifier-free
     sum of Gaussian terms; eval-equivalent to the source expression."""
-    domains = _domains(e)  # also validates scoping
-    dom = _scale(domains, e) or "V"
+    dom = domain_of(params, _scale(e))  # _scale also validates scoping
     return NormalForm(tuple(
-        GaussTerm(t.coeff, Poly.from_dict(t.phase), t.domain, t.den,
+        GaussTerm(t.coeff, Poly.from_dict(t.phase), dom.tag, t.den,
                   tuple(Guard(k, Poly.from_dict(g)) for k, g in t.guards))
-        for t in _expand(e, params, mode, dom, domains) if not t.coeff.is_zero()
+        for t in _expand(e, params, mode, dom) if not t.coeff.is_zero()
     ))

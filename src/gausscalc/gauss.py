@@ -235,7 +235,11 @@ def gauss_sum(Q, y: int, guards, N: int, M: int, domain: str, mode: str, params:
        The telescoping conditions hold coefficient-wise or on the coset of
        one of the remaining guards (on-coset divisibility).  A divisibility
        guard that no x satisfies makes the sum zero (telescoped-zero).
+
+    ArithError for a `mode` other than 'extended' or 'strict'.
     """
+    if mode != "extended" and mode != "strict":
+        raise ArithError(f"mode must be 'extended' or 'strict', got {mode!r}")
     if N < 1:
         raise NonGaussianSum("empty summation window")
     step, base, kept = _guard_coset(guards, y, len(Q))

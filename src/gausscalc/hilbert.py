@@ -329,6 +329,8 @@ def inner(params: Params, s1, s2, kind: str = "Hermitian", mode: str = "extended
     """
     if kind not in ("Euclidean", "Hermitian"):
         raise ArithError("kind must be 'Euclidean' or 'Hermitian'")
+    if mode not in ("extended", "strict"):
+        raise ArithError(f"mode must be 'extended' or 'strict', got {mode!r}")
     if s1.domain != s2.domain:
         raise DomainMismatch(f"states on different domains: {s1.domain.tag}/{s2.domain.tag}")
     if isinstance(s1, PositionState) and isinstance(s2, PositionState):

@@ -274,9 +274,10 @@ BAD_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_is_one_json_error(case, tmp_path):
-    params, argv = BAD_INPUTS[case]
+def one_json_error(params, argv, tmp_path):
+    """The one JSON error document of a cli.main call that must exit with
+    status 1 and write nothing else; `params` (a document or None) goes
+    through --params-file."""
     if params is not None:
         f = tmp_path / "params"
         f.write_text(params if isinstance(params, str) else json.dumps(params))
@@ -285,7 +286,41 @@ def test_bad_input_is_one_json_error(case, tmp_path):
     with contextlib.redirect_stderr(err):
         status, lines = main_lines(argv)
     assert status == 1 and len(lines) == 1 and not err.getvalue(), (lines, err.getvalue())
-    assert set(strict_json(lines[0])) == {"error", "type"}
+    doc = strict_json(lines[0])
+    assert set(doc) == {"error", "type"}
+    return doc
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_one_json_error(case, tmp_path):
+    one_json_error(*BAD_INPUTS[case], tmp_path)
+
+
+def _coeff(text):
+    return _inner({"domain": "V", "coeff": text, "form": [0, 0, 0]})
+
+
+# name: (Params document, None for the default tower; the subcommand's argv;
+# the error's type; the start of its message)
+REFUSALS = {
+    "gauss-sum over M = 0": (None, ["gauss-sum", "--a", "0", "--b", "0", "--M", "0"],
+                             "PreconditionViolation", "modulus M must be positive"),
+    "assign item without a value": (None, ["qe", "--expr", "1", "--assign", "x"], "ValueError", "bad --assign item 'x'"),
+    "reserved name in a phase": (None, ["qe", "--expr", "e((j^2)/2N@V)"],
+                                 "ParseError", "1:4: 'j' is reserved and cannot name a variable"),
+    "limit over a non-square N": (None, ["limit", "--A", "1", "--N-seq", "145"], "ArithError", "N = 145 is not a perfect square"),
+    "params with m = 3": (dict(SMALL, m=3), QE, "ArithError", "8*N_u must divide p - 1"),
+    "coeff with a dangling '*'": (SMALL, _coeff("1/2 *"), "ArithError", "dangling '*' in coefficient"),
+    "coeff without its '*'": (SMALL, _coeff("1/2 j"), "ArithError", "expected '*' at 4 in coefficient"),
+    "coeff of bad syntax": (SMALL, _coeff("x"), "ArithError", "bad coefficient syntax at 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal_is_one_json_error_of_its_type(case, tmp_path):
+    params, argv, kind, message = REFUSALS[case]
+    doc = one_json_error(params, argv, tmp_path)
+    assert doc["type"] == kind and doc["error"].startswith(message), doc
 
 
 def test_nesting_beyond_max_depth_is_a_parse_error_where_it_starts():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gausscalc.arith import ParamSpec, find_params
+from gausscalc.arith import ArithError, ParamSpec, find_params
 from gausscalc.coeffring import GaussCoeff, to_fp
 from gausscalc.dynamics import (
     fourier_operator,
@@ -224,6 +224,11 @@ def test_sm_transfer_symmetric_kernel(params):
     for _ in range(8):
         q, r = rng.randint(-100, 100), rng.randint(-100, 100)
         assert to_fp(params, T.kernel_value(q, r)) == to_fp(params, T.kernel_value(r, q))
+
+
+def test_sm_transfer_refuses_the_v_domain(params, V):
+    with pytest.raises(ArithError, match="the transfer matrix lives on the U domain"):
+        sm_transfer(params, QuadForm(-1, 1, -1), V)
 
 
 def test_sm_transfer_zero_form_uniform(params):

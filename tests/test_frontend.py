@@ -273,6 +273,8 @@ def test_eval_unbound(small):
 
     with pytest.raises(UnboundVariable):
         eval_expr(parse("e((r)/2N @V)"), small)
+    with pytest.raises(UnboundVariable, match="unbound variable 'r'"):
+        eval_normal_form(eliminate(parse("e((r)/2N @V)"), small), small)
 
 
 def test_eliminate_basic_form(small):
@@ -364,7 +366,7 @@ def test_scales_are_found_once_per_call(small, monkeypatch):
     calls = []
     real = F._domains
     monkeypatch.setattr(F, "_domains", lambda e: calls.append(e) or real(e))
-    # the inner body has no phase and takes its scale from the enclosing U body
+    # the inner body has no phase and takes the expression's one scale, U
     # parse checks scoping with the same walk
     e = parse("sum x . e((-x^2)/2N @U) * sum y . e((2*x*y)/2N @U) * (sum z . 2)")
     assert len(calls) == 1
@@ -384,6 +386,26 @@ def test_scales_are_found_once_per_call(small, monkeypatch):
         eliminate(mixed, small)
     for tag, N in (("V", small.N_v), ("U", small.N_u)):
         assert eval_expr(parse(f"e((x)/2N @{tag})"), small, {"x": 1}) == small.char_e(Fraction(1, 2 * N))
+
+
+@pytest.mark.parametrize("tag", ["U", "V"])
+def test_every_term_carries_the_expression_scale(small, tag):
+    # the phase-free term 2, the phase-free body 3 of a quantifier and the
+    # term of the phase all take the scale of the one phase, and the
+    # quantifier sums its whole body over that scale's N
+    N = small.N_v if tag == "V" else small.N_u
+    e = parse(f"2 + sum z . 3 + e((x)/2N @{tag})")
+    nf = eliminate(e, small)
+    assert len(nf.terms) == 3 and {t.domain for t in nf.terms} == {tag}
+    for x in (-1, 0, 3):
+        want = (2 + 3 * N + N * small.char_e(Fraction(x, 2 * N))) % small.p
+        assert eval_expr(e, small, {"x": x}) == eval_normal_form(nf, small, {"x": x}) == want
+    # a phase-free quantifier beside a phase: its count is that scale's N
+    e = parse(f"(sum z . 3) * e((x)/2N @{tag})")
+    nf = eliminate(e, small)
+    assert [t.domain for t in nf.terms] == [tag]
+    want = 3 * N * small.char_e(Fraction(1, 2 * N)) % small.p
+    assert eval_expr(e, small, {"x": 1}) == eval_normal_form(nf, small, {"x": 1}) == want
 
 
 # -- the random well-formed generator lives in tests_support_qe (shared with

@@ -1,14 +1,18 @@
 import cmath
 import itertools
 import math
+import re
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from gausscalc.arith import ParamSpec, find_params
+from gausscalc.arith import ArithError, ParamSpec, find_params
 from gausscalc.coeffring import GaussCoeff, to_complex, to_fp
+from gausscalc.frontend import eliminate, parse
 from gausscalc.gauss import (
     GaussSumSpec,
     NonGaussianSum,
@@ -23,6 +27,7 @@ from gausscalc.gauss import (
     sm_brute,
     sqrt_with_scale,
 )
+from gausscalc.hilbert import PositionState, QuadForm, domain_of, domain_v, gauss_ket, inner
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +253,23 @@ def test_the_kernel_always_takes_the_tower(params):
     assert str(gauss_closed(GaussSumSpec(1, 0, N, "U"), params=params)) == "12 * j * e8"
 
 
+def test_a_misspelt_mode_is_refused():
+    # read as 'extended', 'Strict' would make the first three 8, 16 and 1
+    # where 'strict' makes them 0; a pairing of position states never
+    # reaches the kernel, so inner checks the mode itself
+    small = find_params(ParamSpec(2, 1))
+    V = domain_v(small)
+    ket = gauss_ket(small, V, QuadForm(0, 0, 0))
+    for call in (
+        lambda: eliminate(parse("sum r . 2"), small, mode="Strict"),
+        lambda: gauss_closed(GaussSumSpec(0, 16, 16), "Strict", params=small),
+        lambda: inner(small, ket, ket, "Hermitian", "Strict"),
+        lambda: inner(small, PositionState(0, V), PositionState(0, V), "Hermitian", "Strict"),
+    ):
+        with pytest.raises(ArithError, match="mode must be 'extended' or 'strict', got 'Strict'"):
+            call()
+
+
 # -- the summation kernel, branch by branch, against literal summation ----------
 #
 # Variables (y, x) and the constant: x^T Q x = Q00 y^2 + Q01 y x + Q02 y + Q11 x^2
@@ -302,9 +324,42 @@ KERNEL_REFUSALS = {
 }
 
 
-def _phase(small, Q, x, M):
-    n = Q[1][1] * x * x + Q[1][2] * x + Q[2][2]
-    return pow(small.xi(2 * M), n % (2 * M), small.p)
+def _literal_vs_closed(P, Q, y, guards, N, M, res):
+    """The literal sum of e(x^T Q x / 2M) over y in the window -N/2 <= y <
+    N/2 where the guards hold, and the kernel's result `res` read back
+    (coeff * e(x^T res.Q x / 2 res.M) where res.guards hold, else 0; 0
+    everywhere for a zero coeff), as two arrays over every assignment of
+    the other variables, each over the same window: one axis per
+    variable, y's of length 1."""
+    n = len(Q) - 1
+    x = [*np.ix_(*[np.arange(-N // 2, N // 2)] * n), 1]
+    shape = (N,) * n
+
+    def form(Q):
+        return np.broadcast_to(sum((Q[i][j] * x[i] * x[j] for i in range(n + 1) for j in range(i, n + 1)),
+                                   np.zeros(shape, dtype=np.int64)), shape)
+
+    def holds(gs):
+        ok = np.ones(shape, dtype=bool)
+        for k, v in gs:
+            ok = ok & (sum(c * t for c, t in zip(v, x)) % k == 0)
+        return ok
+
+    p = P.p
+    table = P.power_table(2 * M)
+    literal = np.where(holds(guards), table[form(Q) % (2 * M)], 0).sum(axis=y, keepdims=True) % p
+    if res.coeff.is_zero():
+        return literal, np.zeros_like(literal)
+    # x_y is eliminated: its row and column of res.Q and its guard entries are zero
+    assert not any(res.Q[y]) and not any(row[y] for row in res.Q) and not any(v[y] for _, v in res.guards)
+    first = tuple(slice(0, 1) if i == y else slice(None) for i in range(n))
+    num, mask = form(res.Q)[first] % (2 * res.M), holds(res.guards)[first]
+    # e(n / 2 res.M) need only be an F_p value where the guards hold
+    values, index = np.unique(num[mask], return_inverse=True)
+    phase = [P.char_e(Fraction(int(v), 2 * res.M)) for v in values]
+    closed = np.zeros_like(literal)
+    closed[mask] = np.array(phase, dtype=np.int64)[index] * to_fp(P, res.coeff) % p
+    return literal, closed
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
@@ -317,25 +372,9 @@ def test_kernel_branch_vs_literal(case):
         return
     for k, v in res.guards:  # none that always holds
         assert any(c % k for c in v), (case, k, v)
-    p = P.p
-
-    def holds(gs, y, x):
-        return all((v[0] * y + v[1] * x + v[2]) % k == 0 for k, v in gs)
-
-    checked = 0
-    for x in range(-8, 8):
-        xi = P.xi(2 * M)
-        literal = sum(
-            pow(xi, (Q[0][0] * y * y + Q[0][1] * y * x + Q[0][2] * y + Q[1][1] * x * x
-                     + Q[1][2] * x + Q[2][2]) % (2 * M), p)
-            for y in range(-N // 2, N // 2) if holds(guards, y, x)
-        ) % p
-        closed = 0
-        if holds(res.guards, 0, x):
-            closed = to_fp(P, res.coeff) * _phase(P, res.Q, x, res.M) % p
-        assert closed == literal, (case, x)
-        checked += literal != 0
-    assert bool(checked) != case.endswith("zero"), case
+    literal, closed = _literal_vs_closed(P, Q, 0, guards, N, M, res)
+    assert (closed == literal).all(), case
+    assert bool(literal.any()) != case.endswith("zero"), case
 
 
 @pytest.mark.parametrize("reason", sorted(KERNEL_REFUSALS))
@@ -344,6 +383,87 @@ def test_kernel_refusals(reason):
     Q, guards, N, M = KERNEL_REFUSALS[reason]
     with pytest.raises(NonGaussianSum, match=reason):
         gauss_sum(Q, 0, guards, N, M, "U", "extended", small)
+
+
+# -- the summation kernel, fuzzed against literal summation over whole domains --
+
+# (tower, domain) pairs whose whole index range the fuzzer covers; a U domain
+# of N_u >= 1,024 makes each literal grid too large
+FUZZ_DOMAINS = [((2, 1), "V"), ((4, 2), "V"), ((6, 1), "V"), ((2, 1), "U")]
+FUZZ_EXAMPLES = 600
+# 4 and 6, 6 and 9: moduli neither coprime nor nested
+FUZZ_MODULI = (2, 3, 4, 6, 8, 9, 12)
+
+
+@st.composite
+def kernel_inputs(draw, N, dens):
+    """gauss_sum's own input over a window of N: an upper-triangular Q over
+    1-3 variables and the constant, the summed position y, 0-2 guards
+    (moduli FUZZ_MODULI or N, which can pin y), M = N * den and the mode.
+    A diagonal entry is 0, a divisor of M up to sign, M/T up to sign for a
+    period T with 4 | T | N, or any integer in [-4M, 4M]; y's linear
+    coefficients are mostly even (an odd one is refused unless a guard
+    pins y)."""
+    n = draw(st.integers(1, 3))
+    y = draw(st.integers(0, n - 1))
+    M = N * draw(st.sampled_from(dens))
+    divisors = [d for d in range(1, M + 1) if M % d == 0]
+    # M/T for each period T with 4 | T | N: the quadratic branch's own A
+    periodic = [M // T for T in range(4, N + 1, 4) if N % T == 0]
+    diagonal = st.one_of(st.just(0), st.sampled_from(divisors + [-d for d in divisors]),
+                         st.sampled_from(periodic + [-a for a in periodic]), st.integers(-4 * M, 4 * M))
+    linear = st.one_of(st.integers(-3, 3).map(lambda c: 2 * c), st.integers(-M, M).map(lambda c: 2 * c),
+                       st.integers(-3, 3))
+    Q = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            if i == j < n:
+                Q[i][j] = draw(diagonal)
+            elif y in (i, j):
+                Q[i][j] = draw(linear)
+            else:
+                Q[i][j] = draw(st.integers(-2 * M, 2 * M))
+    vector = st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1)
+    guards = draw(st.lists(st.tuples(st.sampled_from(FUZZ_MODULI + (N,)), vector), max_size=2))
+    return Q, y, guards, M, draw(st.sampled_from(["extended", "strict"]))
+
+
+def kernel_fuzz(tower, tag, examples):
+    """Fuzz gauss_sum over the whole index range of one domain: every
+    accepted result must equal the literal sum at every assignment of the
+    free variables.  Returns the count of each outcome: 'checked' (and
+    'checked zero' where the literal sum is zero everywhere), 'declared
+    zero' (strict mode's convention, not compared) and each refusal, by
+    its message with the numbers written #."""
+    P = find_params(ParamSpec(*tower))
+    N = domain_of(P, tag).N
+    dens = [d for d in range(1, 65) if (P.p - 1) % (2 * N * d) == 0]
+    tally = Counter()
+
+    @settings(max_examples=examples, deadline=None)
+    @given(kernel_inputs(N, dens))
+    def check(case):
+        Q, y, guards, M, mode = case
+        try:
+            res = gauss_sum([row[:] for row in Q], y, guards, N, M, tag, mode, P)
+        except NonGaussianSum as exc:
+            tally["refused: " + re.sub(r"\d+", "#", str(exc).split(" (")[0])] += 1
+            return
+        if mode == "strict" and res.coeff.is_zero():
+            tally["declared zero"] += 1
+            return
+        literal, closed = _literal_vs_closed(P, Q, y, guards, N, M, res)
+        assert (closed == literal).all(), case
+        tally["checked" if literal.any() else "checked zero"] += 1
+
+    check()
+    return tally
+
+
+@pytest.mark.parametrize("tower, tag", FUZZ_DOMAINS, ids=[f"m{m}k{k}-{tag}" for (m, k), tag in FUZZ_DOMAINS])
+def test_kernel_fuzz_vs_literal(tower, tag):
+    tally = kernel_fuzz(tower, tag, FUZZ_EXAMPLES)
+    assert tally["checked"] >= FUZZ_EXAMPLES // 20, tally
 
 
 # -- the coset merge, against the guards it consumes ------------------------------

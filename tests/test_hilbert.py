@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from gausscalc.arith import DomainMismatch, ParamSpec, find_params
+from gausscalc.arith import ArithError, DomainMismatch, ParamSpec, find_params
 from gausscalc.climit import ContinuumGaussian, continuum_inner_closed
 from gausscalc.coeffring import GaussCoeff, to_complex, to_fp
 from gausscalc.dynamics import (
@@ -194,6 +194,18 @@ def test_an_operator_acts_on_one_domain():
     for d_in, d_out in ((U, V), (V, U)):
         with pytest.raises(DomainMismatch):
             GaussOperator(GaussCoeff.one(), -1, 1, -1, d_in, d_out)
+
+
+def test_apply_and_compose_refuse_a_foreign_input():
+    small = find_params(ParamSpec(2, 1))
+    U, V = domain_u(small), domain_v(small)
+    F = fourier_operator(small, V)
+    with pytest.raises(ArithError, match="cannot apply operator to int"):
+        apply_operator(small, F, 3)
+    with pytest.raises(DomainMismatch, match="operator input domain mismatch"):
+        apply_operator(small, F, gauss_ket(small, U, QuadForm(-1, 0, 0)))
+    with pytest.raises(DomainMismatch, match="op1 input must match op2 output"):
+        compose(small, F, identity_operator(U))
 
 
 def test_dense_oracles_refuse_mismatched_domains():
@@ -516,6 +528,8 @@ def test_tensor_arity_and_domains(params, V):
         tensor([s, u])
     with pytest.raises(Exception):
         tensor([s] * 5)
+    with pytest.raises(ArithError, match="tensor arity mismatch"):
+        tensor_inner(params, tensor([s]), tensor([s, s]))
 
 
 def test_state_descriptor_roundtrip(params, V):

@@ -8,7 +8,9 @@ added `Fraction._from_coprime_ints`), so the integer-pair coefficients and
 phases read `numerator`/`denominator` only.  Imports sit at module level:
 none inside a function body.  `hilbert` turns guards into a state's coset
 by one route: one function calls `gauss._guard_coset`, and
-`gauss.merge_cosets` is not imported.  Every backticked `<module>.<name>`
+`gauss.merge_cosets` is not imported.  `frontend`, `dynamics`, `wick`
+and `climit` read no `N_v` or `N_u` attribute: they take a domain's size
+from `hilbert.Domain` (`domain_v`, `domain_u`, `domain_of`).  Every backticked `<module>.<name>`
 in README.md and in the modules (with or without a `gausscalc.` prefix)
 names an attribute the module has, so a deleted name leaves no stale
 reference behind.
@@ -69,6 +71,14 @@ def test_hilbert_has_one_route_from_guards_to_a_coset():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert len(callers) == 1, callers
     assert "merge_cosets" not in imported
+
+
+@pytest.mark.parametrize("name", ["frontend", "dynamics", "wick", "climit"])
+def test_domain_sizes_come_from_hilbert_domain(name):
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    reads = sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr in ("N_v", "N_u"))
+    assert not reads
 
 
 def test_backticked_module_names_resolve():

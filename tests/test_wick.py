@@ -83,6 +83,15 @@ def test_wick_refuses_a_modulus_that_does_not_divide_n_v(params, U):
         wick_state(params, s)
 
 
+def test_wick_refuses_v_operators_and_states(params):
+    V = domain_v(params)
+    with pytest.raises(WrongDomain, match="wick_operator expects a U-domain operator"):
+        wick_operator(params, GaussOperator(GaussCoeff.one(), -1, 1, -1, V, V))
+    s = gauss_ket(params, V, QuadForm(-1, 0, 0))
+    with pytest.raises(WrongDomain, match="correspondence check expects U-domain states"):
+        check_inner_correspondence(params, s, s)
+
+
 def test_wick_state_coordinates_agree_on_sublattice(params, U):
     # each V-coordinate is the scale image of the U-coordinate at the same
     # shared label: w(r) = {s(r)}^i, exactly in F_p
