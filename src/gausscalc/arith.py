@@ -373,18 +373,28 @@ class Params:
         table, and their sum is multiplied by xi_2M^c0.  With a, c1 < 2M and
         k < BLOCK, (a k + c1) k < 2M BLOCK^2, which fits int64 for every
         2M < 2^33; a larger 2M raises ArithError (before its power table
-        is built), and so does a 2M that does not divide p - 1."""
-        self.xi(two_m)  # raises for an empty window too
-        if two_m >> 33:
-            raise ArithError(f"power_sum needs 2M < 2^33, got {two_m}")
-        table = self.power_table(two_m)
+        is built), and so does a 2M that does not divide p - 1.  A cached
+        table has passed both checks, so they run only when it is built.
+
+        On a short window the cost is the number of numpy calls, not of
+        terms, so a block makes six and allocates two arrays: the product
+        a k, updated in place (+ c1, * k, % 2M), the gather and one
+        np.add.reduce."""
+        table = self._powers.get(two_m)
+        if table is None:
+            self.xi(two_m)  # raises for an empty window too
+            if two_m >> 33:
+                raise ArithError(f"power_sum needs 2M < 2^33, got {two_m}")
+            table = self.power_table(two_m)
         a %= two_m
         total = 0
         for start in range(lo + 1, hi + 1, BLOCK):
             k = _OFFSETS[:hi + 1 - start]
-            c0 = (a * start + 2 * b) * start % two_m
-            c1 = 2 * (a * start + b) % two_m
-            total += int(table[c0]) * int(table[(a * k + c1) * k % two_m].sum())
+            e = a * k
+            e += 2 * (a * start + b) % two_m
+            e *= k
+            e %= two_m
+            total += int(table[(a * start + 2 * b) * start % two_m]) * int(np.add.reduce(table[e]))
         return total % self.p
 
     def sqrt_squarefree(self, r: int) -> FpElem:

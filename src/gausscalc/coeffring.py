@@ -307,20 +307,22 @@ def parse_coeff(text: str) -> GaussCoeff:
 def to_fp(params: Params, x: GaussCoeff) -> int:
     """Exact evaluation in F_p: c via inverses, sqrt(rho) canonical, j the
     tower residue, e8 = e(1/8), phases via char_e.  A ring homomorphism."""
-    if x.is_zero():
+    num = x._num
+    if not num:
         return 0
     p = params.p
-    val = x._num % p
-    if x._den != 1:
-        val = val * pow(x._den, -1, p) % p
-    if x.rho != 1:
-        val = val * params.sqrt_squarefree(x.rho) % p
-    if x.a:
-        val = val * pow(params.j, x.a, p) % p
-    if x.b:
-        val = val * pow(params.xi(8), x.b, p) % p
-    if x.phase.domain is not None:
-        val = val * params.char_e(x.phase) % p
+    val = num % p
+    den, rho, a, b, phase = x._den, x.rho, x.a, x.b, x.phase
+    if den != 1:
+        val = val * pow(den, -1, p) % p
+    if rho != 1:
+        val = val * params.sqrt_squarefree(rho) % p
+    if a:
+        val = val * pow(params.j, a, p) % p
+    if b:
+        val = val * pow(params.xi(8), b, p) % p
+    if phase.domain is not None:
+        val = val * params.char_e(phase) % p
     return val
 
 
@@ -338,13 +340,13 @@ def to_fp_phases(params: Params, coeff: GaussCoeff, tag: str, m: int, num, on,
     first element of `on`) or where a mismatch or a phase denominator is
     flagged."""
     p = params.p
-    num, on = np.broadcast_arrays(num, on)
-    out = np.zeros(on.shape, dtype=exact_dtype(p))
-    if coeff.is_zero() or not on.any():
-        return out
+    if coeff.is_zero() or not np.any(on):
+        return np.zeros(np.broadcast_shapes(np.shape(num), np.shape(on)), dtype=exact_dtype(p))
 
-    def scalar(i):
-        x = coeff.with_phase(coeff.phase + ratio_phase(int(num.flat[i]), m, tag))
+    def scalar(where):
+        """to_fp at the first element in C order at which `where` holds."""
+        nums, where = np.broadcast_arrays(num, where)
+        x = coeff.with_phase(coeff.phase + ratio_phase(int(nums.flat[np.flatnonzero(where)[0]]), m, tag))
         return to_fp(params, x.conj() if conjugate else x)
 
     c = coeff.conj() if conjugate else coeff
@@ -352,7 +354,7 @@ def to_fp_phases(params: Params, coeff: GaussCoeff, tag: str, m: int, num, on,
         unit = to_fp(params, c.with_phase(_NO_PHASE))
     except ValueError:  # ArithError, or a denominator p divides
         # every product raises; the first element says what its scalar path raises
-        scalar(np.flatnonzero(on)[0])
+        scalar(on)
         raise
     # the phase of the product is q + num/m = E/D mod 1, where conj() negates
     # num/m on the V scale as it does every V-phase; a nonzero num/m meets a
@@ -367,12 +369,13 @@ def to_fp_phases(params: Params, coeff: GaussCoeff, tag: str, m: int, num, on,
     h = D // g
     cross = c.phase.domain not in (None, tag)
     if cross or h != 1:
-        bad = np.flatnonzero(on & (((num != 0) & cross) | (E % h != 0)))
-        if len(bad):
-            scalar(bad[0])
+        bad = on & (((num != 0) & cross) | (E % h != 0))
+        if np.any(bad):
+            scalar(bad)
             raise AssertionError("to_fp_phases disagrees with to_fp")
-    out[on] = unit * params.power_table(g)[np.asarray(E[on] // h, dtype=np.intp)] % p
-    return out
+    # E // h < g everywhere, so the gather is in range off the support too
+    vals = unit * params.power_table(g)[np.asarray(E // h, dtype=np.intp)] % p
+    return np.where(on, vals, 0).astype(exact_dtype(p), copy=False)
 
 
 def to_complex(params: Params, x: GaussCoeff) -> complex:

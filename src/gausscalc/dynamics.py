@@ -139,8 +139,8 @@ def free_propagator_brute(params: Params, t: int, domain: Domain, r: int, s: int
     (1/N) sum_p e((p^2 t + 2 p (r - s)) / 2N)."""
     p = params.p
     N = domain.N
-    window = domain.index_range()
-    total = params.power_sum(2 * N, t, r - s, window.start - 1, window.stop - 1)
+    # the window domain.index_range(), range(-N // 2, N // 2), as lo < n <= hi
+    total = params.power_sum(2 * N, t, r - s, -N // 2 - 1, N // 2 - 1)
     # power_sum raises unless 2N | p - 1, and then N * (p - (p - 1)/N) = 1 mod p
     return total * (p - (p - 1) // N) % p
 

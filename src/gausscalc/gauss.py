@@ -291,7 +291,7 @@ def gauss_sum(Q, y: int, guards, N: int, M: int, domain: str, mode: str, params:
         k = aa
     if L[-1] % math.gcd(k, *L[:-1]):
         return GaussSum(_ZERO, R, M, kept)
-    if any(c % k for c in L):
+    if any(c % k for c in L) and not _is_kept(k, L, kept):
         kept += ((k, L),)
     if A == 0:
         return GaussSum(GaussCoeff(W), R, M, kept)
@@ -355,7 +355,7 @@ def _guard_coset(guards, y: int, n1: int):
     (mod k) it becomes the residual guard rest + a * base on the other
     variables, otherwise it branches pointwise and leaves the fragment.
     Kept guards that always hold (k dividing every coefficient) are
-    dropped."""
+    dropped, and so is a guard that repeats a kept one."""
     if not guards:
         return 1, [0] * n1, ()
     step, base, kept, deferred = 1, [0] * n1, [], []
@@ -384,7 +384,17 @@ def _guard_coset(guards, y: int, n1: int):
         if a * step % k:
             raise NonGaussianSum("guard gcd does not divide the free part")
         kept.append((k, [c + a * b for c, b in zip(rest, base)]))
-    return step, base, tuple((k, v) for k, v in kept if any(c % k for c in v))
+    out = ()
+    for k, v in kept:
+        if any(c % k for c in v) and not _is_kept(k, v, out):
+            out += ((k, v),)
+    return step, base, out
+
+
+def _is_kept(k: int, v, guards) -> bool:
+    """Whether `guards` holds the congruence k | v . x already: a guard of
+    modulus k whose vector equals v mod k."""
+    return any(g == k and all((c - d) % k == 0 for c, d in zip(u, v)) for g, u in guards)
 
 
 def never_holds(guards) -> bool:

@@ -281,19 +281,16 @@ class GaussOperator:
         return self.coeff.is_zero()
 
     def on_support(self, q: int, r: int) -> bool:
-        return all((aq * q + ar * r + c) % k == 0 for k, (aq, ar, c) in self.support)
+        for k, (aq, ar, c) in self.support:
+            if (aq * q + ar * r + c) % k:
+                return False
+        return True
 
     def kernel_value(self, q: int, r: int) -> GaussCoeff:
-        if self.is_zero() or not self.on_support(q, r):
-            return GaussCoeff.zero()
-        num = (
-            self.kA * q * q
-            + 2 * self.kB * q * r
-            + self.kC * r * r
-            + 2 * self.kD * q
-            + 2 * self.kE * r
-        )
         c = self.coeff
+        if c.is_zero() or not self.on_support(q, r):
+            return GaussCoeff.zero()
+        num = (self.kA * q + 2 * (self.kB * r + self.kD)) * q + (self.kC * r + 2 * self.kE) * r
         return c.with_phase(c.phase + ratio_phase(num, 2 * self.domain_in.N * self.den, self.domain_in.tag))
 
     def kernel_block(self, params: Params, q, r, conjugate: bool = False) -> np.ndarray:

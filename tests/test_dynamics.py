@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gausscalc.arith import ArithError, ParamSpec, find_params
+from gausscalc.arith import ArithError, Params, ParamSpec, find_params
 from gausscalc.coeffring import GaussCoeff, to_fp
 from gausscalc.dynamics import (
     fourier_operator,
@@ -126,15 +126,48 @@ def test_commutation_phase_order(params, V):
 
 @pytest.mark.parametrize("t", [1, 2, 3, 6])
 def test_free_propagator_vs_brute(params, V, t):
+    """P(t) against the momentum-side brute sum at every entry of the V
+    domain, and that sum against one pow per term on three rows."""
     op = free_propagator(params, t)
-    p = params.p
-    rng = random.Random(t)
-    for _ in range(12):
-        r, s = rng.choice(list(V.index_range())), rng.choice(list(V.index_range()))
-        want = free_propagator_brute(params, t, V, r, s)
-        assert to_fp(params, op.kernel_value(r, s)) == want, (t, r, s)
+    p, N = params.p, V.N
+    idx = V.index_vector()
+    got = op.kernel_block(params, idx[:, None], idx[None, :])
+    want = [[free_propagator_brute(params, t, V, int(r), int(s)) for s in idx] for r in idx]
+    assert np.array_equal(got, np.array(want, dtype=got.dtype))
+    # (1/N) sum_p xi_2N^(t p^2 + 2 p (r - s)), and the scalar kernel_value
+    xi, inv_n = params.xi(2 * N), pow(N, -1, p)
+    for r in random.Random(t).sample(V.index_range(), 3):
+        row = [sum(pow(xi, t * q * q + 2 * q * (r - s), p) for q in V.index_range()) * inv_n % p
+               for s in V.index_range()]
+        assert row == want[r + N // 2], (t, r)
+        assert [to_fp(params, op.kernel_value(r, s)) for s in V.index_range()] == row, (t, r)
     # support: entries vanish exactly off t | r - s
     assert op.kernel_value(0, 1).is_zero() if t > 1 else True
+
+
+def test_the_propagator_oracle_sums_every_term_on_every_call(params, V, monkeypatch):
+    """free_propagator_brute stays literal: each call is one power_sum that
+    gathers all N momentum terms, and nothing is cached across calls."""
+    sums, gathered = [], []
+    power_sum = Params.power_sum
+
+    def counting_sum(self, two_m, a, b, lo, hi):
+        sums.append(hi - lo)
+        return power_sum(self, two_m, a, b, lo, hi)
+
+    class CountingTable(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, np.ndarray):
+                gathered.append(key.size)
+            return np.asarray(self)[key]
+
+    monkeypatch.setattr(Params, "power_sum", counting_sum)
+    monkeypatch.setitem(params._powers, 2 * V.N, params.power_table(2 * V.N).view(CountingTable))
+    first = free_propagator_brute(params, 2, V, 5, -7)
+    second = free_propagator_brute(params, 2, V, 5, -7)
+    assert first == second == to_fp(params, free_propagator(params, 2).kernel_value(5, -7))
+    assert sums == [V.N, V.N]
+    assert gathered == [V.N, V.N]
 
 
 def test_free_propagator_bad_time(params):

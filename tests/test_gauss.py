@@ -454,10 +454,31 @@ def kernel_fuzz(tower, tag, examples):
             return
         literal, closed = _literal_vs_closed(P, Q, y, guards, N, M, res)
         assert (closed == literal).all(), case
+        assert not repeats_a_congruence(res.guards), (case, res.guards)
         tally["checked" if literal.any() else "checked zero"] += 1
 
     check()
     return tally
+
+
+def repeats_a_congruence(guards) -> bool:
+    """Whether two guards (k, v) are one congruence: one modulus k and
+    vectors equal mod k."""
+    return any(k1 == k2 and all((a - b) % k1 == 0 for a, b in zip(v1, v2))
+               for (k1, v1), (k2, v2) in itertools.combinations(guards, 2))
+
+
+def test_the_new_guard_is_not_a_kept_one():
+    # |A| = 4 | L . x with L = (1, 1, 0, 1), which the input guard already says
+    small = find_params(ParamSpec(2, 1))
+    Q = [[0, 0, 2, 0], [0, 0, 2, 0], [0, 0, 4, 2], [0, 0, 0, 0]]
+    res = gauss_sum(Q, 2, [(4, [1, 1, 0, 1])], 16, 64, "U", "extended", small)
+    assert res.guards == ((4, [1, 1, 0, 1]),)
+    literal, closed = _literal_vs_closed(small, Q, 2, [(4, [1, 1, 0, 1])], 16, 64, res)
+    assert (closed == literal).all() and literal.any()
+    # equal mod k is the same congruence too
+    res = gauss_sum(Q, 2, [(4, [5, -3, 0, 1])], 16, 64, "U", "extended", small)
+    assert res.guards == ((4, [5, -3, 0, 1]),)
 
 
 @pytest.mark.parametrize("tower, tag", FUZZ_DOMAINS, ids=[f"m{m}k{k}-{tag}" for (m, k), tag in FUZZ_DOMAINS])

@@ -53,7 +53,7 @@ from gausscalc.climit import (
     _simpson,
     continuum_inner_quadrature,
 )
-from gausscalc.coeffring import GaussCoeff, to_fp
+from gausscalc.coeffring import GaussCoeff, to_fp, to_fp_phases
 from gausscalc.dynamics import fourier_operator, free_propagator, sm_transfer, weyl_pair
 from gausscalc.frontend import (
     E8Atom,
@@ -392,6 +392,23 @@ def test_poly_mod_equals_the_python_int_sum_on_both_sides_of_int64(m):
     assert (x == [0, 1, 2, m - 2, m - 1, -1, -2, -m, m]).all()  # the inputs are not reduced in place
 
 
+def assert_phases_broadcast(params, coeff, domain):
+    """to_fp_phases with `on` the scalar True, with `on` wider than `num` and
+    with `num` wider than `on`: the broadcast shape, dtype exact_dtype(p),
+    and to_fp of coeff * e(num/m) at each element on the mask, 0 off it."""
+    m = 2 * domain.N
+    x, y = domain.index_vector()[None, :], domain.index_vector()[:, None]
+    row = poly_mod(m, [(3, x, x), (1, x)])
+    grid = poly_mod(m, [(3, x, x), (1, x, y)])
+    for num, on in [(grid, True), (row, (x - y) % 2 == 0), (grid, y % 3 == 0)]:
+        got = to_fp_phases(params, coeff, domain.tag, m, num, on)
+        nums, ons = np.broadcast_arrays(num, on)
+        assert got.shape == (domain.N, domain.N) and got.dtype == exact_dtype(params.p)
+        want = [to_fp(params, coeff * GaussCoeff.phase_of(Fraction(int(n), m), domain.tag)) if o else 0
+                for n, o in zip(nums.flat, ons.flat)]
+        assert got.ravel().tolist() == want
+
+
 def test_poly_mod_keeps_the_shape_of_every_array_factor(params):
     m = 2 * 144
     x, y = np.arange(-72, 72)[None, :], np.arange(-72, 72)[:, None]
@@ -412,6 +429,8 @@ def test_poly_mod_keeps_the_shape_of_every_array_factor(params):
     dense = DenseState.from_state(params, gauss_ket(params, V, QuadForm(-1, 2, 0)))
     want = [sum(int(v) * int(K[i, j]) for j, v in enumerate(dense.vec)) % params.p for i in range(144)]
     assert list(apply_dense(params, diag, dense).vec) == want
+    # and so does to_fp_phases, whichever of its mask and numerators is wider
+    assert_phases_broadcast(params, unit_normalization(params, V) * GaussCoeff(Fraction(2, 3), 3, 1, 5), V)
 
 
 def test_power_sum_refuses_a_modulus_past_int64_blocks():
@@ -457,6 +476,14 @@ def test_residue_dtype_follows_p(small, wide):
     assert wide.p > 1 << 31
     assert small.power_table(32).dtype == np.int64
     assert wide.power_table(32).dtype == object
+    for ps in (small, wide):
+        U = domain_u(ps)
+        coeff = GaussCoeff(Fraction(2, 3), 2, -1, 3, Phase(Fraction(1, 4), "U"))
+        assert_phases_broadcast(ps, coeff, U)
+        # an int numerator under the scalar mask: one element, still of the residue dtype
+        got = to_fp_phases(ps, coeff, "U", 2 * U.N, 5, True)
+        assert got.shape == () and got.dtype == exact_dtype(ps.p)
+        assert int(got) == to_fp(ps, coeff * GaussCoeff.phase_of(Fraction(5, 2 * U.N), "U"))
 
 
 @pytest.mark.parametrize("tower", ["small", "wide"])

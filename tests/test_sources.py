@@ -10,7 +10,10 @@ none inside a function body.  `hilbert` turns guards into a state's coset
 by one route: one function calls `gauss._guard_coset`, and
 `gauss.merge_cosets` is not imported.  `frontend`, `dynamics`, `wick`
 and `climit` read no `N_v` or `N_u` attribute: they take a domain's size
-from `hilbert.Domain` (`domain_v`, `domain_u`, `domain_of`).  Every backticked `<module>.<name>`
+from `hilbert.Domain` (`domain_v`, `domain_u`, `domain_of`).  No numpy
+`take` passes a `mode`: `mode="wrap"` reads like a free `% 2M`, but numpy
+wraps each index in a loop of its own, far slower than one `%` on the
+whole vector.  Every backticked `<module>.<name>`
 in README.md and in the modules (with or without a `gausscalc.` prefix)
 names an attribute the module has, so a deleted name leaves no stale
 reference behind.
@@ -79,6 +82,23 @@ def test_domain_sizes_come_from_hilbert_domain(name):
     reads = sorted(node.lineno for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute) and node.attr in ("N_v", "N_u"))
     assert not reads
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_take_passes_a_mode(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    # mode is np.take's fifth positional argument and ndarray.take's fourth
+    calls = sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                   and isinstance(node.func, (ast.Attribute, ast.Name))
+                   and getattr(node.func, "attr", getattr(node.func, "id", None)) == "take"
+                   and (any(kw.arg == "mode" for kw in node.keywords)
+                        or len(node.args) >= (5 if _is_numpy_function(node.func) else 4)))
+    assert not calls
+
+
+def _is_numpy_function(func) -> bool:
+    """Whether func is `take` itself or `np.take` / `numpy.take`, not a method."""
+    return isinstance(func, ast.Name) or (isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy"))
 
 
 def test_backticked_module_names_resolve():
