@@ -242,10 +242,13 @@ def cmd_qe(args) -> int:
     if args.assign:
         for item in args.assign.split(","):
             key, _, value = item.partition("=")
+            key = key.strip()
             try:
-                assignment[key.strip()] = int(value)
+                if not key or key in assignment:
+                    raise ValueError
+                assignment[key] = int(value)
             except ValueError:
-                raise ValueError(f"bad --assign item {item!r}: expected name=integer") from None
+                raise ValueError(f"bad --assign item {item!r}: expected name=integer, each name once") from None
     doc = {
         "input": format_expr(expr),
         "normal_form": nf.render(),

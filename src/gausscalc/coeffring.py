@@ -284,12 +284,14 @@ def parse_coeff(text: str) -> GaussCoeff:
         m = _COEFF_ATOM.match(text, pos)
         if not m:
             raise ArithError(f"bad coefficient syntax at {pos} in {text!r}")
-        if m["rat"] is not None:
-            out = out * GaussCoeff.rational(Fraction(m["rat"]))
+        if m["rat"] is not None or m["q"] is not None:
+            try:
+                value = Fraction(m["rat"] or m["q"])
+            except ZeroDivisionError:
+                raise ArithError(f"zero denominator at {pos} in coefficient {text!r}") from None
+            out = out * (GaussCoeff.rational(value) if m["q"] is None else GaussCoeff.phase_of(value, m["dom"]))
         elif m["rho"] is not None:
             out = out * GaussCoeff(rho=int(m["rho"]))
-        elif m["q"] is not None:
-            out = out * GaussCoeff.phase_of(Fraction(m["q"]), m["dom"])
         elif m.group(0).lstrip().startswith("j"):
             out = out * GaussCoeff.j_power(int(m["ja"]) if m["ja"] else 1)
         else:

@@ -1,6 +1,6 @@
-"""Worked dynamics on the finite domains: momentum basis, the Weyl pair
-U, V with UV = qVU, the free-particle propagator, and the statistical
-transfer matrix on the U scale.
+"""Worked dynamics on the finite domains: the Fourier operator onto the
+momentum kets v[p], the Weyl pair U, V with UV = qVU, the free-particle
+propagator, and the statistical transfer matrix on the U scale.
 
 Conventions (position basis indexed by the domain):
 
@@ -29,25 +29,14 @@ from .hilbert import (
     DenseState,
     Domain,
     GaussOperator,
-    GaussState,
     InadmissibleForm,
     PositionState,
     QuadForm,
     apply_operator,
     domain_u,
     domain_v,
-    gauss_ket,
     unit_normalization,
 )
-
-
-def momentum_state(params: Params, p_index: int, domain: Domain | None = None) -> GaussState:
-    """v[p]: r -> (1/sqrt(N)) e(-r p / N): the A = 0 ket with bilinear
-    form -2 r p over 2N."""
-    if domain is None:
-        domain = domain_v(params)
-    p_index = domain.wrap(p_index)
-    return gauss_ket(params, domain, QuadForm(0, -1, 0), p_param=p_index)
 
 
 def fourier_operator(params: Params, domain: Domain | None = None) -> GaussOperator:

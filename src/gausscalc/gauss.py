@@ -161,34 +161,6 @@ def gauss_closed(spec: GaussSumSpec, mode: str = "extended", *, params: Params) 
     return quadratic_window_sum(spec.a, spec.b, 0, spec.M, spec.M, spec.domain, mode, params=params)
 
 
-# -- the statistical-mechanics one-period sum ---------------------------------
-
-
-def sm_brute(params: Params, a: int) -> int:
-    """(1/m) * sum over the a-sublattice of V_u of e(a n^2 / 2 N_u), in F_p.
-
-    One period (N_u/a terms).  The positive-quadratic reading is the one
-    that reproduces the closed form e(1/8) * j / sqrt(a); see gauss_closed_sm.
-    """
-    if a < 1 or params.N_u % a:
-        raise PreconditionViolation("need a >= 1 dividing N_u")
-    p = params.p
-    return params.power_sum(2 * params.N_u, a, 0, 0, params.N_u // a) * pow(params.m, -1, p) % p
-
-
-def gauss_closed_sm(params: Params, a: int) -> GaussCoeff:
-    """Closed form of sm_brute: the kernel's one-period sum times 1/m.
-
-    Exact in F_p: (1/m) * e(1/8) sqrt(N_u/a) = e(1/8) * (m j / (m sqrt(a)))
-    = e(1/8) j / sqrt(a).  Under the limit map j |-> e^{i pi/4} and
-    e8 |-> e^{-i pi/4} pair to the real value 1/sqrt(a).
-    """
-    if a < 1 or params.N_u % (4 * a):
-        raise PreconditionViolation("need a >= 1 with 4a dividing N_u")
-    one_period = quadratic_window_sum(a, 0, 0, params.N_u, params.N_u // a, "U", params=params)
-    return one_period * GaussCoeff.rational(Fraction(1, params.m))
-
-
 # -- the summation kernel ---------------------------------------------------------
 
 _ZERO = GaussCoeff.zero()

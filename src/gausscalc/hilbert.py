@@ -28,17 +28,16 @@ Every sum is evaluated by the one Gauss-summation kernel
 Denominators introduced by operator images (phases over 2tN and the like)
 are tracked in ``den``; support cosets fall out of the divisibility case
 of the Gauss summation formula.  One route turns guards into a state's
-coset, ``_support_coset`` on ``gauss._guard_coset``: ``inner`` and
-``restrict`` pass both supports to it as guards (k, (-1, d)), and
-``apply_operator`` the guards left on the output index.  An operator acts
-on one domain (``domain_in == domain_out``), so the image shares the
-input's N.
+coset, ``_support_coset`` on ``gauss._guard_coset``: ``inner`` passes
+both supports to it as guards (k, (-1, d)), and ``apply_operator`` the
+guards left on the output index.  An operator acts on one domain
+(``domain_in == domain_out``), so the image shares the input's N.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
@@ -374,11 +373,6 @@ def inner(params: Params, s1, s2, kind: str = "Hermitian", mode: str = "extended
     return s1.coeff * (s2.coeff.conj() if kind == "Hermitian" else s2.coeff) * value
 
 
-def norm_squared(params: Params, s) -> GaussCoeff:
-    """Hermitian self-pairing in extended mode (the tame sum over the coset)."""
-    return inner(params, s, s, "Hermitian", "extended")
-
-
 # -- operator application and composition ------------------------------------
 
 
@@ -512,63 +506,6 @@ def check_unitary(params: Params, op: GaussOperator) -> UnitarityReport:
     return UnitarityReport(not col_fail and not pair_fail, col_fail, pair_fail)
 
 
-# -- restriction, permutation, tensor -------------------------------------------
-
-
-def restrict(params: Params, s: GaussState, k: int, d: int = 0) -> GaussState:
-    """Coordinates outside kZ + d zeroed, coefficient renormalised by sqrt(k)."""
-    if k < 1 or s.domain.N % k:
-        raise BadCoset(f"restriction step {k} must divide N={s.domain.N}")
-    if k == 1:
-        return s
-    coset = _support_coset([(k1, (-1, d1)) for k1, d1 in (s.support, (k, d)) if k1 > 1], 0, s.domain.N)
-    if coset is None:
-        return zero_state(s.domain)
-    return replace(s, coeff=s.coeff * GaussCoeff.sqrt(k), support=coset)
-
-
-def permutation_unitary(params: Params, sigma, s):
-    """psi^sigma(r) = psi(sigma(r)).  Position states stay symbolic; Gaussian
-    states come back as dense oracles (a permuted Gaussian is generally not
-    a Gaussian ket)."""
-    domain = s.domain
-    rng = list(domain.index_range())
-    image = {r: domain.wrap(sigma(r)) for r in rng}
-    if len(set(image.values())) != len(rng):
-        raise ArithError("sigma is not a bijection of the domain")
-    if isinstance(s, PositionState):
-        inv = {v: k for k, v in image.items()}
-        return PositionState(inv[s.r], domain)
-    dense = DenseState.from_state(params, s)
-    return dense.permute(image)
-
-
-@dataclass(frozen=True)
-class TensorState:
-    factors: tuple
-
-    def __post_init__(self) -> None:
-        doms = {f.domain for f in self.factors}
-        if len(doms) > 1:
-            raise DomainMismatch("tensor factors must share a domain")
-        if not (1 <= len(self.factors) <= 4):
-            raise ArithError("tensor arity must be between 1 and 4")
-
-
-def tensor(states) -> TensorState:
-    return TensorState(tuple(states))
-
-
-def tensor_inner(params: Params, t1: TensorState, t2: TensorState, kind: str = "Hermitian") -> GaussCoeff:
-    """Separable pairing: the product of componentwise inner products."""
-    if len(t1.factors) != len(t2.factors):
-        raise ArithError("tensor arity mismatch")
-    out = GaussCoeff.one()
-    for f1, f2 in zip(t1.factors, t2.factors):
-        out = out * inner(params, f1, f2, kind)
-    return out
-
-
 # -- brute-force oracle --------------------------------------------------------
 
 
@@ -603,10 +540,6 @@ class DenseState:
         num = poly_mod(m, [(s.qA, r, r), (2 * s.qL, r), (s.qC,)])
         on = poly_mod(k, [(1, r), (-d,)]) == 0
         return cls(domain, to_fp_phases(params, s.coeff, domain.tag, m, num, on, conjugate))
-
-    def permute(self, image: dict) -> "DenseState":
-        half = self.domain.N // 2
-        return DenseState(self.domain, self.vec[[image[r] + half for r in self.domain.index_range()]])
 
     def pair_full(self, params: Params, other: "DenseState") -> int:
         """sum_r phi(r) * psi(r); conjugate `other` at construction for the

@@ -306,6 +306,8 @@ REFUSALS = {
     "gauss-sum over M = 0": (None, ["gauss-sum", "--a", "0", "--b", "0", "--M", "0"],
                              "PreconditionViolation", "modulus M must be positive"),
     "assign item without a value": (None, ["qe", "--expr", "1", "--assign", "x"], "ValueError", "bad --assign item 'x'"),
+    "assign item without a name": (None, ["qe", "--expr", "1", "--assign", "x=1,=2"], "ValueError", "bad --assign item '=2'"),
+    "assign name given twice": (None, ["qe", "--expr", "1", "--assign", "x=1,x=2"], "ValueError", "bad --assign item 'x=2'"),
     "reserved name in a phase": (None, ["qe", "--expr", "e((j^2)/2N@V)"],
                                  "ParseError", "1:4: 'j' is reserved and cannot name a variable"),
     "limit over a non-square N": (None, ["limit", "--A", "1", "--N-seq", "145"], "ArithError", "N = 145 is not a perfect square"),
@@ -313,6 +315,9 @@ REFUSALS = {
     "coeff with a dangling '*'": (SMALL, _coeff("1/2 *"), "ArithError", "dangling '*' in coefficient"),
     "coeff without its '*'": (SMALL, _coeff("1/2 j"), "ArithError", "expected '*' at 4 in coefficient"),
     "coeff of bad syntax": (SMALL, _coeff("x"), "ArithError", "bad coefficient syntax at 0"),
+    "coeff over a zero denominator": (SMALL, _coeff("1/0"), "ArithError", "zero denominator at 0"),
+    "coeff phase over a zero V denominator": (SMALL, _coeff("j * e(1/0@V)"), "ArithError", "zero denominator at 3"),
+    "coeff phase 0/0 on U": (SMALL, _coeff("e(0/0@U)"), "ArithError", "zero denominator at 0"),
 }
 
 

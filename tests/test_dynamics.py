@@ -10,7 +10,6 @@ from gausscalc.dynamics import (
     fourier_operator,
     free_propagator,
     free_propagator_brute,
-    momentum_state,
     position_operator_u,
     quadratic_phase_operator,
     shift_operator_v,
@@ -20,6 +19,7 @@ from gausscalc.dynamics import (
 from gausscalc.gauss import PreconditionViolation
 from gausscalc.hilbert import (
     DenseState,
+    GaussOperator,
     PositionState,
     QuadForm,
     apply_dense,
@@ -28,8 +28,10 @@ from gausscalc.hilbert import (
     compose,
     domain_u,
     domain_v,
+    gauss_ket,
+    identity_operator,
     inner,
-    norm_squared,
+    unit_normalization,
 )
 
 
@@ -43,8 +45,13 @@ def V(params):
     return domain_v(params)
 
 
+def momentum_ket(params, V, p_index):
+    """v[p]: r -> (1/sqrt(N)) e(-r p / N), the A = 0 ket with bilinear form -2 r p."""
+    return gauss_ket(params, V, QuadForm(0, -1, 0), p_param=p_index)
+
+
 def test_momentum_zero_is_uniform(params, V):
-    v0 = momentum_state(params, 0)
+    v0 = momentum_ket(params, V, 0)
     for r in (-3, 0, 17):
         assert to_fp(params, v0.coordinate(r)) == to_fp(
             params, GaussCoeff.rational(Fraction(1, params.m))
@@ -52,10 +59,10 @@ def test_momentum_zero_is_uniform(params, V):
 
 
 def test_momentum_orthonormal(params, V):
-    v1 = momentum_state(params, 3)
-    v2 = momentum_state(params, 5)
+    v1 = momentum_ket(params, V, 3)
+    v2 = momentum_ket(params, V, 5)
     assert inner(params, v1, v2, "Hermitian").is_zero()
-    assert norm_squared(params, v1) == GaussCoeff.one()
+    assert inner(params, v1, v1) == GaussCoeff.one()
     # strict mode reproduces the declared-zero convention
     assert inner(params, v1, v1, "Hermitian", mode="strict").is_zero()
 
@@ -63,7 +70,7 @@ def test_momentum_orthonormal(params, V):
 def test_fourier_maps_position_to_momentum(params, V):
     F = fourier_operator(params)
     out = apply_operator(params, F, PositionState(4, V))
-    vm = momentum_state(params, 4)
+    vm = momentum_ket(params, V, 4)
     for r in (-9, 0, 4, 31):
         assert to_fp(params, out.coordinate(r)) == to_fp(params, vm.coordinate(r))
 
@@ -75,7 +82,7 @@ def test_position_expands_in_momentum_basis(params, V):
     total = 0
     inv_m = pow(params.m, -1, p)
     for q in V.index_range():
-        vp = momentum_state(params, q)
+        vp = momentum_ket(params, V, q)
         total = (
             total + params.char_e(Fraction(r0 * q, V.N) % 1) * to_fp(params, vp.coordinate(s0))
         ) % p
@@ -217,15 +224,16 @@ def test_free_propagator_on_position_state(params, V):
 
 
 def test_free_propagator_additive(params, V):
-    # free(t1) . free(t2) = free(t1 + t2), exact kernels
-    p = params.p
-    for t1, t2 in [(1, 1), (1, 2), (2, 1), (3, 3), (2, 2)]:
+    """The group law P(t1) . P(t2) = P(t1 + t2), and = I when t1 + t2 = 0,
+    at every entry of the V domain, signed times included."""
+    idx = V.index_vector()
+    pairs = [(1, 1), (1, 2), (2, 1), (3, 3), (2, 2),
+             (1, -1), (2, -2), (3, -3), (-1, 1), (-2, -1), (6, -6), (9, -9)]
+    for t1, t2 in pairs:
         prod = compose(params, free_propagator(params, t1), free_propagator(params, t2))
-        target = free_propagator(params, t1 + t2)
-        for q, r in [(0, 0), (0, t1 + t2), (5, 5 - (t1 + t2)), (1, 2), (7, -1)]:
-            assert to_fp(params, prod.kernel_value(q, r)) == to_fp(
-                params, target.kernel_value(q, r)
-            ), (t1, t2, q, r)
+        target = free_propagator(params, t1 + t2) if t1 + t2 else identity_operator(V)
+        got = prod.kernel_block(params, idx[:, None], idx[None, :])
+        assert np.array_equal(got, target.kernel_block(params, idx[:, None], idx[None, :])), (t1, t2)
 
 
 def test_free_propagator_unitary(params, V):
@@ -248,6 +256,29 @@ def test_quadratic_phase_diagonal(params, V):
     op = quadratic_phase_operator(params, 3)
     out = apply_operator(params, op, PositionState(5, V))
     assert to_fp(params, out.coordinate(5)) == params.char_e(Fraction(3 * 25, 2 * V.N) % 1)
+
+
+@pytest.mark.parametrize("tower", [(2, 1), (4, 2), (6, 1), (12, 2)])
+def test_quarter_period_oscillator_is_the_fourier_transform(tower):
+    """Kick-drift-kick at a quarter period: Q(1) P(1) Q(1) = e8 F^-1 and
+    Q(-1) P(-1) Q(-1) = e8^7 F, the discrete Fourier transform as the finite
+    harmonic oscillator at a quarter period (Mehta, J. Math. Phys. 28 (1987)
+    781); by == and at every entry of the V domain, where Q is diagonal and
+    the composition is the literal product of the kernel blocks."""
+    P = find_params(ParamSpec(*tower))
+    V = domain_v(P)
+    idx = V.index_vector()
+    inverse_fourier = GaussOperator(unit_normalization(P, V), 0, 1, 0, V, V)
+    for t, F, e8 in ((1, inverse_fourier, 1), (-1, fourier_operator(P, V), 7)):
+        Q, drift = quadratic_phase_operator(P, t, V), free_propagator(P, t, V)
+        got = compose(P, Q, compose(P, drift, Q))
+        want = GaussOperator(F.coeff * GaussCoeff.e8_power(e8), F.kA, F.kB, F.kC, V, V)
+        assert got == want, (tower, t)
+        block = got.kernel_block(P, idx[:, None], idx[None, :])
+        assert np.array_equal(block, want.kernel_block(P, idx[:, None], idx[None, :])), (tower, t)
+        q = np.diagonal(Q.kernel_block(P, idx[:, None], idx[None, :]))
+        literal = q[:, None] * drift.kernel_block(P, idx[:, None], idx[None, :]) % P.p
+        assert np.array_equal(block, literal * q[None, :] % P.p), (tower, t)
 
 
 def test_sm_transfer_symmetric_kernel(params):

@@ -20,11 +20,9 @@ from gausscalc.gauss import (
     _guard_coset,
     gauss_brute,
     gauss_closed,
-    gauss_closed_sm,
     gauss_sum,
     merge_cosets,
     quadratic_window_sum,
-    sm_brute,
     sqrt_with_scale,
 )
 from gausscalc.hilbert import PositionState, QuadForm, domain_of, domain_v, gauss_ket, inner
@@ -153,12 +151,22 @@ def test_strict_vs_extended_a0(params):
     assert gauss_closed(GaussSumSpec(0, 3, 16), params=params).is_zero()
 
 
+def sm_one_period(P, a):
+    """(1/m) * sum of e(a n^2 / 2 N_u) over one period, the a-sublattice
+    of V_u (N_u/a terms), in closed form."""
+    one_period = quadratic_window_sum(a, 0, 0, P.N_u, P.N_u // a, "U", params=P)
+    return one_period * GaussCoeff.rational(Fraction(1, P.m))
+
+
 def test_sm_closed_form(params):
+    # (1/m) e(1/8) sqrt(N_u/a) = e(1/8) j / sqrt(a) exactly, and the literal
+    # one-period sum agrees in F_p
     p = params.p
     for a in (1, 2, 4, 6, 12):
-        assert to_fp(params, gauss_closed_sm(params, a)) == sm_brute(params, a)
-    assert gauss_closed_sm(params, 1) == GaussCoeff.e8_power(1) * GaussCoeff.j_power(1)
-    assert gauss_closed_sm(params, 4) == (
+        brute = params.power_sum(2 * params.N_u, a, 0, 0, params.N_u // a) * pow(params.m, -1, p) % p
+        assert to_fp(params, sm_one_period(params, a)) == brute, a
+    assert sm_one_period(params, 1) == GaussCoeff.e8_power(1) * GaussCoeff.j_power(1)
+    assert sm_one_period(params, 4) == (
         GaussCoeff.e8_power(1) * GaussCoeff.j_power(1) * GaussCoeff.rational(Fraction(1, 2))
     )
 
@@ -169,15 +177,8 @@ def test_sm_limit_is_real(params):
     for P in (params, find_params(ParamSpec(2, 1)), find_params(ParamSpec(4, 2))):
         for a in range(1, P.N_u // 4 + 1):
             if P.N_u % (4 * a) == 0:
-                val = to_complex(P, gauss_closed_sm(P, a))
+                val = to_complex(P, sm_one_period(P, a))
                 assert abs(val - 1 / math.sqrt(a)) < 1e-12, (P, a)
-
-
-def test_sm_preconditions(params):
-    with pytest.raises(PreconditionViolation):
-        sm_brute(params, 5)
-    with pytest.raises(PreconditionViolation):
-        gauss_closed_sm(params, params.N_u)
 
 
 def test_window_sum_matches_literal(params):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -36,12 +37,7 @@ from gausscalc.hilbert import (
     gauss_ket,
     identity_operator,
     inner,
-    norm_squared,
-    permutation_unitary,
-    restrict,
     state_from_descriptor,
-    tensor,
-    tensor_inner,
     unit_normalization,
     zero_state,
 )
@@ -103,7 +99,7 @@ def test_admissibility_enforced(params, V):
 def test_hermitian_self_norm_is_one(params, V):
     # normalized ket: <psi|psi> = 1 in extended mode
     s = gauss_ket(params, V, QuadForm(-1, 1, 0), p_param=2)
-    assert norm_squared(params, s) == GaussCoeff.one()
+    assert inner(params, s, s) == GaussCoeff.one()
 
 
 def test_euclidean_ket_pair_closed_vs_brute(params, V):
@@ -264,7 +260,8 @@ def test_inner_of_restricted_kets_vs_literal(spec):
                 if V.N % k1 or V.N % k2:
                     continue
                 for c1, c2 in itertools.product([(k1, d) for d in range(k1)], [(k2, d) for d in range(k2)]):
-                    s1, s2 = restrict(tower, g1, *c1), restrict(tower, g2, *c2)
+                    s1 = replace(g1, coeff=g1.coeff * GaussCoeff.sqrt(k1), support=c1)
+                    s2 = replace(g2, coeff=g2.coeff * GaussCoeff.sqrt(k2), support=c2)
                     for kind in ("Euclidean", "Hermitian"):
                         want = _literal_restricted_inner(tower, s1, c1, s2, c2, kind)
                         try:
@@ -401,11 +398,11 @@ def test_check_unitary_sums_the_columns_of_u_scale_phases():
 
 
 def test_restrict_properties(params, V):
+    # the restriction of a ket to 2Z, renormalised by sqrt(2)
     s = gauss_ket(params, V, QuadForm(0, -1, 0), p_param=3)  # uniform modulus
-    assert restrict(params, s, 1) == s
-    r2 = restrict(params, s, 2, 0)
-    assert r2.support == (2, 0)
-    assert r2.coeff == s.coeff * GaussCoeff.sqrt(2)
+    r2 = replace(s, coeff=s.coeff * GaussCoeff.sqrt(2), support=(2, 0))
+    assert [r2.coordinate(r) for r in (0, 1, 2)] == [s.coordinate(0) * GaussCoeff.sqrt(2), GaussCoeff.zero(),
+                                                      s.coordinate(2) * GaussCoeff.sqrt(2)]
     # norm^2 of the restriction equals norm^2 of the original, brute force
     p = params.p
     def dense_norm2(state):
@@ -416,7 +413,7 @@ def test_restrict_properties(params, V):
                 total = (total + to_fp(params, c * c.conj())) % p
         return total
     assert dense_norm2(r2) == dense_norm2(s)
-    assert to_fp(params, norm_squared(params, r2)) == dense_norm2(s)
+    assert to_fp(params, inner(params, r2, r2)) == dense_norm2(s)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 12, 24])
@@ -424,18 +421,19 @@ def test_restricted_euclidean_pairing_has_the_continuum_limit(params, k):
     # restricting to kZ changes the summation step, not the scale: m times
     # the pairing of e(-r^2/2N_u) with itself tends to int e^{-2 pi x^2} dx
     U = domain_u(params)
-    s = restrict(params, gauss_ket(params, U, QuadForm(-1, 0, 0)), k)
+    ket = gauss_ket(params, U, QuadForm(-1, 0, 0))
+    s = replace(ket, coeff=ket.coeff * GaussCoeff.sqrt(k), support=(k, 0))
     got = to_complex(params, inner(params, s, s, "Euclidean") * GaussCoeff.rational(params.m))
     g = ContinuumGaussian("Euclidean", 1.0, 1.0, 0.0)
     assert abs(got - continuum_inner_closed(g, g)) < 1e-12
 
 
 def test_restrict_bad_coset(params, V):
+    # a step that does not divide N = 144 is refused; disjoint cosets pair to zero
     s = gauss_ket(params, V, QuadForm(-1, 0, 0))
     with pytest.raises(BadCoset):
-        restrict(params, s, 5)
-    empty = restrict(params, restrict(params, s, 2, 0), 2, 1)
-    assert empty.is_zero()
+        replace(s, support=(5, 0))
+    assert inner(params, replace(s, support=(2, 0)), replace(s, support=(2, 1))).is_zero()
 
 
 @pytest.mark.parametrize("bad", [(0, (1, -1, 0)), (-3, (1, -1, 0)), (288, (1, 0, 0)), (288, (0, 1, 0))])
@@ -446,24 +444,6 @@ def test_operator_bad_guard_anywhere_in_the_support(V, bad):
         with pytest.raises(BadCoset):
             GaussOperator(GaussCoeff.one(), 0, 0, 0, V, V, support=support)
     GaussOperator(GaussCoeff.one(), 0, 0, 0, V, V, support=((2, (1, -1, 0)), (288, (2, 2, 1))))
-
-
-def test_permutation_unitary(params, V):
-    u = PositionState(3, V)
-    shifted = permutation_unitary(params, lambda r: r + 1, u)
-    assert isinstance(shifted, PositionState) and shifted.r == 2  # sigma^{-1}(3)
-    ident = permutation_unitary(params, lambda r: r, u)
-    assert ident.r == 3
-    with pytest.raises(Exception):
-        permutation_unitary(params, lambda r: 0, u)
-
-
-def test_permutation_unitary_of_a_gaussian_ket_is_its_permuted_dense_state(params, V):
-    s = gauss_ket(params, V, QuadForm(-1, 1, 0), p_param=2)
-    coords = DenseState.from_state(params, s).coords
-    out = permutation_unitary(params, lambda r: 5 * r + 1, s)
-    assert isinstance(out, DenseState) and out.domain == V
-    assert dict(out.coords) == {r: coords[V.wrap(5 * r + 1)] for r in V.index_range()}
 
 
 def test_compose_with_a_zero_operator_is_the_zero_operator(params, V):
@@ -477,28 +457,12 @@ def test_permutation_preserves_inner(params, V):
     rng = random.Random(99)
     s1 = gauss_ket(params, V, QuadForm(-1, 1, 0), p_param=2)
     s2 = gauss_ket(params, V, QuadForm(-2, 1, -1), p_param=1)
-    perm = list(V.index_range())
-    rng.shuffle(perm)
-    table = dict(zip(V.index_range(), perm))
-    sigma = lambda r: table[r]
     d1 = DenseState.from_state(params, s1)
     d2c = DenseState.from_state(params, s2, conjugate=True)
     before = d1.pair_full(params, d2c)
-    image = {r: V.wrap(sigma(r)) for r in V.index_range()}
-    after = d1.permute(image).pair_full(params, d2c.permute(image))
+    order = rng.sample(range(V.N), V.N)
+    after = DenseState(V, d1.vec[order]).pair_full(params, DenseState(V, d2c.vec[order]))
     assert before == after
-
-
-def test_tensor_factorization(params, V):
-    s = gauss_ket(params, V, QuadForm(-1, 1, 0), p_param=2)
-    t = gauss_ket(params, V, QuadForm(-3, 1, 0), p_param=4)
-    single = tensor([s])
-    assert tensor_inner(params, single, tensor([t])) == inner(params, s, t)
-    pair = tensor([s, s])
-    tpair = tensor([t, t])
-    got = tensor_inner(params, pair, tpair)
-    base = inner(params, s, t)
-    assert to_fp(params, got) == to_fp(params, base * base)
 
 
 def test_tensor_double_index_brute(params):
@@ -519,17 +483,6 @@ def test_tensor_double_index_brute(params):
     d2c = DenseState.from_state(small, t, conjugate=True)
     factor = d1.pair_full(small, d2c)
     assert total == factor * factor % p
-
-
-def test_tensor_arity_and_domains(params, V):
-    s = gauss_ket(params, V, QuadForm(-1, 0, 0))
-    u = gauss_ket(params, domain_u(params), QuadForm(-1, 0, 0))
-    with pytest.raises(DomainMismatch):
-        tensor([s, u])
-    with pytest.raises(Exception):
-        tensor([s] * 5)
-    with pytest.raises(ArithError, match="tensor arity mismatch"):
-        tensor_inner(params, tensor([s]), tensor([s, s]))
 
 
 def test_state_descriptor_roundtrip(params, V):

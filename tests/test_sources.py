@@ -16,7 +16,10 @@ wraps each index in a loop of its own, far slower than one `%` on the
 whole vector.  Every backticked `<module>.<name>`
 in README.md and in the modules (with or without a `gausscalc.` prefix)
 names an attribute the module has, so a deleted name leaves no stale
-reference behind.
+reference behind.  Every public top-level function or class of the
+package is referenced from the package or from the benchmark in
+perfbench, tests aside, but for a short allow-list of names kept for work
+still to come.
 """
 
 import ast
@@ -29,6 +32,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "gausscalc"
 MODULES = sorted(SRC.glob("*.py"))
 README = SRC.parent.parent / "README.md"
+PERFBENCH = sorted((SRC.parent.parent / "perfbench").glob("*.py"))
 FRACTION_INTERNALS = {"_numerator", "_denominator", "_from_coprime_ints", "_normalize"}
 
 
@@ -107,3 +111,30 @@ def test_backticked_module_names_resolve():
     refs = [(path.name, *m.groups()) for path in [README, *MODULES] for m in ref.finditer(path.read_text(encoding="utf-8"))]
     stale = [r for r in refs if not hasattr(importlib.import_module(f"gausscalc.{r[1]}"), r[2])]
     assert refs and not stale, stale
+
+
+# public names that no caller outside the tests uses yet, each kept for the
+# ROADMAP work that needs it
+AWAITING_CALLERS = {
+    "climit.lm_state": "item 10: the limit map through which lm(P(t) s) meets the continuum evolution",
+    "climit.ho_compose_closed": "acceptance criterion 10 checks the oscillator composition law against it",
+    "dynamics.quadratic_phase_operator": "items 10 and 11: the kick Q of Q(a)P(t)Q(a), the quarter-period oscillator",
+    "hilbert.identity_operator": "items 5 and 11: the targets wick(I_U) = I_V and P(t)P(-t) = I",
+}
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    refs, public = set(), []
+    for path in MODULES + PERFBENCH:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+        if path in MODULES:
+            public += [(f"{path.stem}.{node.name}", node.name) for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+    # an allow-listed name that gains a caller leaves the list
+    uncalled = sorted(qual for qual, name in public if name not in refs)
+    assert uncalled == sorted(AWAITING_CALLERS), uncalled
