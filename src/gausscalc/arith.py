@@ -448,11 +448,13 @@ class Params:
 
 
 def load_params(text: str) -> Params:
-    """Parse a Params document, JSON or TOML (flat integer fields)."""
+    """Parse a Params document, JSON or TOML (flat integer fields);
+    ArithError naming a field given twice, or a TOML value that is not an
+    integer."""
     text = text.strip()
     if text.startswith("{"):
-        return Params.from_dict(json.loads(text))
-    fields: dict[str, int] = {}
+        return Params.from_dict(json.loads(text, object_pairs_hook=_fields_once))
+    pairs = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -460,8 +462,23 @@ def load_params(text: str) -> Params:
         key, _, value = line.partition("=")
         if not _:
             raise ArithError(f"bad TOML line in Params document: {line!r}")
-        fields[key.strip()] = int(value.strip())
-    return Params.from_dict(fields)
+        key, value = key.strip(), value.strip()
+        try:
+            pairs.append((key, int(value)))
+        except ValueError:
+            raise ArithError(f"Params field {key!r} must be an integer, got {value!r}") from None
+    return Params.from_dict(_fields_once(pairs))
+
+
+def _fields_once(pairs) -> dict:
+    """A document's (key, value) pairs as a dict; ArithError for a key
+    given twice."""
+    fields = {}
+    for key, value in pairs:
+        if key in fields:
+            raise ArithError(f"Params field {key!r} given twice")
+        fields[key] = value
+    return fields
 
 
 def _p1_factorization(p: int, modulus: int) -> dict[int, int]:

@@ -257,6 +257,8 @@ def unit_normalization(m: int, tag: str) -> GaussCoeff:
     return unit if tag == "V" else unit * GaussCoeff.j_power(-1)
 
 
+MAX_SQRT_ARG = 10**12  # the largest square-root argument read from text (factored by trial division)
+
 _COEFF_ATOM = re.compile(
     r"\s*(?:(?P<rat>-?\d+(?:/\d+)?)"
     r"|sqrt\((?P<rho>\d+)\)"
@@ -267,7 +269,8 @@ _COEFF_ATOM = re.compile(
 
 
 def parse_coeff(text: str) -> GaussCoeff:
-    """Parse the canonical rendering; exact round-trip with str()."""
+    """Parse the canonical rendering; exact round-trip with str().
+    ArithError for a square root of more than MAX_SQRT_ARG."""
     text = text.strip()
     if text == "0":
         return GaussCoeff.zero()
@@ -291,7 +294,10 @@ def parse_coeff(text: str) -> GaussCoeff:
                 raise ArithError(f"zero denominator at {pos} in coefficient {text!r}") from None
             out = out * (GaussCoeff.rational(value) if m["q"] is None else GaussCoeff.phase_of(value, m["dom"]))
         elif m["rho"] is not None:
-            out = out * GaussCoeff(rho=int(m["rho"]))
+            rho = int(m["rho"])
+            if rho > MAX_SQRT_ARG:
+                raise ArithError(f"sqrt argument at {pos} in coefficient {text!r} exceeds {MAX_SQRT_ARG}")
+            out = out * GaussCoeff(rho=rho)
         elif m.group(0).lstrip().startswith("j"):
             out = out * GaussCoeff.j_power(int(m["ja"]) if m["ja"] else 1)
         else:

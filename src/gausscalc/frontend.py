@@ -16,12 +16,14 @@ Tokens are numbers (ASCII digits), names (an ASCII letter or '_', then
 letters, digits and '_') and the one-character symbols + - * / ^ @ ( ) .;
 whitespace is any character for which str.isspace() holds.  A number
 with more digits than Python converts to an int is a ParseError at its
-token.  The lexer finds the first other character with one search, which
-is then the ParseError raised, and splits the text with one compiled
-pattern into two flat lists, the token texts and their offsets; the
-parser walks them by index.  A (line, col) is computed from an offset
-only where a node's pos or a ParseError needs it: only '\\n' starts a
-line, and every other character is one column.
+token, and so is a 'sqrt(' of n/d with n*d above coeffring.MAX_SQRT_ARG
+(it would be factored by trial division).  The lexer finds the first
+other character with one search, which is then the ParseError raised,
+and splits the text with one compiled pattern into two flat lists, the
+token texts and their offsets; the parser walks them by index.  A (line,
+col) is computed from an offset only where a node's pos or a ParseError
+needs it: only '\\n' starts a line, and every other character is one
+column.
 
 Phase polynomials have integer coefficients and total degree <= 2; a
 quantifier body extends maximally to the right.  Parentheses and
@@ -45,9 +47,13 @@ leave the Gaussian fragment and raise.
 ``Poly`` is the polynomial of the two ends only: a parsed phase atom
 (``PhaseAtom``) and the returned normal form (``GaussTerm``, ``Guard``).
 The parser adds its terms into a monomial -> coefficient dict and builds
-one ``Poly`` per phase atom; expansion and elimination work on such dicts,
-laid out positionally for the kernel at each summation step, and
-``eliminate`` builds each normal-form term's ``Poly`` once.
+one ``Poly`` per phase atom.  Expansion and elimination work on the
+kernel's own ``gauss.Term``: ``eliminate`` gives each variable name one
+position for the whole expression (names in order, the constant last),
+a phase-free factor carries no matrix, each quantifier is one
+``gauss_sum`` call per term, and each normal-form term's ``Poly`` is read
+back once.  The expansion refuses, before it is built, a product or a
+sum of more than MAX_TERMS terms.
 
 ``eval_expr``, the literal oracle elimination is checked against, sums
 each quantifier nest's body over the numpy index grid of its bound
@@ -63,14 +69,14 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from typing import NamedTuple
+from itertools import accumulate, chain
+from operator import add
 
 import numpy as np
 
 from .arith import BLOCK, ArithError, DomainMismatch, Params, poly_mod, ratio_phase, require_int
-from .coeffring import GaussCoeff, to_fp, unit_normalization
-from .gauss import gauss_sum
+from .coeffring import MAX_SQRT_ARG, GaussCoeff, to_fp, unit_normalization
+from .gauss import Term, _times, gauss_sum
 from .hilbert import Domain, domain_of
 
 
@@ -302,6 +308,8 @@ class _Parser:
             self.expect(")")
             if value <= 0:
                 raise self.error("sqrt argument must be positive", i)
+            if value.numerator * value.denominator > MAX_SQRT_ARG:
+                raise self.error(f"sqrt argument exceeds {MAX_SQRT_ARG}", i)
             return SqrtAtom(value, pos=self.pos(i))
         if tok == "e":
             self.expect("(")
@@ -439,36 +447,39 @@ def _fmt_child(e: Expr) -> str:
 # -- direct evaluation (the oracle) -------------------------------------------------
 
 
-def _domains(e: Expr) -> set[str]:
-    """The domain tags ('U', 'V') of the phases in `e`, in one pass that
-    also rejects rebinding a bound variable (the scoping rule `parse`
-    applies)."""
+def _domains(e: Expr) -> tuple[set[str], set[str]]:
+    """The domain tags ('U', 'V') of the phases in `e` and its variable
+    names, free and bound, in one pass that also rejects rebinding a bound
+    variable (the scoping rule `parse` applies)."""
     tags: set[str] = set()
+    names: set[str] = set()
 
     def walk(node: Expr, bound: frozenset[str]) -> None:
         kind = type(node)
         if kind is PhaseAtom:
             tags.add(node.domain)
+            names.update(node.poly.variables())
         elif kind is Prod or kind is Plus:
             for child in node.factors if kind is Prod else node.terms:
                 walk(child, bound)
         elif kind is Quant:
             if node.var in bound:
                 raise ParseError(f"variable {node.var!r} bound twice", *(node.pos or (0, 0)))
+            names.add(node.var)
             walk(node.body, bound | {node.var})
 
     walk(e, frozenset())
-    return tags
+    return tags, names
 
 
-def _scale(e: Expr) -> str:
+def _scale(e: Expr) -> tuple[str, set[str]]:
     """The one scale of `e` -- its phases' domain tag, 'V' where it has
-    none; DomainMismatch where it mixes U and V phases.  Every quantifier
-    body in `e` then has this scale or no phase."""
-    tags = _domains(e)
+    none -- and its variable names; DomainMismatch where it mixes U and V
+    phases.  Every quantifier body in `e` then has this scale or no phase."""
+    tags, names = _domains(e)
     if len(tags) > 1:
         raise DomainMismatch("expression mixes U and V phases")
-    return tags.pop() if tags else "V"
+    return tags.pop() if tags else "V", names
 
 
 MAX_EVAL_POINTS = 1 << 26  # index points one eval_expr call may visit
@@ -493,7 +504,7 @@ def eval_expr(
     that does not fit loops over its values.  PointBudgetExceeded, before
     any summation, where the evaluation would visit more than
     MAX_EVAL_POINTS index points."""
-    run, _, _, points = _compile(e, params, domain_of(params, _scale(e)))
+    run, _, _, points = _compile(e, params, domain_of(params, _scale(e)[0]))
     if points > MAX_EVAL_POINTS:
         raise PointBudgetExceeded(
             f"literal evaluation would visit {points} index points, more than the bound {MAX_EVAL_POINTS}"
@@ -639,117 +650,110 @@ def eval_normal_form(
     return total
 
 
-class _Term(NamedTuple):
-    """A term during elimination: coeff * e(phase / 2N*den), where the
-    guards hold.  The phase and each guard's linear form are monomial ->
-    coefficient dicts without zero entries, never mutated once built."""
-
-    coeff: GaussCoeff
-    phase: dict
-    den: int = 1
-    guards: tuple = ()
-
-
 _ONE = GaussCoeff.one()
 # the phase-free atoms' coefficients, shared (coefficients are immutable)
 _ATOM_COEFF = {JAtom: GaussCoeff.j_power(1), E8Atom: GaussCoeff.e8_power(1)}
 
-
-def _times(a: GaussCoeff, b: GaussCoeff) -> GaussCoeff:
-    """a * b, passing one factor through when the other is the shared one."""
-    return b if a is _ONE else a if b is _ONE else a * b
+MAX_TERMS = 1 << 12  # terms the expansion of one eliminate call may hold
 
 
-def _mul_terms(a: _Term, b: _Term) -> _Term:
-    den = math.lcm(a.den, b.den)
-    ka, kb = den // a.den, den // b.den
-    phase = a.phase if ka == 1 else {m: c * ka for m, c in a.phase.items()}
-    if b.phase:
-        phase = dict(phase)
-        for m, c in b.phase.items():
-            c = phase.get(m, 0) + kb * c
-            if c:
-                phase[m] = c
-            else:
-                del phase[m]
-    return _Term(_times(a.coeff, b.coeff), phase, den, a.guards + b.guards)
+class TermBudgetExceeded(ArithError):
+    """Expanding an expression's products or sums would give more than MAX_TERMS terms."""
 
 
-def _expand(e: Expr, params: Params, mode: str, dom: Domain) -> list[_Term]:
+def _budget(count: int) -> None:
+    if count > MAX_TERMS:
+        raise TermBudgetExceeded(f"expansion would give {count} terms, more than the bound {MAX_TERMS}")
+
+
+def _mul_terms(a: Term, b: Term) -> Term:
+    """The product of two terms over the same positions; a phase-free
+    factor (Q None) takes the other's phase."""
+    coeff, guards = _times(a.coeff, b.coeff), a.guards + b.guards
+    if a.Q is None or b.Q is None:
+        t = b if a.Q is None else a
+        return Term(coeff, t.Q, t.M, guards)
+    if a.M == b.M:
+        return Term(coeff, [list(map(add, u, v)) for u, v in zip(a.Q, b.Q)], a.M, guards)
+    M = math.lcm(a.M, b.M)
+    ka, kb = M // a.M, M // b.M
+    return Term(coeff, [[ka * c + kb * d for c, d in zip(u, v)] for u, v in zip(a.Q, b.Q)], M, guards)
+
+
+def _expand(e: Expr, params: Params, mode: str, dom: Domain, pos: dict[str, int]) -> list[Term]:
+    """`e` as a sum of terms over the positions `pos` (a name's index, the
+    constant last), each quantifier summed out by `gauss_sum`; a term of a
+    structurally-zero sum (a declared zero, or a sum that telescopes to
+    zero) is dropped."""
     kind = type(e)
     if kind is PhaseAtom:
-        return [_Term(_ONE, e.poly.as_dict())]
+        n = len(pos)
+        Q = [[0] * (n + 1) for _ in range(n + 1)]
+        for m, c in e.poly.coeffs:  # monomials are sorted: Q is upper triangular
+            if len(m) == 2:
+                Q[pos[m[0]]][pos[m[1]]] = c
+            else:
+                Q[pos[m[0]] if m else n][n] = c
+        return [Term(_ONE, Q, dom.N, ())]
     if kind is Prod:
-        terms = _expand(e.factors[0], params, mode, dom) if e.factors else [_Term(_ONE, {})]
+        terms = _expand(e.factors[0], params, mode, dom, pos) if e.factors else [Term(_ONE, None, dom.N, ())]
         for f in e.factors[1:]:
-            expanded = _expand(f, params, mode, dom)
+            expanded = _expand(f, params, mode, dom, pos)
+            _budget(len(terms) * len(expanded))
             terms = [_mul_terms(t, u) for t in terms for u in expanded]
         return terms
     if kind is Quant:
+        y, N, n1 = pos[e.var], dom.N, len(pos) + 1
         out = []
-        for term in _expand(e.body, params, mode, dom):
-            result = _eliminate_var(term, e.var, params, mode, dom)
-            if result is not None:
-                if e.kind == "int":
-                    result = result._replace(coeff=_times(result.coeff, unit_normalization(params.m, dom.tag)))
-                out.append(result)
+        for t in _expand(e.body, params, mode, dom, pos):
+            if t.Q is None:
+                t = t._replace(Q=[[0] * n1 for _ in range(n1)])
+            res = gauss_sum(t, y, N, dom.tag, mode, params)
+            if res.coeff.is_zero():
+                continue
+            if t.Q[y][y]:
+                # residual phase (R - L^2/A)/2M, held over the boosted denominator
+                g = math.gcd(res.M // N, *chain.from_iterable(res.Q))
+                if g > 1:
+                    res = res._replace(Q=[[c // g for c in row] for row in res.Q], M=res.M // g)
+            if e.kind == "int":
+                res = res._replace(coeff=_times(res.coeff, unit_normalization(params.m, dom.tag)))
+            out.append(res)
         return out
     if kind is Plus:
-        return [t for term in e.terms for t in _expand(term, params, mode, dom)]
+        terms = []
+        for term in e.terms:
+            expanded = _expand(term, params, mode, dom, pos)
+            _budget(len(terms) + len(expanded))
+            terms += expanded
+        return terms
     if kind in _ATOM_COEFF:
-        return [_Term(_ATOM_COEFF[kind], {})]
+        return [Term(_ATOM_COEFF[kind], None, dom.N, ())]
     if kind is Rat:
-        return [_Term(GaussCoeff.rational(e.value), {})]
+        return [Term(GaussCoeff.rational(e.value), None, dom.N, ())]
     if kind is SqrtAtom:
-        return [_Term(GaussCoeff.sqrt(e.value), {})]
+        return [Term(GaussCoeff.sqrt(e.value), None, dom.N, ())]
     raise ArithError(f"cannot eliminate {kind.__name__}")
-
-
-def _eliminate_var(term: _Term, y: str, params: Params, mode: str, dom: Domain) -> _Term | None:
-    """One Gauss-summation step over y in the window of `dom`: the
-    term's phase and guards are laid out positionally (variables in name
-    order, the constant last) for the summation kernel `gauss_sum`, and its
-    result is read back into dicts.  Returns None for a structurally-zero
-    result (a declared zero, or a sum that telescopes to zero)."""
-    used = {y}.union(*term.phase)
-    for _, g in term.guards:
-        used.update(*g)
-    names = sorted(used)
-    n = len(names)
-    pos = dict(zip(names, range(n)))
-    keys = [*zip(names), ()]  # the monomial of each position
-    Q = [[0] * (n + 1) for _ in range(n + 1)]
-    for m, c in term.phase.items():  # monomials are sorted: Q is upper triangular
-        if len(m) == 2:
-            Q[pos[m[0]]][pos[m[1]]] = c
-        else:
-            Q[pos[m[0]] if m else n][n] = c
-    guards = [(k, [g.get(key, 0) for key in keys]) for k, g in term.guards]
-    N = dom.N
-    res = gauss_sum(Q, pos[y], guards, N, N * term.den, dom.tag, mode, params)
-    if res.coeff.is_zero():
-        return None
-    new_guards = tuple((k, {keys[i]: c for i, c in enumerate(v) if c}) for k, v in res.guards)
-    phase = {}
-    for i, row in enumerate(res.Q):  # upper triangular too
-        for j in range(i, n + 1):
-            if row[j]:
-                phase[keys[i] + keys[j]] = row[j]
-    den = res.M // N
-    if Q[pos[y]][pos[y]]:
-        # residual phase (R - L^2/A)/2M, held over the boosted denominator
-        g = math.gcd(*phase.values(), den)
-        if g > 1:
-            phase, den = {m: c // g for m, c in phase.items()}, den // g
-    return _Term(_times(term.coeff, res.coeff), phase, den, new_guards)
 
 
 def eliminate(e: Expr, params: Params, mode: str = "extended") -> NormalForm:
     """Innermost-first quantifier elimination to a guarded, quantifier-free
-    sum of Gaussian terms; eval-equivalent to the source expression."""
-    dom = domain_of(params, _scale(e))  # _scale also validates scoping
+    sum of Gaussian terms; eval-equivalent to the source expression.  Each
+    name has one position for the whole expression (names in order, the
+    constant last): a name free in one factor and bound in another shares
+    it, since a summed position is zero in the sum's result."""
+    tag, names = _scale(e)  # _scale also validates scoping
+    dom = domain_of(params, tag)
+    names = sorted(names)
+    keys = [*zip(names), ()]  # the monomial of each position
+
+    def linear(v) -> Poly:
+        return Poly.from_dict({keys[i]: c for i, c in enumerate(v) if c})
+
+    def quadratic(Q) -> Poly:  # Q is upper triangular, or None for no phase
+        return Poly.from_dict({keys[i] + keys[j]: c for i, row in enumerate(Q or ()) for j, c in enumerate(row) if c})
+
     return NormalForm(tuple(
-        GaussTerm(t.coeff, Poly.from_dict(t.phase), dom.tag, t.den,
-                  tuple(Guard(k, Poly.from_dict(g)) for k, g in t.guards))
-        for t in _expand(e, params, mode, dom) if not t.coeff.is_zero()
+        GaussTerm(t.coeff, quadratic(t.Q), dom.tag, t.M // dom.N, tuple(Guard(k, linear(v)) for k, v in t.guards))
+        for t in _expand(e, params, mode, dom, {name: i for i, name in enumerate(names)}) if not t.coeff.is_zero()
     ))

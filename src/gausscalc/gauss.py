@@ -22,10 +22,11 @@ convention for a = 0.
 Every symbolic quantity of the calculus (a ket pairing, an operator
 applied to a ket, two kernels composed, an eliminated quantifier) is such
 a sum, evaluated by one kernel, `gauss_sum`: complete the square in the
-summed variable over its coset window.  Its phase numerator is a
-quadratic form in positional variables x_0 .. x_{n-1}, held as an
+summed variable over its coset window.  Its input and its output are one
+type, a `Term` coeff * e(x^T Q x / 2M) under guards: the phase numerator
+is a quadratic form in positional variables x_0 .. x_{n-1}, held as an
 upper-triangular (n+1) x (n+1) integer matrix Q whose last index stands
-for the constant 1, x^T Q x = sum_{i <= j} Q[i][j] x_i x_j; a guard
+for the constant 1, x^T Q x = sum_{i <= j} Q[i][j] x_i x_j, and a guard
 (k, v) is the congruence k | v . x over the same positions.
 """
 
@@ -167,13 +168,13 @@ _ZERO = GaussCoeff.zero()
 _ONE = GaussCoeff.one()
 
 
-class GaussSum(NamedTuple):
-    """The sum over x_y: coeff * e(x^T Q x / 2M), with x_y eliminated (its
-    row and column of Q are zero), nonzero only where the guards hold.
+class Term(NamedTuple):
+    """coeff * e(x^T Q x / 2M), nonzero only where every guard (k, v),
+    k | v . x, holds: the one input and the one output of `gauss_sum`.
 
-    `guards` are the input guards that do not mention x_y, then those the
-    coset merge left over, then the new divisibility condition on the
-    other variables when it can fail."""
+    Q is upper triangular over the positions x_0 .. x_{n-1} and the
+    constant last; a guard vector has one entry per position.  Summed
+    positions are zero in Q and in every guard."""
 
     coeff: GaussCoeff
     Q: list
@@ -181,10 +182,18 @@ class GaussSum(NamedTuple):
     guards: tuple
 
 
-def gauss_sum(Q, y: int, guards, N: int, M: int, domain: str, mode: str, params: Params) -> GaussSum:
-    """Sum e(x^T Q x / 2M) over N consecutive values of x_y where the guards
-    hold, in closed form on the tower `params`.  Raises NonGaussianSum
-    outside the fragment.
+def _times(a: GaussCoeff, b: GaussCoeff) -> GaussCoeff:
+    """a * b, passing one factor through when the other is the shared one."""
+    return b if a is _ONE else a if b is _ONE else a * b
+
+
+def gauss_sum(term: Term, y: int, N: int, domain: str, mode: str, params: Params) -> Term:
+    """Sum `term` over N consecutive values of x_y in closed form on the
+    tower `params`: its coefficient times the closed form's, the residual
+    phase over a modulus that is a multiple of term.M, and the guards
+    that can still fail -- the input guards that do not mention x_y, then
+    those the coset merge left over, then the new divisibility condition
+    on the other variables.  Raises NonGaussianSum outside the fragment.
 
     1. Coset.  The guards on x_y merge into x_y = base . x + step * sigma
        by `merge_cosets`, whatever their moduli, leaving residual guards
@@ -214,9 +223,10 @@ def gauss_sum(Q, y: int, guards, N: int, M: int, domain: str, mode: str, params:
         raise ArithError(f"mode must be 'extended' or 'strict', got {mode!r}")
     if N < 1:
         raise NonGaussianSum("empty summation window")
+    coeff, Q, M, guards = term
     step, base, kept = _guard_coset(guards, y, len(Q))
     if never_holds(kept):
-        return GaussSum(_ZERO, Q, M, kept)
+        return Term(_ZERO, Q, M, kept)
     if N % step:
         raise NonGaussianSum(f"guard coset step {step} does not divide the window {N}")
     W = N // step
@@ -248,25 +258,25 @@ def gauss_sum(Q, y: int, guards, N: int, M: int, domain: str, mode: str, params:
     L = [e // 2 for e in ell]
     if A == 0:
         if mode == "strict":
-            return GaussSum(_ZERO, R, M, kept)
+            return Term(_ZERO, R, M, kept)
         if not divides_on_guards(M // math.gcd(M, W), L, kept):
             raise NonGaussianSum("geometric sum does not telescope over the window")
         k = M
     elif W == 1:
         if M != N or N % 2 or not periodic:
             raise NonGaussianSum(f"pinned phase not N-periodic in the summed variable (M={M}, N={N})")
-        return GaussSum(_ONE, R, M, kept)
+        return Term(coeff, R, M, kept)
     else:
         mult = W // T
         if not divides_on_guards(aa // math.gcd(aa, mult), L, kept):
             raise NonGaussianSum(f"quadratic sum does not telescope over {mult} blocks")
         k = aa
     if L[-1] % math.gcd(k, *L[:-1]):
-        return GaussSum(_ZERO, R, M, kept)
+        return Term(_ZERO, R, M, kept)
     if any(c % k for c in L) and not _is_kept(k, L, kept):
         kept += ((k, L),)
     if A == 0:
-        return GaussSum(GaussCoeff(W), R, M, kept)
+        return Term(_times(coeff, GaussCoeff(W)), R, M, kept)
     sgn = 1 if A > 0 else -1
     # complete the square in units of t = gcd(step, L): (|A|/t^2) R - sign(A) (L/t . x)^2
     t = math.gcd(step, *L)
@@ -274,8 +284,7 @@ def gauss_sum(Q, y: int, guards, N: int, M: int, domain: str, mode: str, params:
     for row in R:
         row[:] = [a1 * c for c in row]
     _add_product(R, [l // t for l in L], [l // t for l in L], -sgn)
-    coeff = sqrt_with_scale(T, M, domain, params, mult, sgn)
-    return GaussSum(coeff, R, M * a1, kept)
+    return Term(_times(coeff, sqrt_with_scale(T, M, domain, params, mult, sgn)), R, M * a1, kept)
 
 
 def _add_product(R, u, v, scale: int = 1) -> None:
@@ -321,7 +330,9 @@ def _guard_coset(guards, y: int, n1: int):
 
     A guard a x_y + rest . x = 0 (mod k) whose g = gcd(a, k) divides `rest`
     coefficient-wise restricts x_y to a coset, which `merge_cosets`
-    intersects with the coset so far; its residual guard is kept.  A guard
+    intersects with the coset so far; its residual guard is kept.  The
+    coset of a guard with a = +1 has the base -rest, that of its negation,
+    so the guard's sign does not change the result.  A guard
     failing the gcd test with a constant rest never holds and is kept as
     g | rest; any other waits for the merged coset: where a * step = 0
     (mod k) it becomes the residual guard rest + a * base on the other
@@ -348,7 +359,7 @@ def _guard_coset(guards, y: int, n1: int):
         a, k = a // g, k // g
         if k == 1:
             continue
-        m = -pow(a, -1, k) % k
+        m = -1 if v[y] == 1 else -pow(a, -1, k) % k
         step, base, guard = merge_cosets(step, base, k, [c // g * m for c in rest])
         if guard:
             kept.append(guard)
@@ -410,7 +421,7 @@ def quadratic_window_sum(
     with no free variables.  Raises NonGaussianSum outside the fragment (a
     window that is not a whole number of quasi-periods, or blocks that do
     not telescope)."""
-    res = gauss_sum([[A, 2 * B], [0, C]], 0, (), window, M, domain, mode, params)
+    res = gauss_sum(Term(_ONE, [[A, 2 * B], [0, C]], M, ()), 0, window, domain, mode, params)
     if res.coeff.is_zero():
         return res.coeff
     return res.coeff.with_phase(res.coeff.phase + ratio_phase(res.Q[1][1], 2 * res.M, domain))

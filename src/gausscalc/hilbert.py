@@ -20,10 +20,12 @@ Every sum is evaluated by the one Gauss-summation kernel
   linear one the value is declared zero, which is what the full-domain
   sum gives.
 * ``apply_operator`` / ``compose`` -- linearity sums over the whole
-  domain, so closed forms carry the block multiplicity.  The phase is
-  lowered to a quadratic form in (input, summed, output) indices and the
-  supports to guards on them; the guards the kernel returns become the
-  image support.
+  domain, so closed forms carry the block multiplicity.  Each writes one
+  ``gauss.Term``: the product of the coefficients, the combined phase as
+  one quadratic-form literal over (input, summed, output) indices and the
+  supports as guards on them (an operator's support over (q, r, 1) as it
+  stands); the kernel's result carries the image's coefficient and phase,
+  and its guards become the image support.
 
 Denominators introduced by operator images (phases over 2tN and the like)
 are tracked in ``den``; support cosets fall out of the divisibility case
@@ -55,7 +57,7 @@ from .arith import (
 )
 from .coeffring import GaussCoeff, parse_coeff, to_fp_phases
 from .coeffring import unit_normalization as coeff_unit
-from .gauss import NonGaussianSum, _guard_coset, divides_on_guards, gauss_sum, never_holds
+from .gauss import NonGaussianSum, Term, _guard_coset, divides_on_guards, gauss_sum, never_holds
 from .gauss import quadratic_window_sum
 
 
@@ -376,13 +378,6 @@ def inner(params: Params, s1, s2, kind: str = "Hermitian", mode: str = "extended
 # -- operator application and composition ------------------------------------
 
 
-def _summed_guard(k: int, v: tuple, y: int) -> tuple:
-    """The support guard k | v . x, oriented with v[y] = -1 when v[y] = 1:
-    the coset of x_y is then the remainder of the guard, which fixes the
-    representatives the lifted supports print."""
-    return (k, tuple(-c for c in v) if v[y] == 1 else v)
-
-
 def apply_operator(params: Params, op: GaussOperator, s) -> GaussState:
     """Sum the kernel against the state over the whole input domain;
     Gauss summation yields the image ket, its support coset solving the
@@ -402,18 +397,18 @@ def apply_operator(params: Params, op: GaussOperator, s) -> GaussState:
             return zero_state(s.domain)
         den = math.lcm(s.den, op.den)
         fs, fo = den // s.den, den // op.den
-        # phase over (q, r, 1), q summed
+        # phase over (q, r, 1), q summed; the support's guards are over (q, r, 1) too
         Q = [
             [s.qA * fs + op.kA * fo, 2 * op.kB * fo, 2 * (s.qL * fs + op.kD * fo)],
             [0, op.kC * fo, 2 * op.kE * fo],
             [0, 0, s.qC * fs],
         ]
         ks, ds = s.support
-        guards = [(ks, (-1, 0, ds))] + [_summed_guard(k, (aq, ar, c), 0) for k, (aq, ar, c) in op.support]
-        res = gauss_sum(Q, 0, guards, N, N * den, s.domain.tag, "extended", params)
+        term = Term(s.coeff * op.coeff, Q, N * den, ((ks, (-1, 0, ds)),) + op.support)
+        res = gauss_sum(term, 0, N, s.domain.tag, "extended", params)
         # the guards on the output index (q is summed out) give its coset
         R = res.Q
-        coeff, den = s.coeff * op.coeff * res.coeff, res.M // N
+        coeff, den = res.coeff, res.M // N
         form = (R[1][1], R[1][2] // 2, R[2][2])
         guards, y = res.guards, 1
     if coeff.is_zero():
@@ -446,9 +441,9 @@ def compose(params: Params, op1: GaussOperator, op2: GaussOperator) -> GaussOper
         [0, 0, op1.kC * f1, 2 * op1.kE * f1],
         [0, 0, 0, 0],
     ]
-    guards = [_summed_guard(k, (0, aq, ar, c), 1) for k, (aq, ar, c) in op1.support]
-    guards += [_summed_guard(k, (aq, ar, 0, c), 1) for k, (aq, ar, c) in op2.support]
-    res = gauss_sum(Q, 1, guards, N, N * den, tag, "extended", params)
+    guards = tuple((k, (0, aq, ar, c)) for k, (aq, ar, c) in op1.support)
+    guards += tuple((k, (aq, ar, 0, c)) for k, (aq, ar, c) in op2.support)
+    res = gauss_sum(Term(op1.coeff * op2.coeff, Q, N * den, guards), 1, N, tag, "extended", params)
     if res.coeff.is_zero():
         return zero
     lifted = []
@@ -465,8 +460,7 @@ def compose(params: Params, op1: GaussOperator, op2: GaussOperator) -> GaussOper
             raise NonGaussianSum(f"composed guard {k} | {a}*q + {b}*r + {c} breaks the index wraparound")
     R = res.Q
     dd = res.M // N
-    coeff = op1.coeff * op2.coeff * res.coeff
-    coeff = coeff.with_phase(coeff.phase + ratio_phase(R[3][3], 2 * N * dd, tag))
+    coeff = res.coeff.with_phase(res.coeff.phase + ratio_phase(R[3][3], 2 * N * dd, tag))
     return GaussOperator(
         coeff, R[0][0], R[0][2] // 2, R[2][2], dom, dom,
         kD=R[0][3] // 2, kE=R[2][3] // 2, den=dd, support=tuple(support),

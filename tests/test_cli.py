@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from gausscalc import cli
 from gausscalc.arith import ParamSpec, default_params, find_params
 from gausscalc.dynamics import free_propagator, sm_transfer
-from gausscalc.frontend import MAX_DEPTH, MAX_EVAL_POINTS, ParseError, format_expr, parse
+from gausscalc.frontend import MAX_DEPTH, MAX_EVAL_POINTS, MAX_TERMS, ParseError, format_expr, parse
 from gausscalc.hilbert import QuadForm, apply_operator, domain_u, state_from_descriptor
 
 CLI = [sys.executable, "-m", "gausscalc.cli"]
@@ -318,6 +319,23 @@ REFUSALS = {
     "coeff over a zero denominator": (SMALL, _coeff("1/0"), "ArithError", "zero denominator at 0"),
     "coeff phase over a zero V denominator": (SMALL, _coeff("j * e(1/0@V)"), "ArithError", "zero denominator at 3"),
     "coeff phase 0/0 on U": (SMALL, _coeff("e(0/0@U)"), "ArithError", "zero denominator at 0"),
+    # 2^24 terms if expanded: refused at the first product past MAX_TERMS
+    "expansion past its bound": (None, ["qe", "--expr", "sum x . " + "*".join(["(1+e(2*z*x/2N @V))"] * 24)],
+                                 "TermBudgetExceeded", f"expansion would give {2 * MAX_TERMS} terms"),
+    # sixteen addends of MAX_TERMS terms each: refused at the second
+    "sum past its bound": (None, ["qe", "--expr", " + ".join(["*".join(["(1+e(2*z/2N @V))"] * 12)] * 16)],
+                           "TermBudgetExceeded", f"expansion would give {2 * MAX_TERMS} terms"),
+    # the smallest 21-digit prime: its trial division would take minutes
+    "sqrt of a 21-digit prime in an expression": (None, ["qe", "--expr", "2 * sqrt(100000000000000000039)"],
+                                                  "ParseError", "1:5: sqrt argument exceeds 1000000000000"),
+    "sqrt of a 21-digit prime in a coeff": (SMALL, _coeff("2 * sqrt(100000000000000000039)"), "ArithError",
+                                            "sqrt argument at 3 in coefficient"),
+    "params field given twice in TOML": ("m = 2\nk_mult = 1\np = 999\np = 257\nepsilon = 3\n", QE,
+                                         "ArithError", "Params field 'p' given twice"),
+    "params field given twice in JSON": ('{"m": 2, "k_mult": 1, "p": 257, "epsilon": 3, "m": 2}', QE,
+                                         "ArithError", "Params field 'm' given twice"),
+    "params field not an integer in TOML": ("m = 2\nk_mult = 1\np = 25x7\nepsilon = 3\n", QE,
+                                            "ArithError", "Params field 'p' must be an integer, got '25x7'"),
 }
 
 
@@ -326,6 +344,15 @@ def test_refusal_is_one_json_error_of_its_type(case, tmp_path):
     params, argv, kind, message = REFUSALS[case]
     doc = one_json_error(params, argv, tmp_path)
     assert doc["type"] == kind and doc["error"].startswith(message), doc
+
+
+@pytest.mark.parametrize("case", ["expansion past its bound", "sum past its bound",
+                                  "sqrt of a 21-digit prime in an expression", "sqrt of a 21-digit prime in a coeff"])
+def test_unbounded_work_is_refused_within_a_second(case, tmp_path):
+    params, argv, _, _ = REFUSALS[case]
+    start = time.perf_counter()
+    one_json_error(params, argv, tmp_path)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_nesting_beyond_max_depth_is_a_parse_error_where_it_starts():

@@ -342,6 +342,16 @@ def test_product_of_eliminated_terms_vs_brute(small):
         assert eval_normal_form(nf, small, {"x": xval}) == eval_expr(e, small, {"x": xval}), xval
 
 
+def test_a_name_free_in_one_factor_and_bound_in_another(small):
+    # x has one position: the sum leaves it zero, the free factor fills it
+    P = find_params(ParamSpec())
+    e = parse("e(2*x/2N @V) * sum x . e((-x^2 + 2*x*y)/2N @V)")
+    nf = eliminate(e, P)
+    assert nf.render() == "12 * e8^7 * e((2*x + y^2)/2N @V)"
+    for x, y in [(0, 0), (1, 0), (-3, 5), (71, -72)]:
+        assert eval_normal_form(nf, P, {"x": x, "y": y}) == eval_expr(e, P, {"x": x, "y": y}), (x, y)
+
+
 def test_int_quantifier_measure(small):
     e = parse("int r . e((-r^2)/2N @V)")
     nf = eliminate(e, small)

@@ -17,20 +17,28 @@ from gausscalc.gauss import (
     GaussSumSpec,
     NonGaussianSum,
     PreconditionViolation,
+    Term,
     _guard_coset,
     gauss_brute,
     gauss_closed,
-    gauss_sum,
     merge_cosets,
     quadratic_window_sum,
     sqrt_with_scale,
 )
+from gausscalc.gauss import gauss_sum as kernel
 from gausscalc.hilbert import PositionState, QuadForm, domain_of, domain_v, gauss_ket, inner
 
 
 @pytest.fixture(scope="module")
 def params():
     return find_params(ParamSpec())
+
+
+def gauss_sum(Q, y, guards, N, M, domain, mode, P):
+    """The kernel on the unit-coefficient term with phase Q / 2M and these
+    guards: the positional calls below, whose text the fuzzer's
+    derandomized draws depend on."""
+    return kernel(Term(GaussCoeff.one(), Q, M, tuple(guards)), y, N, domain, mode, P)
 
 
 def admissible_moduli(params, a, cap=4096):
@@ -245,7 +253,7 @@ def test_the_kernel_always_takes_the_tower(params):
         lambda: quadratic_window_sum(256, 0, 0, N, N, "U"),
         lambda: gauss_closed(GaussSumSpec(1, 0, N, "U")),
         lambda: gauss_closed(GaussSumSpec(1, 0, N, "U"), "extended", params),
-        lambda: gauss_sum([[1, 0], [0, 0]], 0, (), N, N, "U", "extended"),
+        lambda: kernel(Term(GaussCoeff.one(), [[1, 0], [0, 0]], N, ()), 0, N, "U", "extended"),
         lambda: sqrt_with_scale(N, N, "U", params),
     ):
         with pytest.raises(TypeError):
@@ -450,6 +458,9 @@ def kernel_fuzz(tower, tag, examples):
         except NonGaussianSum as exc:
             tally["refused: " + re.sub(r"\d+", "#", str(exc).split(" (")[0])] += 1
             return
+        # reversing the positions other than y reverses the result's
+        R, _, kept = reverse_free(res.Q, y, res.guards)
+        assert gauss_sum(*reverse_free(Q, y, guards), N, M, tag, mode, P) == (res.coeff, R, res.M, kept), case
         if mode == "strict" and res.coeff.is_zero():
             tally["declared zero"] += 1
             return
@@ -462,11 +473,46 @@ def kernel_fuzz(tower, tag, examples):
     return tally
 
 
+def reverse_free(Q, y, guards):
+    """(Q, y, guards) with the positions other than x_y and the constant in
+    reverse order, Q kept upper triangular."""
+    n = len(Q) - 1
+    free = [i for i in range(n) if i != y]
+    to = list(range(n + 1))
+    for i, j in zip(free, reversed(free)):
+        to[i] = j
+    R = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            a, b = sorted((to[i], to[j]))
+            R[a][b] += Q[i][j]
+    moved = []
+    for k, v in guards:
+        w = [0] * (n + 1)
+        for i, c in enumerate(v):
+            w[to[i]] = c
+        moved.append((k, w))
+    return R, y, tuple(moved)
+
+
 def repeats_a_congruence(guards) -> bool:
     """Whether two guards (k, v) are one congruence: one modulus k and
     vectors equal mod k."""
     return any(k1 == k2 and all((a - b) % k1 == 0 for a, b in zip(v1, v2))
                for (k1, v1), (k2, v2) in itertools.combinations(guards, 2))
+
+
+@pytest.mark.parametrize("A, k", [(-1, 2), (0, 4), (-1, 16)], ids=["quadratic", "geometric", "pinned"])
+def test_a_guard_and_its_negation_give_one_term(A, k):
+    # k | +-(y + 2x - 3) on (y, x, 1): both orientations take the coset base
+    # -rest = (0, -2, 3), which the cross term 2xy carries into the result
+    small = find_params(ParamSpec(2, 1))
+    Q = [[A, 2, 2], [0, 1, 0], [0, 0, 3]]
+    for v in ([1, 2, -3], [-1, -2, 3]):
+        res = gauss_sum(Q, 0, [(k, v)], 16, 16, "U", "extended", small)
+        assert res == gauss_sum(Q, 0, [(k, [-c for c in v])], 16, 16, "U", "extended", small)
+        literal, closed = _literal_vs_closed(small, Q, 0, [(k, v)], 16, 16, res)
+        assert (closed == literal).all() and literal.any()
 
 
 def test_the_new_guard_is_not_a_kept_one():
@@ -533,3 +579,26 @@ def test_guard_coset_is_the_solution_set(guards):
             b = sum(c * t for c, t in zip(base, z))
             got = {y for y in range(L) if (y - b) % step == 0}
         assert got == want, (x, step, base, kept)
+
+
+def fuzz_table() -> str:
+    """kernel_fuzz's outcome counts on each of FUZZ_DOMAINS, as a markdown
+    table with one row per outcome, most frequent first."""
+    tallies = [kernel_fuzz(tower, tag, FUZZ_EXAMPLES) for tower, tag in FUZZ_DOMAINS]
+    total = sum(tallies, Counter())
+    rows = ["| outcome | " + " | ".join(f"{tower} {tag}" for tower, tag in FUZZ_DOMAINS) + " | all |",
+            "| --- " * (len(FUZZ_DOMAINS) + 2) + "|"]
+    for outcome, n in total.most_common():
+        cell = outcome.replace("|", "\\|")  # a bar inside a cell ends it
+        rows.append(f"| {cell} | " + " | ".join(str(t[outcome]) for t in tallies) + f" | {n} |")
+    return "\n".join(rows)
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_gauss.py --refusals
+    import sys
+
+    import conftest  # noqa: F401 -- the suite's derandomized Hypothesis profile
+
+    if "--refusals" in sys.argv:
+        print(fuzz_table())
