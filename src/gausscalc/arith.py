@@ -35,6 +35,7 @@ FpElem = int
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 BLOCK = 1 << 15  # elements per vectorised block of the literal oracles
+MAX_POWER_TABLE = 1 << 27  # entries of one power table, 2 * frontend.MAX_EVAL_POINTS
 _OFFSETS = np.arange(BLOCK)  # the offsets k of a block's terms in power_sum
 _OFFSETS.setflags(write=False)
 
@@ -318,9 +319,12 @@ class Params:
 
     def power_table(self, two_m: int) -> np.ndarray:
         """xi_2M**k mod p for k in [0, 2M), cached; dtype ``exact_dtype(p)``
-        (int64 when p < 2^31, Python ints otherwise)."""
+        (int64 when p < 2^31, Python ints otherwise).  ArithError, before
+        anything is allocated, for 2M above MAX_POWER_TABLE."""
         table = self._powers.get(two_m)
         if table is None:
+            if two_m > MAX_POWER_TABLE:
+                raise ArithError(f"a power table of {two_m} entries exceeds the bound {MAX_POWER_TABLE}")
             p, xi = self.p, self.xi(two_m)
             table = np.empty(two_m, dtype=exact_dtype(p))
             table[0] = 1

@@ -44,16 +44,17 @@ form, and guards on y itself first restrict it to one coset (merged by
 linear coefficients (the 2L structure of the summation formula); odd ones
 leave the Gaussian fragment and raise.
 
-``Poly`` is the polynomial of the two ends only: a parsed phase atom
-(``PhaseAtom``) and the returned normal form (``GaussTerm``, ``Guard``).
-The parser adds its terms into a monomial -> coefficient dict and builds
-one ``Poly`` per phase atom.  Expansion and elimination work on the
-kernel's own ``gauss.Term``: ``eliminate`` gives each variable name one
-position for the whole expression (names in order, the constant last),
-a phase-free factor carries no matrix, each quantifier is one
-``gauss_sum`` call per term, and each normal-form term's ``Poly`` is read
-back once.  The expansion refuses, before it is built, a product or a
-sum of more than MAX_TERMS terms.
+``Poly`` is the polynomial of a parsed phase atom (``PhaseAtom``): the
+parser adds its terms into a monomial -> coefficient dict and builds one
+``Poly`` per atom.  Expansion and elimination work on the kernel's own
+``gauss.Term``: ``eliminate`` gives each variable name one position for
+the whole expression (names in order, the constant last), a phase-free
+factor carries no matrix, and each quantifier is one ``gauss_sum`` call
+per term.  The ``NormalForm`` holds those terms with the position names
+and the expression's ``hilbert.Domain``; ``render`` reads a term's Q and
+guard vectors into ``Poly`` only to print them, and ``eval_normal_form``
+evaluates them at the assignment directly.  The expansion refuses,
+before it is built, a product or a sum of more than MAX_TERMS terms.
 
 ``eval_expr``, the literal oracle elimination is checked against, sums
 each quantifier nest's body over the numpy index grid of its bound
@@ -113,25 +114,8 @@ class Poly:
         items = sorted(d.items())
         return cls(tuple(items) if 0 not in d.values() else tuple(item for item in items if item[1]))
 
-    def as_dict(self) -> dict[Monomial, int]:
-        return dict(self.coeffs)
-
     def variables(self) -> set[str]:
         return {v for m, _ in self.coeffs for v in m}
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def eval(self, assignment: dict[str, int]) -> int:
-        total = 0
-        for m, c in self.coeffs:
-            term = c
-            for v in m:
-                if v not in assignment:
-                    raise UnboundVariable(f"unbound variable {v!r}")
-                term *= assignment[v]
-            total += term
-        return total
 
     def render(self) -> str:
         if not self.coeffs:
@@ -582,54 +566,34 @@ def _compile(e: Expr, params: Params, dom: Domain):
 
 
 @dataclass(frozen=True)
-class Guard:
-    """Congruence condition k | poly(frees)."""
-
-    modulus: int
-    poly: Poly
-
-    def holds(self, assignment: dict[str, int]) -> bool:
-        return self.poly.eval(assignment) % self.modulus == 0
-
-    def render(self) -> str:
-        return f"if {self.modulus} | ({self.poly.render()})"
-
-
-@dataclass(frozen=True)
-class GaussTerm:
-    coeff: GaussCoeff  # phase-free scalar part (j, e8, sqrt, rational)
-    poly: Poly
-    domain: str
-    den: int = 1
-    guards: tuple[Guard, ...] = ()
-
-    def render(self) -> str:
-        parts = [str(self.coeff)]
-        if not self.poly.is_zero():
-            den = "" if self.den == 1 else f"*{self.den}"
-            parts.append(f"e(({self.poly.render()})/2N{den} @{self.domain})")
-        text = " * ".join(parts)
-        if self.guards:
-            text += " [" + " and ".join(g.render() for g in self.guards) + "]"
-        return text
-
-
-@dataclass(frozen=True)
 class NormalForm:
-    terms: tuple[GaussTerm, ...]
+    """A guarded, quantifier-free sum of the kernel's own terms on
+    `domain`: coeff * e(x^T Q x / 2M) where every guard (k, v), k | v . x,
+    holds, over the positions of `names` (sorted) and the constant last;
+    a term with Q None has no phase."""
+
+    terms: tuple[Term, ...]
+    names: tuple[str, ...]
+    domain: Domain
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(t.render() for t in self.terms)
+        keys = [*zip(self.names), ()]  # the monomial of each position
+        N, parts = self.domain.N, []
+        for t in self.terms:
+            # Q is upper triangular: keys[i] + keys[j] is a sorted monomial
+            phase = Poly.from_dict({keys[i] + keys[j]: c for i, row in enumerate(t.Q or ()) if any(row)
+                                    for j, c in enumerate(row) if c})
+            den = "" if t.M == N else f"*{t.M // N}"
+            text = f"{t.coeff} * e(({phase.render()})/2N{den} @{self.domain.tag})" if phase.coeffs else str(t.coeff)
+            guards = [f"if {k} | ({Poly.from_dict({keys[i]: c for i, c in enumerate(v) if c}).render()})"
+                      for k, v in t.guards]
+            parts.append(text + (" [" + " and ".join(guards) + "]" if guards else ""))
+        return " + ".join(parts) or "0"
 
     def free_variables(self) -> set[str]:
-        out: set[str] = set()
-        for t in self.terms:
-            out |= t.poly.variables()
-            for g in t.guards:
-                out |= g.poly.variables()
-        return out
+        # a name is free where a row or a column of some Q, or a guard, is nonzero at its position
+        vectors = (v for t in self.terms for v in chain(t.Q or (), zip(*t.Q or ()), (v for _, v in t.guards)))
+        return {name for v in vectors for name, c in zip(self.names, v) if c}
 
 
 def eval_normal_form(
@@ -637,16 +601,41 @@ def eval_normal_form(
     params: Params,
     assignment: dict[str, int] | None = None,
 ) -> int:
-    """The normal form's value in F_p: its terms whose guards hold."""
+    """The normal form's value in F_p: its terms whose guards hold, each
+    phase over 2N of `params` times the term's M // N at elimination.
+    UnboundVariable for the first unbound name met, term by term: the
+    guards in order up to the first that fails, then the phase, each in
+    the order of its rendered monomials."""
     assignment = _int_assignment(assignment)
+    names, x = nf.names, [assignment.get(v) for v in nf.names] + [1]
+    two_n, N = 2 * domain_of(params, nf.domain.tag).N, nf.domain.N
     total = 0
     for t in nf.terms:
-        if t.guards and not all(g.holds(assignment) for g in t.guards):
+        if t.guards and any(_dot(v, x, names) % k for k, v in t.guards):
             continue
-        n = t.poly.eval(assignment)
-        N = domain_of(params, t.domain).N
-        val = to_fp(params, t.coeff) * params.char_e(ratio_phase(n, 2 * N * t.den))
+        n = 0  # x^T Q x over the nonzero entries of the upper triangle, row by row
+        for i, row in enumerate(t.Q or ()):
+            if any(row):
+                n += _bound(x, names, i) * _dot(row, x, names, i)
+        val = to_fp(params, t.coeff) * params.char_e(ratio_phase(n, two_n * (t.M // N)))
         total = (total + val) % params.p
+    return total
+
+
+def _bound(x: list, names, i: int) -> int:
+    """x[i], or UnboundVariable naming position i where it is None."""
+    if x[i] is None:
+        raise UnboundVariable(f"unbound variable {names[i]!r}")
+    return x[i]
+
+
+def _dot(v, x: list, names, start: int = 0) -> int:
+    """sum of v[i] * x[i] over the nonzero v[i] with i >= start, checked in
+    order by `_bound`."""
+    total = 0
+    for i in range(start, len(v)):
+        if v[i]:
+            total += v[i] * _bound(x, names, i)
     return total
 
 
@@ -744,16 +733,6 @@ def eliminate(e: Expr, params: Params, mode: str = "extended") -> NormalForm:
     it, since a summed position is zero in the sum's result."""
     tag, names = _scale(e)  # _scale also validates scoping
     dom = domain_of(params, tag)
-    names = sorted(names)
-    keys = [*zip(names), ()]  # the monomial of each position
-
-    def linear(v) -> Poly:
-        return Poly.from_dict({keys[i]: c for i, c in enumerate(v) if c})
-
-    def quadratic(Q) -> Poly:  # Q is upper triangular, or None for no phase
-        return Poly.from_dict({keys[i] + keys[j]: c for i, row in enumerate(Q or ()) for j, c in enumerate(row) if c})
-
-    return NormalForm(tuple(
-        GaussTerm(t.coeff, quadratic(t.Q), dom.tag, t.M // dom.N, tuple(Guard(k, linear(v)) for k, v in t.guards))
-        for t in _expand(e, params, mode, dom, {name: i for i, name in enumerate(names)}) if not t.coeff.is_zero()
-    ))
+    names = tuple(sorted(names))
+    terms = _expand(e, params, mode, dom, {name: i for i, name in enumerate(names)})
+    return NormalForm(tuple(t for t in terms if not t.coeff.is_zero()), names, dom)

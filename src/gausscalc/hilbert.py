@@ -214,11 +214,16 @@ def _int_list(x, n: int, what: str) -> tuple[int, ...]:
     return tuple(require_int(v, f"state descriptor field {what!r}") for v in x)
 
 
+MAX_DEN = 10**6  # the largest den a state descriptor may give
+
+
 def state_from_descriptor(params: Params, d: dict) -> GaussState:
     """The state of a descriptor in the shape ``GaussState.to_descriptor``
     writes: an object with a domain 'U' or 'V', a coefficient string, an
     integer form [A, L, C] and optional integer p_param, den and support
-    [k, d]; ArithError for any other shape."""
+    [k, d]; ArithError for any other shape, and for a den above MAX_DEN:
+    `inner` factors a period of up to N lcm(den1, den2) by trial division,
+    which for two primes near MAX_DEN runs to about MAX_DEN."""
     if not isinstance(d, dict):
         raise ArithError("a state descriptor must be an object")
     for key in ("domain", "coeff", "form"):
@@ -229,13 +234,16 @@ def state_from_descriptor(params: Params, d: dict) -> GaussState:
         raise ArithError("state descriptor field 'coeff' must be a string")
     qa, ql, qc = _int_list(d["form"], 3, "form")
     pp = require_int(d.get("p_param", 1), "state descriptor field 'p_param'")
+    den = require_int(d.get("den", 1), "state descriptor field 'den'")
+    if den > MAX_DEN:
+        raise ArithError(f"state descriptor field 'den' exceeds {MAX_DEN}, got {den}")
     return GaussState(
         parse_coeff(d["coeff"]),
         qa,
         ql * pp,
         qc * pp * pp,
         domain,
-        den=require_int(d.get("den", 1), "state descriptor field 'den'"),
+        den=den,
         support=_int_list(d.get("support", [1, 0]), 2, "support"),  # type: ignore[arg-type]
     )
 

@@ -12,10 +12,10 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from gausscalc import cli
-from gausscalc.arith import ParamSpec, default_params, find_params
+from gausscalc.arith import MAX_POWER_TABLE, ParamSpec, default_params, find_params
 from gausscalc.dynamics import free_propagator, sm_transfer
 from gausscalc.frontend import MAX_DEPTH, MAX_EVAL_POINTS, MAX_TERMS, ParseError, format_expr, parse
-from gausscalc.hilbert import QuadForm, apply_operator, domain_u, state_from_descriptor
+from gausscalc.hilbert import MAX_DEN, QuadForm, apply_operator, domain_u, state_from_descriptor
 
 CLI = [sys.executable, "-m", "gausscalc.cli"]
 
@@ -301,6 +301,13 @@ def _coeff(text):
     return _inner({"domain": "V", "coeff": text, "form": [0, 0, 0]})
 
 
+def _den_inner(den, den2=1, form2=(0, 0, 0), domain="V"):
+    """inner of a ket over den with one over den2 (form2), Euclidean."""
+    s1 = json.dumps({"coeff": "1/12", "domain": domain, "form": [-1, 0, 0], "den": den})
+    s2 = json.dumps({"coeff": "1/12", "domain": domain, "form": list(form2), "den": den2})
+    return ["inner", "--s1", s1, "--s2", s2, "--kind", "E"]
+
+
 # name: (Params document, None for the default tower; the subcommand's argv;
 # the error's type; the start of its message)
 REFUSALS = {
@@ -336,6 +343,15 @@ REFUSALS = {
                                          "ArithError", "Params field 'm' given twice"),
     "params field not an integer in TOML": ("m = 2\nk_mult = 1\np = 25x7\nepsilon = 3\n", QE,
                                             "ArithError", "Params field 'p' must be an integer, got '25x7'"),
+    # inner would factor a period of N * den by trial division: 2.8 s for this den
+    "state den of 16 digits": (None, _den_inner(10**15 + 37), "ArithError",
+                               f"state descriptor field 'den' exceeds {MAX_DEN}, got {10**15 + 37}"),
+    "state den past its bound": (None, _den_inner(MAX_DEN + 3), "ArithError",
+                                 f"state descriptor field 'den' exceeds {MAX_DEN}"),
+    # a valid tower (p - 1 = 9 * 2^33) on which the brute sum over M = 2^31 wants 2^32 int64 entries (32 GiB)
+    "power table past its bound": ({"m": 2, "k_mult": 1, "p": 77309411329, "epsilon": 7},
+                                   ["gauss-sum", "--a", "1", "--b", "0", "--M", str(1 << 31), "--compute", "brute"],
+                                   "ArithError", f"a power table of {1 << 32} entries exceeds the bound {MAX_POWER_TABLE}"),
 }
 
 
@@ -347,12 +363,23 @@ def test_refusal_is_one_json_error_of_its_type(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["expansion past its bound", "sum past its bound",
-                                  "sqrt of a 21-digit prime in an expression", "sqrt of a 21-digit prime in a coeff"])
+                                  "sqrt of a 21-digit prime in an expression", "sqrt of a 21-digit prime in a coeff",
+                                  "state den of 16 digits", "state den past its bound", "power table past its bound"])
 def test_unbounded_work_is_refused_within_a_second(case, tmp_path):
     params, argv, _, _ = REFUSALS[case]
     start = time.perf_counter()
     one_json_error(params, argv, tmp_path)
     assert time.perf_counter() - start < 1.0
+
+
+def test_the_dens_the_bound_admits_are_factored_within_a_second(tmp_path):
+    # two primes just below MAX_DEN with combined A = 4 on U: inner factors
+    # the period N_u * 999983 * 999979 / 4, trial division up to 999979
+    assert 999979 < 999983 <= MAX_DEN
+    start = time.perf_counter()
+    doc = one_json_error(None, _den_inner(999983, 999979, (1, 0, 0), "U"), tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert doc == {"error": "period exceeds the domain; no reduced window", "type": "NonGaussianSum"}
 
 
 def test_nesting_beyond_max_depth_is_a_parse_error_where_it_starts():

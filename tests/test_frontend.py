@@ -1,11 +1,14 @@
+import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from gausscalc import cli
 from gausscalc.arith import ArithError, DomainMismatch, ParamSpec, find_params
+from gausscalc.coeffring import GaussCoeff
 from gausscalc.frontend import (
     MAX_EVAL_POINTS,
     DegreeError,
@@ -16,12 +19,15 @@ from gausscalc.frontend import (
     Poly,
     Prod,
     Quant,
+    UnboundVariable,
     eliminate,
     eval_expr,
     eval_normal_form,
     format_expr,
     parse,
 )
+from gausscalc.gauss import Term, gauss_sum
+from gausscalc.hilbert import domain_of
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +41,7 @@ def test_parse_phase_atom():
     assert isinstance(e, PhaseAtom)
     assert e.domain == "V"
     assert e.poly.variables() == {"r", "p"}
-    d = e.poly.as_dict()
+    d = dict(e.poly.coeffs)
     assert d[("r", "r")] == -1 and d[("p", "r")] == 2
 
 
@@ -65,10 +71,10 @@ def test_parse_poly_accumulates_terms():
     assert parse("e((r*x + x*r - 2*x*r)/2N @V)").poly == Poly(())
     # a leading '-' is the sign of the first term only
     e = parse("e((-r^2 + 2*r*x - 3 + x)/2N @V)")
-    assert e.poly.as_dict() == {("r", "r"): -1, ("r", "x"): 2, (): -3, ("x",): 1}
+    assert dict(e.poly.coeffs) == {("r", "r"): -1, ("r", "x"): 2, (): -3, ("x",): 1}
     # repeated monomials merge, and cancelled ones leave no entry
     e = parse("e((x + 2*x - r^2 + 3 + r*r + 4 - y*x + 2*x*y)/2N @V)")
-    assert e.poly.as_dict() == {("x",): 3, (): 7, ("x", "y"): 1}
+    assert dict(e.poly.coeffs) == {("x",): 3, (): 7, ("x", "y"): 1}
 
 
 @pytest.mark.parametrize("text, ch, col", [
@@ -277,6 +283,50 @@ def test_eval_unbound(small):
         eval_normal_form(eliminate(parse("e((r)/2N @V)"), small), small)
 
 
+_TWO_GUARDS = "sum r . sum s . e((-2*r^2 + 2*r*y - 2*s^2 + 2*s*b + a)/2N @U)"  # [if 2 | (b) and if 4 | (2*y)]
+_GUARDED_THEN_FREE = "sum r . e((-2*r^2 + 2*r*y + z)/2N @U) + e((w)/2N @U)"  # [if 2 | (y)] + 16 * e((w)/2N @U)
+
+
+@pytest.mark.parametrize("text, assignment, name", [
+    # within a phase, the first monomial in printed order that holds an
+    # unbound name: a*c comes before b, and a monomial's names in order
+    ("e((2*a*c + b)/2N @V)", {}, "a"),
+    ("e((2*a*c + b)/2N @V)", {"a": 1}, "c"),
+    ("e((x*y + z)/2N @V)", {"y": 1}, "x"),
+    # a term's guards come before its phase, in order
+    ("sum r . e((-2*r^2 + 2*r*y + x)/2N @U)", {}, "y"),
+    ("sum r . e((-2*r^2 + 2*r*y + x)/2N @U)", {"y": 2}, "x"),
+    ("sum r . e((-2*r^2 + 2*r*y + 4*r*w + z)/2N @U)", {}, "w"),
+    (_TWO_GUARDS, {}, "b"),
+    (_TWO_GUARDS, {"b": 0}, "y"),
+    (_TWO_GUARDS, {"b": 0, "y": 2}, "a"),
+    # a guard that fails skips its term's phase; the next term is read
+    (_GUARDED_THEN_FREE, {"y": 1}, "w"),
+    (_GUARDED_THEN_FREE, {"y": 0}, "z"),
+])
+def test_eval_normal_form_raises_the_first_unbound_name(small, text, assignment, name):
+    with pytest.raises(UnboundVariable) as exc:
+        eval_normal_form(eliminate(parse(text), small), small, assignment)
+    assert str(exc.value) == f"unbound variable {name!r}"
+
+
+def test_a_failing_guard_reads_nothing_further(small):
+    # 2 | b fails: neither the second guard's y nor the phase's a is read
+    assert eval_normal_form(eliminate(parse(_TWO_GUARDS), small), small, {"b": 1}) == 0
+
+
+@pytest.mark.parametrize("tag, text, Q", [
+    # positions in name order (r, x), the constant last
+    ("V", "sum r . e((-r^2 + 2*r*x)/2N @V)", [[-1, 2, 0], [0, 0, 0], [0, 0, 0]]),
+    ("U", "sum r . e((-2*r^2 + 2*r*x + 3)/2N @U)", [[-2, 2, 0], [0, 0, 0], [0, 0, 3]]),
+], ids=["V", "U"])
+def test_eliminate_returns_the_kernels_own_term(small, tag, text, Q):
+    dom = domain_of(small, tag)
+    nf = eliminate(parse(text), small)
+    assert (nf.names, nf.domain) == (("r", "x"), dom)
+    assert nf.terms == (gauss_sum(Term(GaussCoeff.one(), Q, dom.N, ()), 0, dom.N, tag, "extended", small),)
+
+
 def test_eliminate_basic_form(small):
     # single quantifier over the basic Gaussian: closed form, empty guard
     nf = eliminate(parse("sum r . e((-r^2)/2N @V)"), small)
@@ -337,7 +387,7 @@ def test_product_of_eliminated_terms_vs_brute(small):
     # product brings e(x/2N), then the s-sum's phase, to the common denominator
     e = parse("e((x)/2N @U) * (sum r . e((-2*r^2 + 2*r*x)/2N @U)) * sum s . e((-s^2 + 2*s*x)/2N @U)")
     nf = eliminate(e, small)
-    assert [t.den for t in nf.terms] == [2]
+    assert [t.M // nf.domain.N for t in nf.terms] == [2]
     for xval in range(-8, 8):
         assert eval_normal_form(nf, small, {"x": xval}) == eval_expr(e, small, {"x": xval}), xval
 
@@ -406,14 +456,14 @@ def test_every_term_carries_the_expression_scale(small, tag):
     N = small.N_v if tag == "V" else small.N_u
     e = parse(f"2 + sum z . 3 + e((x)/2N @{tag})")
     nf = eliminate(e, small)
-    assert len(nf.terms) == 3 and {t.domain for t in nf.terms} == {tag}
+    assert len(nf.terms) == 3 and nf.domain.tag == tag and re.findall("@(.)", nf.render()) == [tag]
     for x in (-1, 0, 3):
         want = (2 + 3 * N + N * small.char_e(Fraction(x, 2 * N))) % small.p
         assert eval_expr(e, small, {"x": x}) == eval_normal_form(nf, small, {"x": x}) == want
     # a phase-free quantifier beside a phase: its count is that scale's N
     e = parse(f"(sum z . 3) * e((x)/2N @{tag})")
     nf = eliminate(e, small)
-    assert [t.domain for t in nf.terms] == [tag]
+    assert len(nf.terms) == 1 and nf.domain.tag == tag and re.findall("@(.)", nf.render()) == [tag]
     want = 3 * N * small.char_e(Fraction(1, 2 * N)) % small.p
     assert eval_expr(e, small, {"x": 1}) == eval_normal_form(nf, small, {"x": 1}) == want
 
@@ -447,8 +497,8 @@ def test_qe_soundness_random(small, domain):
         except NonGaussianSum:
             continue
         assert nf.free_variables() <= {"x", "y"}
-        for g in (g for t in nf.terms for g in t.guards):  # no guard that always holds
-            assert any(c % g.modulus for _, c in g.poly.coeffs), nf.render()
+        for k, v in (g for t in nf.terms for g in t.guards):  # no guard that always holds
+            assert any(c % k for c in v), nf.render()
         for _ in range(12):
             asg = {"x": rng.randrange(-8, 8), "y": rng.randrange(-8, 8)}
             assert eval_normal_form(nf, small, asg) == eval_expr(e, small, asg), (
@@ -543,3 +593,42 @@ def test_rebinding_is_rejected_by_parse_eliminate_and_eval_expr(small):
     shadow = parse("(sum r . e((-r^2 + 2*r)/2N @V)) * e((r)/2N @V)")
     want = eval_normal_form(eliminate(shadow, small), small, {"r": 1})
     assert want and eval_expr(shadow, small, {"r": 1}) == want
+
+
+def nf_digest() -> str:
+    """One sha256 over a seeded random_expression corpus on the (2, 1) and
+    default towers: each expression's refusal text, or its normal form's
+    render(), free_variables() and eval_normal_form value or error text
+    under a full, two partial and the empty assignment, and under the
+    other tower's params.  Equal digests: an unchanged normal form."""
+    towers = [find_params(ParamSpec(2, 1)), find_params(ParamSpec())]
+    h = hashlib.sha256()
+    for t, params in enumerate(towers):
+        rng = random.Random(0x5D16E57 + t)
+        for i in range(600):
+            frees = ("x", "y") if i % 3 else ("b", "x", "z")
+            e = random_expression(rng, 1 + i % 3, "VU"[i % 2], frees)
+            try:
+                nf = eliminate(e, params)
+            except ArithError as exc:
+                h.update(f"{type(exc).__name__}: {exc}\n".encode())
+                continue
+            h.update(f"{nf.render()}|{sorted(nf.free_variables())}\n".encode())
+            full = {v: rng.randrange(-40, 40) for v in frees}
+            runs = [(params, full), (params, dict(list(full.items())[1:])), (params, {frees[0]: full[frees[0]]}),
+                    (params, {}), (towers[1 - t], full)]
+            for at, asg in runs:
+                try:
+                    out = str(eval_normal_form(nf, at, asg))
+                except ArithError as exc:
+                    out = f"{type(exc).__name__}: {exc}"
+                h.update(f"{out}\n".encode())
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src:tests python tests/test_frontend.py --nf-digest
+    import sys
+
+    if "--nf-digest" in sys.argv:
+        print(nf_digest())

@@ -29,6 +29,7 @@ import pytest
 from gausscalc import climit
 from gausscalc.arith import (
     BLOCK,
+    MAX_POWER_TABLE,
     ArithError,
     DomainMismatch,
     IncompatiblePhase,
@@ -69,7 +70,7 @@ from gausscalc.frontend import (
     format_expr,
     parse,
 )
-from gausscalc.gauss import _brute_complex
+from gausscalc.gauss import GaussSumSpec, _brute_complex, gauss_brute
 from gausscalc.hilbert import (
     DenseState,
     GaussOperator,
@@ -447,6 +448,17 @@ def test_power_sum_refuses_a_modulus_past_int64_blocks():
     assert not ps._powers  # no table was built
 
 
+def test_power_table_refuses_past_its_bound_before_it_allocates():
+    # p - 1 = 9 * 2^33: the brute sum over M = 2^31 would want a table of 2^32 entries
+    ps = Params(2, 1, 77309411329, 7)
+    spec = GaussSumSpec(1, 0, 1 << 31)
+    with pytest.raises(ArithError, match=rf"a power table of {1 << 32} entries exceeds the bound {MAX_POWER_TABLE}"):
+        gauss_brute(ps, spec)
+    with pytest.raises(ArithError, match="exceeds the bound"):
+        ps.power_table(MAX_POWER_TABLE + 2)
+    assert not ps._powers
+
+
 def test_kernel_block_when_the_phase_free_part_raises(small):
     U = domain_u(small)
     rooted = GaussCoeff(rho=7)  # 56 does not divide p - 1 = 256
@@ -590,7 +602,8 @@ def _pointwise(e, ps, asg, dom):
         return to_fp(ps, GaussCoeff.sqrt(e.value))
     if isinstance(e, PhaseAtom):
         two_n = 2 * (ps.N_v if e.domain == "V" else ps.N_u)
-        return pow(ps.xi(two_n), e.poly.eval(asg) % two_n, p)
+        n = sum(c * math.prod(asg[v] for v in m) for m, c in e.poly.coeffs)
+        return pow(ps.xi(two_n), n % two_n, p)
     if isinstance(e, Prod):
         return math.prod(_pointwise(f, ps, asg, dom) for f in e.factors) % p
     if isinstance(e, Plus):
