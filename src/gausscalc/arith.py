@@ -81,11 +81,13 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorisation by trial division (inputs here are smooth or small)."""
+def factorize(n: int, limit: int | None = None) -> dict[int, int]:
+    """Prime factorisation by trial division (inputs here are smooth or
+    small); with `limit`, by trial divisors up to it only, so that the
+    largest key may be a composite with no prime factor up to `limit`."""
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and (limit is None or d <= limit):
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
@@ -457,7 +459,7 @@ def load_params(text: str) -> Params:
     integer."""
     text = text.strip()
     if text.startswith("{"):
-        return Params.from_dict(json.loads(text, object_pairs_hook=_fields_once))
+        return Params.from_dict(json.loads(text, object_pairs_hook=fields_once))
     pairs = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -471,25 +473,33 @@ def load_params(text: str) -> Params:
             pairs.append((key, int(value)))
         except ValueError:
             raise ArithError(f"Params field {key!r} must be an integer, got {value!r}") from None
-    return Params.from_dict(_fields_once(pairs))
+    return Params.from_dict(fields_once(pairs))
 
 
-def _fields_once(pairs) -> dict:
-    """A document's (key, value) pairs as a dict; ArithError for a key
-    given twice."""
+def fields_once(pairs, what: str = "Params field") -> dict:
+    """A document's (key, value) pairs as a dict; ArithError naming, as
+    `what`, a key given twice."""
     fields = {}
     for key, value in pairs:
         if key in fields:
-            raise ArithError(f"Params field {key!r} given twice")
+            raise ArithError(f"{what} {key!r} given twice")
         fields[key] = value
     return fields
 
 
+P1_TRIAL_LIMIT = 1 << 20  # trial divisors of (p - 1) / 8N_u: about half a million, well under a second
+
+
 def _p1_factorization(p: int, modulus: int) -> dict[int, int]:
     """Prime factorisation of p - 1 = modulus * c; the modulus (8 N_u, a
-    product of small primes) and c are factored apart."""
+    product of small primes) and c are factored apart, c by trial divisors
+    up to P1_TRIAL_LIMIT.  ArithError naming p where what is left of c then
+    is not prime (is_probable_prime is deterministic below 3.3e24)."""
     factors = factorize(modulus)
-    for q, e in factorize((p - 1) // modulus).items():
+    for q, e in factorize((p - 1) // modulus, P1_TRIAL_LIMIT).items():
+        if q > P1_TRIAL_LIMIT and not is_probable_prime(q):
+            raise ArithError(f"p - 1 for p = {p} has a composite factor {q} with no prime factor up to "
+                             f"{P1_TRIAL_LIMIT}, so epsilon cannot be checked as a primitive root")
         factors[q] = factors.get(q, 0) + e
     return factors
 

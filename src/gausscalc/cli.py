@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import ParamSpec, default_params, find_params, load_params, require_int
+from .arith import ArithError, ParamSpec, default_params, find_params, fields_once, load_params, require_int
 from .coeffring import to_complex, to_fp
 from .climit import (
     CausticError,
@@ -97,9 +97,13 @@ def cmd_gauss_sum(args) -> int:
 
 def _parse_state(params, text: str):
     """A position state {"r": int, "domain": "V" by default} or a state
-    descriptor (``state_from_descriptor``)."""
-    doc = json.loads(text)
+    descriptor (``state_from_descriptor``); ArithError for a key given
+    twice, or one the position state does not have."""
+    doc = json.loads(text, object_pairs_hook=lambda pairs: fields_once(pairs, "descriptor field"))
     if isinstance(doc, dict) and "r" in doc and "form" not in doc:
+        for key in doc:
+            if key != "r" and key != "domain":
+                raise ArithError(f"position state has no field {key!r}")
         r = require_int(doc["r"], "position state field 'r'")
         return PositionState(r, domain_of(params, doc.get("domain", "V")))
     return state_from_descriptor(params, doc)

@@ -46,11 +46,12 @@ leave the Gaussian fragment and raise.
 
 ``Poly`` is the polynomial of a parsed phase atom (``PhaseAtom``): the
 parser adds its terms into a monomial -> coefficient dict and builds one
-``Poly`` per atom.  Expansion and elimination work on the kernel's own
-``gauss.Term``: ``eliminate`` gives each variable name one position for
-the whole expression (names in order, the constant last), a phase-free
-factor carries no matrix, and each quantifier is one ``gauss_sum`` call
-per term.  The ``NormalForm`` holds those terms with the position names
+``Poly`` per atom.  A phase-free atom (a rational, 'j', 'e8', 'sqrt(...)')
+is one ``Const``: its ``GaussCoeff`` and the text it prints as.
+Expansion and elimination work on the kernel's own ``gauss.Term``:
+``eliminate`` gives each variable name one position for the whole
+expression (names in order, the constant last), a ``Const`` is a term
+with no matrix, and each quantifier is one ``gauss_sum`` call per term.  The ``NormalForm`` holds those terms with the position names
 and the expression's ``hilbert.Domain``; ``render`` reads a term's Q and
 guard vectors into ``Poly`` only to print them, and ``eval_normal_form``
 evaluates them at the assignment directly.  The expansion refuses,
@@ -139,23 +140,15 @@ class Expr:
 
 
 @dataclass(frozen=True)
-class Rat(Expr):
-    value: Fraction = Fraction(0)
+class Const(Expr):
+    """A phase-free atom: its coefficient, and its text (sqrt(2/3) prints
+    so, not as 1/3 * sqrt(6), and sqrt(4) is not the atom 2)."""
+
+    coeff: GaussCoeff = GaussCoeff.zero()
+    text: str = "0"
 
 
-@dataclass(frozen=True)
-class JAtom(Expr):
-    pass
-
-
-@dataclass(frozen=True)
-class E8Atom(Expr):
-    pass
-
-
-@dataclass(frozen=True)
-class SqrtAtom(Expr):
-    value: Fraction = Fraction(1)
+_NAMED_COEFF = {"j": GaussCoeff.j_power(1), "e8": GaussCoeff.e8_power(1)}  # shared: coefficients are immutable
 
 
 @dataclass(frozen=True)
@@ -178,7 +171,7 @@ class Plus(Expr):
 class Quant(Expr):
     kind: str = "sum"  # 'sum' or 'int'
     var: str = "r"
-    body: Expr = Rat(Fraction(0))
+    body: Expr = Const()
 
 
 _KEYWORDS = {"sum", "int", "j", "e8", "sqrt", "e", "N", "U", "V"}
@@ -276,16 +269,14 @@ class _Parser:
         tok = self.toks[i]
         if tok == "-" or tok.isdigit():
             value = self.parse_rational_value()
-            return Rat(value, pos=self.pos(i))
+            return Const(GaussCoeff.rational(value), str(value), pos=self.pos(i))
         self.i = i + 1
         if tok == "(":
             inner = self.parse_nested(i)
             self.expect(")")
             return inner
-        if tok == "j":
-            return JAtom(pos=self.pos(i))
-        if tok == "e8":
-            return E8Atom(pos=self.pos(i))
+        if tok == "j" or tok == "e8":
+            return Const(_NAMED_COEFF[tok], tok, pos=self.pos(i))
         if tok == "sqrt":
             self.expect("(")
             value = self.parse_rational_value()
@@ -294,7 +285,7 @@ class _Parser:
                 raise self.error("sqrt argument must be positive", i)
             if value.numerator * value.denominator > MAX_SQRT_ARG:
                 raise self.error(f"sqrt argument exceeds {MAX_SQRT_ARG}", i)
-            return SqrtAtom(value, pos=self.pos(i))
+            return Const(GaussCoeff.sqrt(value), f"sqrt({value})", pos=self.pos(i))
         if tok == "e":
             self.expect("(")
             wrapped = self.toks[self.i] == "("
@@ -403,14 +394,8 @@ def parse(text: str) -> Expr:
 
 
 def format_expr(e: Expr) -> str:
-    if isinstance(e, Rat):
-        return str(e.value)
-    if isinstance(e, JAtom):
-        return "j"
-    if isinstance(e, E8Atom):
-        return "e8"
-    if isinstance(e, SqrtAtom):
-        return f"sqrt({e.value})"
+    if isinstance(e, Const):
+        return e.text
     if isinstance(e, PhaseAtom):
         return f"e(({e.poly.render()})/2N @{e.domain})"
     if isinstance(e, Prod):
@@ -509,13 +494,8 @@ def _compile(e: Expr, params: Params, dom: Domain):
     quantifier in it loops) and the index points its quantifiers visit:
     the product of N along each nest, summed over the nests."""
     p = params.p
-    if isinstance(e, (Rat, JAtom, E8Atom, SqrtAtom)):
-        if isinstance(e, Rat):
-            c = e.value.numerator % p * pow(e.value.denominator, -1, p) % p
-        elif isinstance(e, SqrtAtom):
-            c = to_fp(params, GaussCoeff.sqrt(e.value))
-        else:
-            c = params.j % p if isinstance(e, JAtom) else params.xi(8)
+    if isinstance(e, Const):
+        c = to_fp(params, e.coeff)
         return (lambda env: c), 0, 1, 0
     if isinstance(e, PhaseAtom):
         two_n = 2 * dom.N
@@ -640,8 +620,6 @@ def _dot(v, x: list, names, start: int = 0) -> int:
 
 
 _ONE = GaussCoeff.one()
-# the phase-free atoms' coefficients, shared (coefficients are immutable)
-_ATOM_COEFF = {JAtom: GaussCoeff.j_power(1), E8Atom: GaussCoeff.e8_power(1)}
 
 MAX_TERMS = 1 << 12  # terms the expansion of one eliminate call may hold
 
@@ -716,12 +694,8 @@ def _expand(e: Expr, params: Params, mode: str, dom: Domain, pos: dict[str, int]
             _budget(len(terms) + len(expanded))
             terms += expanded
         return terms
-    if kind in _ATOM_COEFF:
-        return [Term(_ATOM_COEFF[kind], None, dom.N, ())]
-    if kind is Rat:
-        return [Term(GaussCoeff.rational(e.value), None, dom.N, ())]
-    if kind is SqrtAtom:
-        return [Term(GaussCoeff.sqrt(e.value), None, dom.N, ())]
+    if kind is Const:
+        return [Term(e.coeff, None, dom.N, ())]
     raise ArithError(f"cannot eliminate {kind.__name__}")
 
 

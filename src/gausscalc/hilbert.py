@@ -215,17 +215,21 @@ def _int_list(x, n: int, what: str) -> tuple[int, ...]:
 
 
 MAX_DEN = 10**6  # the largest den a state descriptor may give
+_DESCRIPTOR_FIELDS = ("domain", "coeff", "form", "p_param", "den", "support")  # what to_descriptor writes
 
 
 def state_from_descriptor(params: Params, d: dict) -> GaussState:
     """The state of a descriptor in the shape ``GaussState.to_descriptor``
     writes: an object with a domain 'U' or 'V', a coefficient string, an
     integer form [A, L, C] and optional integer p_param, den and support
-    [k, d]; ArithError for any other shape, and for a den above MAX_DEN:
-    `inner` factors a period of up to N lcm(den1, den2) by trial division,
-    which for two primes near MAX_DEN runs to about MAX_DEN."""
+    [k, d]; ArithError for any other shape or field, and for a den above
+    MAX_DEN: `inner` factors a period of up to N lcm(den1, den2) by trial
+    division, which for two primes near MAX_DEN runs to about MAX_DEN."""
     if not isinstance(d, dict):
         raise ArithError("a state descriptor must be an object")
+    for key in d:
+        if key not in _DESCRIPTOR_FIELDS:
+            raise ArithError(f"state descriptor has no field {key!r}")
     for key in ("domain", "coeff", "form"):
         if key not in d:
             raise ArithError(f"state descriptor lacks {key!r}")

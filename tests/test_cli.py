@@ -308,6 +308,9 @@ def _den_inner(den, den2=1, form2=(0, 0, 0), domain="V"):
     return ["inner", "--s1", s1, "--s2", s2, "--kind", "E"]
 
 
+_DESC_SUPPORT = '{"coeff": "1/12", "domain": "V", "form": [-1, 0, 0], "support": [2, 0]}'
+_DESC_ZERO = '{"coeff": "1/12", "domain": "V", "form": [0, 0, 0]}'
+
 # name: (Params document, None for the default tower; the subcommand's argv;
 # the error's type; the start of its message)
 REFUSALS = {
@@ -348,6 +351,20 @@ REFUSALS = {
                                f"state descriptor field 'den' exceeds {MAX_DEN}, got {10**15 + 37}"),
     "state den past its bound": (None, _den_inner(MAX_DEN + 3), "ArithError",
                                  f"state descriptor field 'den' exceeds {MAX_DEN}"),
+    # p - 1 = 128 * 134217757 * 134218391: trial division of the cofactor up to its square root took 8.6 s
+    "params whose p - 1 has a large composite factor": (
+        {"m": 2, "k_mult": 1, "p": 2305854897685630337, "epsilon": 3}, QE, "ArithError",
+        "p - 1 for p = 2305854897685630337 has a composite factor 18014491388168987 with no prime factor up to"),
+    "misspelled state descriptor field": (None, ["inner", "--s1", _DESC_SUPPORT.replace("support", "suport"),
+                                                 "--s2", _DESC_ZERO, "--kind", "E"],
+                                          "ArithError", "state descriptor has no field 'suport'"),
+    "misspelled position state field": (None, ["evolve", "--t", "1", "--state", '{"r": 3, "domian": "U"}'],
+                                        "ArithError", "position state has no field 'domian'"),
+    "state descriptor field given twice": (None, ["inner", "--s1", _DESC_SUPPORT[:-1] + ', "support": [1, 0]}',
+                                                  "--s2", _DESC_ZERO, "--kind", "E"],
+                                           "ArithError", "descriptor field 'support' given twice"),
+    "position state field given twice": (None, ["evolve", "--t", "1", "--state", '{"r": 3, "r": 4}'],
+                                         "ArithError", "descriptor field 'r' given twice"),
     # a valid tower (p - 1 = 9 * 2^33) on which the brute sum over M = 2^31 wants 2^32 int64 entries (32 GiB)
     "power table past its bound": ({"m": 2, "k_mult": 1, "p": 77309411329, "epsilon": 7},
                                    ["gauss-sum", "--a", "1", "--b", "0", "--M", str(1 << 31), "--compute", "brute"],
@@ -364,12 +381,23 @@ def test_refusal_is_one_json_error_of_its_type(case, tmp_path):
 
 @pytest.mark.parametrize("case", ["expansion past its bound", "sum past its bound",
                                   "sqrt of a 21-digit prime in an expression", "sqrt of a 21-digit prime in a coeff",
-                                  "state den of 16 digits", "state den past its bound", "power table past its bound"])
+                                  "state den of 16 digits", "state den past its bound", "power table past its bound",
+                                  "params whose p - 1 has a large composite factor"])
 def test_unbounded_work_is_refused_within_a_second(case, tmp_path):
     params, argv, _, _ = REFUSALS[case]
     start = time.perf_counter()
     one_json_error(params, argv, tmp_path)
     assert time.perf_counter() - start < 1.0
+
+
+def test_a_params_document_with_a_large_prime_cofactor_loads_within_a_second(tmp_path):
+    # p - 1 = 128 * c with c a prime near 2^55: trial division up to sqrt(c) took 10.9 s
+    f = tmp_path / "params.json"
+    f.write_text(json.dumps({"m": 2, "k_mult": 1, "p": 4611686018427388289, "epsilon": 3}))
+    start = time.perf_counter()
+    status, lines = main_lines(["--params-file", str(f)] + QE)
+    assert time.perf_counter() - start < 1.0
+    assert status == 0 and strict_json(lines[0])["agree"] is True
 
 
 def test_the_dens_the_bound_admits_are_factored_within_a_second(tmp_path):

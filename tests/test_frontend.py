@@ -8,9 +8,10 @@ import pytest
 
 from gausscalc import cli
 from gausscalc.arith import ArithError, DomainMismatch, ParamSpec, find_params
-from gausscalc.coeffring import GaussCoeff
+from gausscalc.coeffring import GaussCoeff, to_fp
 from gausscalc.frontend import (
     MAX_EVAL_POINTS,
+    Const,
     DegreeError,
     ParseError,
     PhaseAtom,
@@ -146,12 +147,16 @@ def test_format_deterministic_ordering():
     assert format_expr(e) == format_expr(f)
 
 
-def test_parser_fuzz_terminates():
+def _token_soup():
+    """400 seeded texts of 1-25 random tokens."""
     rng = random.Random(8080)
     tokens = ["sum", "int", "j", "e8", "sqrt", "e", "(", ")", "+", "*", "/", "@",
               ".", "^", "-", "2N", "V", "U", "r", "p", "7", "1/2"]
-    for _ in range(400):
-        soup = " ".join(rng.choices(tokens, k=rng.randint(1, 25)))
+    return [" ".join(rng.choices(tokens, k=rng.randint(1, 25))) for _ in range(400)]
+
+
+def test_parser_fuzz_terminates():
+    for soup in _token_soup():
         try:
             parse(soup)
         except (ParseError, DomainMismatch):
@@ -239,10 +244,33 @@ def test_every_node_carries_its_position():
     # a Plus or Prod sits at its first child, a parenthesised expression at its first atom
     e = parse("(sum r . j * e((r^2 + 2*r*x)/2N @V) + 3/2)\n  * int s . sqrt(2) * e8 * e((-s^2)/2N @V) + -1")
     assert _node_positions(e) == [
-        ("Prod", (1, 2)), ("Quant", (1, 2)), ("Plus", (1, 10)), ("Prod", (1, 10)), ("JAtom", (1, 10)),
-        ("PhaseAtom", (1, 14)), ("Rat", (1, 39)), ("Quant", (2, 5)), ("Plus", (2, 13)), ("Prod", (2, 13)),
-        ("SqrtAtom", (2, 13)), ("E8Atom", (2, 23)), ("PhaseAtom", (2, 28)), ("Rat", (2, 46)),
+        ("Prod", (1, 2)), ("Quant", (1, 2)), ("Plus", (1, 10)), ("Prod", (1, 10)), ("Const", (1, 10)),
+        ("PhaseAtom", (1, 14)), ("Const", (1, 39)), ("Quant", (2, 5)), ("Plus", (2, 13)), ("Prod", (2, 13)),
+        ("Const", (2, 13)), ("Const", (2, 23)), ("PhaseAtom", (2, 28)), ("Const", (2, 46)),
     ]
+
+
+@pytest.mark.parametrize("text, coeff", [
+    ("-3/2", GaussCoeff.rational(Fraction(-3, 2))),
+    ("j", GaussCoeff.j_power(1)),
+    ("e8", GaussCoeff.e8_power(1)),
+    ("sqrt(9/2)", GaussCoeff.sqrt(Fraction(9, 2))),
+])
+def test_a_phase_free_atom_is_one_const_holding_its_coefficient(small, wide, text, coeff):
+    e = parse(text)
+    assert type(e) is Const and e.coeff == coeff and e.text == format_expr(e) == text
+    for params in (small, wide):
+        want = to_fp(params, coeff)
+        assert eval_expr(e, params) == eval_normal_form(eliminate(e, params), params) == want
+
+
+def test_const_equality_is_by_coefficient_and_text(small):
+    assert parse("4/2") == parse("2")
+    assert parse("sqrt(4)") != parse("2") and format_expr(parse("sqrt(4)")) == "sqrt(4)"
+    assert format_expr(parse("sqrt(2/3)")) == "sqrt(2/3)"
+    e = parse("1/257")  # p = 257 divides the denominator: refused at evaluation, not at parse
+    with pytest.raises(ValueError, match="base is not invertible for the given modulus"):
+        eval_expr(e, small)
 
 
 def test_evaluators_take_integer_values_only(small):
@@ -626,9 +654,43 @@ def nf_digest() -> str:
     return h.hexdigest()
 
 
+def ast_digest() -> str:
+    """One sha256 over a seeded corpus of texts on the (2, 1) tower: the
+    format_expr texts of random_expression draws and atom-heavy sums of
+    products, each with format_expr(parse(text)) and its eval_expr value or
+    error text at three seeded assignments, then the parse outcome of each
+    text of `_token_soup`.  Equal digests: an unchanged parser, printer and
+    literal oracle."""
+    params = find_params(ParamSpec(2, 1))
+    rng = random.Random(0xA57D16E)
+    atoms = ["0", "1", "-2", "3/4", "-3/2", "4/2", "1/257", "257", "j", "e8", "sqrt(2)", "sqrt(9/2)", "sqrt(4)",
+             "sqrt(2/3)", "e((2*x - y^2)/2N @V)", "e((-r^2 + 2*r*x)/2N @V)", "e((x*y - r^2)/2N @U)"]
+    texts = [format_expr(random_expression(rng, 1 + i % 3, "VU"[i % 2])) for i in range(300)]
+    for _ in range(300):
+        text = " + ".join(" * ".join(rng.choices(atoms, k=rng.randint(1, 4))) for _ in range(rng.randint(1, 3)))
+        texts.append(f"{rng.choice(['sum', 'int'])} r . {text}" if rng.random() < 0.4 else text)
+    h = hashlib.sha256()
+    for text in texts + _token_soup():
+        try:
+            e = parse(text)
+        except ArithError as exc:
+            h.update(f"{type(exc).__name__}: {exc}\n".encode())
+            continue
+        h.update(f"{format_expr(e)}\n".encode())
+        for _ in range(3):
+            try:
+                out = str(eval_expr(e, params, {"x": rng.randrange(-40, 40), "y": rng.randrange(-40, 40)}))
+            except ValueError as exc:  # ArithError, or a denominator p divides
+                out = f"{type(exc).__name__}: {exc}"
+            h.update(f"{out}\n".encode())
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
-    # PYTHONPATH=src:tests python tests/test_frontend.py --nf-digest
+    # PYTHONPATH=src:tests python tests/test_frontend.py --nf-digest (or --ast-digest)
     import sys
 
     if "--nf-digest" in sys.argv:
         print(nf_digest())
+    if "--ast-digest" in sys.argv:
+        print(ast_digest())

@@ -57,15 +57,12 @@ from gausscalc.climit import (
 from gausscalc.coeffring import GaussCoeff, to_fp, to_fp_phases
 from gausscalc.dynamics import fourier_operator, free_propagator, sm_transfer, weyl_pair
 from gausscalc.frontend import (
-    E8Atom,
-    JAtom,
+    Const,
     PhaseAtom,
     Plus,
     Poly,
     Prod,
     Quant,
-    Rat,
-    SqrtAtom,
     eval_expr,
     format_expr,
     parse,
@@ -99,18 +96,6 @@ def mid():
 def small():
     # N_v = 4, N_u = 16, p = 257
     return find_params(ParamSpec(2, 1))
-
-
-@pytest.fixture(scope="module")
-def wide():
-    """The m=2, k=1 tower over the smallest admissible prime above 2^31,
-    where residues no longer fit int64 products."""
-    modulus = 8 * 16
-    c = (1 << 31) // modulus + 1
-    while not is_probable_prime(modulus * c + 1):
-        c += 1
-    p = modulus * c + 1
-    return Params(2, 1, p, smallest_primitive_root(p, _p1_factorization(p, modulus)))
 
 
 def outcome(f):
@@ -561,11 +546,11 @@ def _random_tree(rng, domain, scope, bound):
     def atom():
         kind = rng.choice(["rat", "j", "e8", "sqrt", "phase", "phase", "phase"])
         if kind == "rat":
-            return Rat(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+            return parse(str(Fraction(rng.randint(-3, 3), rng.randint(1, 3))))
         if kind == "sqrt":
-            return SqrtAtom(Fraction(rng.choice([1, 2, 8, 9, 18]), rng.randint(1, 2)))
+            return parse(f"sqrt({Fraction(rng.choice([1, 2, 8, 9, 18]), rng.randint(1, 2))})")
         if kind != "phase":
-            return JAtom() if kind == "j" else E8Atom()
+            return parse(kind)
         names = list(scope)
         terms = {(): rng.randint(-5, 5)}
         for _ in range(rng.randint(1, 3)):
@@ -592,14 +577,13 @@ def _pointwise(e, ps, asg, dom):
     """The literal value of `e`: nested Python loops over the domain, one
     pow(xi_2N, poly mod 2N, p) per phase atom per point."""
     p = ps.p
-    if isinstance(e, Rat):
-        return e.value.numerator * pow(e.value.denominator, -1, p) % p
-    if isinstance(e, JAtom):
-        return ps.j % p
-    if isinstance(e, E8Atom):
-        return ps.xi(8)
-    if isinstance(e, SqrtAtom):
-        return to_fp(ps, GaussCoeff.sqrt(e.value))
+    if isinstance(e, Const):  # read from its text, not from its coefficient
+        if e.text.startswith("sqrt("):
+            return to_fp(ps, GaussCoeff.sqrt(Fraction(e.text[5:-1])))
+        if e.text in ("j", "e8"):
+            return ps.j % p if e.text == "j" else ps.xi(8)
+        value = Fraction(e.text)
+        return value.numerator * pow(value.denominator, -1, p) % p
     if isinstance(e, PhaseAtom):
         two_n = 2 * (ps.N_v if e.domain == "V" else ps.N_u)
         n = sum(c * math.prod(asg[v] for v in m) for m, c in e.poly.coeffs)

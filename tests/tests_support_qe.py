@@ -8,7 +8,7 @@ quadratic atom per bound variable."""
 import random
 from fractions import Fraction
 
-from gausscalc.frontend import E8Atom, JAtom, PhaseAtom, Plus, Poly, Prod, Quant, Rat
+from gausscalc.frontend import PhaseAtom, Plus, Poly, Prod, Quant, parse
 
 
 def random_expression(rng: random.Random, n_quant: int, domain: str, frees=("x", "y")):
@@ -28,16 +28,16 @@ def random_expression(rng: random.Random, n_quant: int, domain: str, frees=("x",
             extra.append(PhaseAtom(Poly.from_dict({(w,): rng.randint(-2, 2)}), domain))
     coeffs = []
     if rng.random() < 0.4:
-        coeffs.append(Rat(Fraction(rng.randint(1, 3), rng.randint(1, 2))))
+        coeffs.append(parse(str(Fraction(rng.randint(1, 3), rng.randint(1, 2)))))
     if rng.random() < 0.3:
-        coeffs.append(JAtom())
+        coeffs.append(parse("j"))
     if rng.random() < 0.3:
-        coeffs.append(E8Atom())
+        coeffs.append(parse("e8"))
     parts = coeffs + extra + atoms
     body = parts[0] if len(parts) == 1 else Prod(tuple(parts))
     expr = body
     for v in reversed(bound):
         expr = Quant(rng.choice(["sum", "int"]), v, expr)
     if rng.random() < 0.3:
-        expr = Plus((expr, Rat(Fraction(rng.randint(0, 2)))))
+        expr = Plus((expr, parse(str(rng.randint(0, 2)))))
     return expr
